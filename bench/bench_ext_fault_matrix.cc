@@ -41,25 +41,6 @@ struct FaultCell {
   std::uint64_t fingerprint = 0;
 };
 
-// FNV-1a over the retained trace (the engine-golden fingerprint).
-std::uint64_t TraceFingerprint(const Scenario& scenario) {
-  std::uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  scenario.machine->trace().ForEach([&](const TraceRecord& record) {
-    mix(static_cast<std::uint64_t>(record.time));
-    mix(static_cast<std::uint64_t>(record.event));
-    mix(static_cast<std::uint64_t>(record.cpu));
-    mix(static_cast<std::uint64_t>(record.vcpu));
-    mix(static_cast<std::uint64_t>(record.arg));
-  });
-  mix(scenario.machine->trace().total_recorded());
-  mix(scenario.machine->sim().events_executed());
-  return hash;
-}
-
 FaultCell MeasureCell(SchedKind kind, bool capped, double intensity, TimeNs duration) {
   ScenarioConfig config;
   config.scheduler = kind;
@@ -81,7 +62,7 @@ FaultCell MeasureCell(SchedKind kind, bool capped, double intensity, TimeNs dura
   RecordScenarioMetrics(scenario);
   return FaultCell{ToMs(scenario.vantage->service_gaps().Max()),
                    ToMs(static_cast<TimeNs>(scenario.vantage->service_gaps().StdDev())),
-                   TraceFingerprint(scenario)};
+                   TraceFingerprint(*scenario.machine)};
 }
 
 void RunMatrix(const char* title, const char* prefix, bool capped,

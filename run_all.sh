@@ -16,8 +16,8 @@ ctest --test-dir build-asan 2>&1 | tee -a test_output.txt
 # and a fuzzer pass over a fixed seed range; any violation shrinks to a
 # minimal reproducer under tests/repro/ for triage.
 ctest --test-dir build-asan -L check --output-on-failure 2>&1 | tee -a test_output.txt
-build-asan/tools/tableau_checkctl selftest
-build-asan/tools/tableau_checkctl fuzz --seeds 0:20000 --shrink --repro-dir tests/repro
+build-asan/tools/tableau check selftest
+build-asan/tools/tableau check fuzz --seeds 0:20000 --shrink --repro-dir tests/repro
 # Audit every table the planner-heavy benches emit (the uninstrumented bench
 # loop below regenerates the JSON artifacts without the verification cost).
 TABLEAU_VERIFY_TABLES=1 build-asan/bench/bench_fig3_table_generation_time
@@ -36,14 +36,14 @@ for b in build/bench/bench_*; do "$b"; done 2>&1 | tee bench_output.txt
 # Observability smoke: export a traced Fig. 5-style scenario as Perfetto
 # JSON, schema-check it, and prove metrics collection does not perturb the
 # simulation (metrics-on and metrics-off traces must be bit-identical).
-build/tools/tableau_tracedump --scheduler tableau --cpus 2 --seconds 0.2 \
+build/tools/tableau trace --scheduler tableau --cpus 2 --seconds 0.2 \
     --validate --check-determinism --out tableau.perfetto.json
 
 # Fleet smoke: a small deterministic multi-host run — serial, sharded,
 # sharded-parallel, and repeat executions must produce byte-identical
 # fingerprints and merged metrics (exits nonzero otherwise). The full
 # 64-host BENCH_fleet.json artifact comes from the bench loop above.
-build/tools/tableau_fleetctl run --hosts 4 --cpus 4 --slots 2 --vms 8 \
+build/tools/tableau fleet run --hosts 4 --cpus 4 --slots 2 --vms 8 \
     --surge-vms 1 --surge-at-ms 100 --surge-factor 6 --seconds 0.5 \
     --check-determinism
 
@@ -52,5 +52,5 @@ build/tools/tableau_fleetctl run --hosts 4 --cpus 4 --slots 2 --vms 8 \
 # reruns with the TableVerifier auditing every table the resize loop
 # installs (the bench loop above already produced BENCH_adaptive.json and
 # gated elastic >= static packing at no SLO cost).
-build/tools/tableau_adaptctl run --seconds 3 --vms 16 --check-determinism
+build/tools/tableau adapt run --seconds 3 --vms 16 --check-determinism
 TABLEAU_VERIFY_TABLES=1 build/bench/bench_adaptive

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/check/table_verifier.h"
+#include "src/common/parse.h"
 #include "src/common/rng.h"
 #include "src/fleet/host.h"
 
@@ -51,9 +52,8 @@ bool ParseDemand(const std::string& text, std::vector<double>* demand) {
       demand->push_back(-1.0);
       continue;
     }
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || value < 0) {
+    double value = 0;
+    if (!ParseValue(token, &value) || value < 0) {
       return false;
     }
     demand->push_back(value);
@@ -115,46 +115,47 @@ std::optional<AdaptScenarioSpec> ParseAdaptSpec(const std::string& text) {
     }
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
+    bool ok = false;
     if (key == "seed") {
-      spec.seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseValue(value, &spec.seed);
     } else if (key == "num_cpus") {
-      spec.num_cpus = std::atoi(value.c_str());
+      ok = ParseValue(value, &spec.num_cpus);
     } else if (key == "cores_per_socket") {
-      spec.cores_per_socket = std::atoi(value.c_str());
+      ok = ParseValue(value, &spec.cores_per_socket);
     } else if (key == "slots_per_core") {
-      spec.slots_per_core = std::atoi(value.c_str());
+      ok = ParseValue(value, &spec.slots_per_core);
     } else if (key == "window_ns") {
-      spec.window_ns = std::strtoll(value.c_str(), nullptr, 10);
+      ok = ParseValue(value, &spec.window_ns);
     } else if (key == "windows") {
-      spec.windows = std::atoi(value.c_str());
+      ok = ParseValue(value, &spec.windows);
     } else if (key == "min_utilization") {
-      spec.min_utilization = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.min_utilization);
     } else if (key == "max_utilization") {
-      spec.max_utilization = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.max_utilization);
     } else if (key == "predictor_history") {
-      spec.policy.predictor.history = std::atoi(value.c_str());
+      ok = ParseValue(value, &spec.policy.predictor.history);
     } else if (key == "predictor_fit_window") {
-      spec.policy.predictor.fit_window = std::atoi(value.c_str());
+      ok = ParseValue(value, &spec.policy.predictor.fit_window);
     } else if (key == "predictor_horizon") {
-      spec.policy.predictor.horizon = std::atoi(value.c_str());
+      ok = ParseValue(value, &spec.policy.predictor.horizon);
     } else if (key == "predictor_quantile") {
-      spec.policy.predictor.quantile = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.policy.predictor.quantile);
     } else if (key == "headroom") {
-      spec.policy.headroom = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.policy.headroom);
     } else if (key == "quantize") {
-      spec.policy.quantize = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.policy.quantize);
     } else if (key == "grow_deadband") {
-      spec.policy.grow_deadband = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.policy.grow_deadband);
     } else if (key == "shrink_deadband") {
-      spec.policy.shrink_deadband = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.policy.shrink_deadband);
     } else if (key == "cooldown_windows") {
-      spec.policy.cooldown_windows = std::atoi(value.c_str());
+      ok = ParseValue(value, &spec.policy.cooldown_windows);
     } else if (key == "saturation_threshold") {
-      spec.policy.saturation_threshold = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.policy.saturation_threshold);
     } else if (key == "saturation_growth") {
-      spec.policy.saturation_growth = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.policy.saturation_growth);
     } else if (key == "floor_quantile") {
-      spec.policy.floor_quantile = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.policy.floor_quantile);
     } else if (key == "vm") {
       AdaptVmFuzzSpec vm;
       std::istringstream fields(value);
@@ -168,25 +169,24 @@ std::optional<AdaptScenarioSpec> ParseAdaptSpec(const std::string& text) {
         }
         const std::string name = field.substr(0, colon);
         const std::string body = field.substr(colon + 1);
+        bool field_ok = false;
         if (name == "init") {
-          vm.initial = std::strtod(body.c_str(), nullptr);
+          field_ok = ParseValue(body, &vm.initial);
           have_init = true;
         } else if (name == "latency_ns") {
-          vm.latency_goal = std::strtoll(body.c_str(), nullptr, 10);
+          field_ok = ParseValue(body, &vm.latency_goal);
         } else if (name == "demand") {
-          if (!ParseDemand(body, &vm.demand)) {
-            return std::nullopt;
-          }
+          field_ok = ParseDemand(body, &vm.demand);
           have_demand = true;
-        } else {
+        }
+        if (!field_ok) {
           return std::nullopt;
         }
       }
-      if (!have_init || !have_demand) {
-        return std::nullopt;
-      }
+      ok = have_init && have_demand;
       spec.vms.push_back(std::move(vm));
-    } else {
+    }
+    if (!ok) {
       return std::nullopt;
     }
   }
@@ -621,34 +621,18 @@ std::vector<AdaptScenarioSpec> AdaptShrinkCandidates(
 
 }  // namespace
 
-AdaptShrinkResult ShrinkAdaptSpec(const AdaptScenarioSpec& spec,
-                                  const std::string& category) {
-  AdaptShrinkResult result;
-  result.spec = spec;
+ShrinkResult<AdaptScenarioSpec> ShrinkAdaptSpec(const AdaptScenarioSpec& spec,
+                                                const std::string& category) {
   if (category.empty()) {
-    return result;
+    return {spec, 0};
   }
-  constexpr int kMaxRuns = 200;
-  bool progress = true;
-  while (progress && result.runs < kMaxRuns) {
-    progress = false;
-    for (const AdaptScenarioSpec& candidate : AdaptShrinkCandidates(result.spec)) {
-      if (!FeasibleAdaptSpec(candidate)) {
-        continue;
-      }
-      ++result.runs;
-      const AdaptCheckOutcome outcome = RunAdaptScenario(candidate);
-      if (AdaptCategoryOf(outcome.violations) == category) {
-        result.spec = candidate;
-        progress = true;
-        break;
-      }
-      if (result.runs >= kMaxRuns) {
-        break;
-      }
-    }
-  }
-  return result;
+  return GreedyShrink(
+      spec, AdaptShrinkCandidates, FeasibleAdaptSpec,
+      [&category](const AdaptScenarioSpec& candidate) {
+        return AdaptCategoryOf(RunAdaptScenario(candidate).violations) ==
+               category;
+      },
+      /*max_runs=*/200);
 }
 
 }  // namespace tableau::check

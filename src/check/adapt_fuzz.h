@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/adapt/controller.h"
+#include "src/check/shrink.h"
 #include "src/common/time.h"
 
 namespace tableau::check {
@@ -85,16 +86,12 @@ AdaptCheckOutcome RunAdaptScenario(const AdaptScenarioSpec& spec);
 // violation message up to its first ':'. Empty when there are none.
 std::string AdaptCategoryOf(const std::vector<std::string>& violations);
 
-struct AdaptShrinkResult {
-  AdaptScenarioSpec spec;
-  int runs = 0;
-};
-
-// Greedy deterministic delta-debugging: drop VMs, truncate the window
-// trace, flatten demand to its mean, materialize no-data windows — keeping
-// any pass that still reproduces `category`.
-AdaptShrinkResult ShrinkAdaptSpec(const AdaptScenarioSpec& spec,
-                                  const std::string& category);
+// Greedy deterministic delta-debugging (GreedyShrink, src/check/shrink.h):
+// drop VMs, truncate the window trace, flatten demand to its mean,
+// materialize no-data windows — keeping any pass that still reproduces
+// `category`. An empty category returns the spec unchanged.
+ShrinkResult<AdaptScenarioSpec> ShrinkAdaptSpec(const AdaptScenarioSpec& spec,
+                                                const std::string& category);
 
 }  // namespace tableau::check
 

@@ -9,6 +9,7 @@
 #include "src/check/oracles.h"
 #include "src/check/table_verifier.h"
 #include "src/common/check.h"
+#include "src/common/parse.h"
 #include "src/common/rng.h"
 #include "src/core/replan.h"
 #include "src/faults/fault_plan.h"
@@ -89,6 +90,36 @@ std::string FormatSpec(const ScenarioSpec& spec) {
   return out.str();
 }
 
+namespace {
+
+// One vm= line: exactly the five name:value fields FormatSpec writes, in its
+// order.
+std::optional<VmFuzzSpec> ParseVm(const std::string& text) {
+  static constexpr std::string_view kNames[] = {"vcpus:", "util:", "latency_ns:",
+                                                "workload:", "gang:"};
+  std::istringstream in(text);
+  std::string fields[std::size(kNames)];
+  for (std::size_t i = 0; i < std::size(kNames); ++i) {
+    if (!(in >> fields[i]) || fields[i].rfind(kNames[i], 0) != 0) {
+      return std::nullopt;
+    }
+    fields[i].erase(0, kNames[i].size());
+  }
+  std::string extra;
+  VmFuzzSpec vm;
+  const auto workload = WorkloadKindFromName(fields[3]);
+  if (in >> extra || !ParseValue(fields[0], &vm.vcpus) ||
+      !ParseValue(fields[1], &vm.utilization) ||
+      !ParseValue(fields[2], &vm.latency_goal) || !workload ||
+      !ParseValue(fields[4], &vm.gang)) {
+    return std::nullopt;
+  }
+  vm.workload = *workload;
+  return vm;
+}
+
+}  // namespace
+
 std::optional<ScenarioSpec> ParseSpec(const std::string& text) {
   std::istringstream in(text);
   std::string line;
@@ -107,54 +138,45 @@ std::optional<ScenarioSpec> ParseSpec(const std::string& text) {
     }
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
+    bool ok = false;
     if (key == "seed") {
-      spec.seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseValue(value, &spec.seed);
     } else if (key == "scheduler") {
       const auto kind = SchedKindFromName(value);
-      if (!kind) return std::nullopt;
-      spec.scheduler = *kind;
+      ok = kind.has_value();
+      spec.scheduler = kind.value_or(spec.scheduler);
     } else if (key == "capped") {
-      spec.capped = value == "1";
+      ok = ParseValue(value, &spec.capped);
     } else if (key == "guest_cpus") {
-      spec.guest_cpus = std::atoi(value.c_str());
+      ok = ParseValue(value, &spec.guest_cpus);
     } else if (key == "cores_per_socket") {
-      spec.cores_per_socket = std::atoi(value.c_str());
+      ok = ParseValue(value, &spec.cores_per_socket);
     } else if (key == "duration_ns") {
-      spec.duration = std::strtoll(value.c_str(), nullptr, 10);
+      ok = ParseValue(value, &spec.duration);
     } else if (key == "fault_intensity") {
-      spec.fault_intensity = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.fault_intensity);
     } else if (key == "fault_seed") {
-      spec.fault_seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseValue(value, &spec.fault_seed);
     } else if (key == "planner_failure") {
-      spec.planner_failure = std::strtod(value.c_str(), nullptr);
+      ok = ParseValue(value, &spec.planner_failure);
     } else if (key == "replan_at_ns") {
-      spec.replan_at = std::strtoll(value.c_str(), nullptr, 10);
+      ok = ParseValue(value, &spec.replan_at);
     } else if (key == "slip_ns") {
-      spec.slip_ns = std::strtoll(value.c_str(), nullptr, 10);
+      ok = ParseValue(value, &spec.slip_ns);
     } else if (key == "mutant") {
       const auto kind = MutantKindFromName(value);
-      if (!kind) return std::nullopt;
-      spec.mutant = *kind;
+      ok = kind.has_value();
+      spec.mutant = kind.value_or(spec.mutant);
     } else if (key == "mutant_stride") {
-      spec.mutant_stride = std::atoi(value.c_str());
+      ok = ParseValue(value, &spec.mutant_stride);
     } else if (key == "vm") {
-      VmFuzzSpec vm;
-      char workload[32] = {0};
-      int gang = 0;
-      long long latency = 0;
-      if (std::sscanf(value.c_str(),
-                      "vcpus:%d util:%lf latency_ns:%lld workload:%31s gang:%d",
-                      &vm.vcpus, &vm.utilization, &latency, workload,
-                      &gang) != 5) {
-        return std::nullopt;
+      const std::optional<VmFuzzSpec> vm = ParseVm(value);
+      ok = vm.has_value();
+      if (ok) {
+        spec.vms.push_back(*vm);
       }
-      vm.latency_goal = static_cast<TimeNs>(latency);
-      const auto kind = WorkloadKindFromName(workload);
-      if (!kind) return std::nullopt;
-      vm.workload = *kind;
-      vm.gang = gang != 0;
-      spec.vms.push_back(vm);
-    } else {
+    }
+    if (!ok) {
       return std::nullopt;
     }
   }
@@ -562,33 +584,17 @@ std::vector<ScenarioSpec> ShrinkCandidates(const ScenarioSpec& spec) {
 
 }  // namespace
 
-ShrinkResult Shrink(const ScenarioSpec& spec, const std::string& category) {
-  ShrinkResult result;
-  result.spec = spec;
+ShrinkResult<ScenarioSpec> Shrink(const ScenarioSpec& spec,
+                                  const std::string& category) {
   if (category.empty()) {
-    return result;
+    return {spec, 0};
   }
-  constexpr int kMaxRuns = 200;
-  bool progress = true;
-  while (progress && result.runs < kMaxRuns) {
-    progress = false;
-    for (const ScenarioSpec& candidate : ShrinkCandidates(result.spec)) {
-      if (!FeasibleSpec(candidate)) {
-        continue;
-      }
-      ++result.runs;
-      const CheckOutcome outcome = RunCheckedScenario(candidate);
-      if (CategoryOf(outcome.violations) == category) {
-        result.spec = candidate;
-        progress = true;
-        break;
-      }
-      if (result.runs >= kMaxRuns) {
-        break;
-      }
-    }
-  }
-  return result;
+  return GreedyShrink(
+      spec, ShrinkCandidates, FeasibleSpec,
+      [&category](const ScenarioSpec& candidate) {
+        return CategoryOf(RunCheckedScenario(candidate).violations) == category;
+      },
+      /*max_runs=*/200);
 }
 
 }  // namespace tableau::check

@@ -19,7 +19,7 @@
 // any candidate that still reproduces the same violation category, looping
 // until no pass makes progress. The result is a minimal reproducer whose
 // serialized form (FormatSpec) goes into tests/repro/ and replays through
-// tableau_checkctl or the repro-corpus test.
+// `tableau check replay` or the repro-corpus test.
 #ifndef SRC_CHECK_SCENARIO_FUZZ_H_
 #define SRC_CHECK_SCENARIO_FUZZ_H_
 
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/check/mutants.h"
+#include "src/check/shrink.h"
 #include "src/common/time.h"
 #include "src/schedulers/factory.h"
 
@@ -77,7 +78,8 @@ struct ScenarioSpec {
 };
 
 // Text round-trip ("tableau-repro v1" header + key=value lines, one repeated
-// vm= line per VM). ParseSpec returns nullopt on malformed input.
+// vm= line per VM). ParseSpec returns nullopt on malformed input: an unknown
+// key or vm= field, or a value that does not parse in full.
 std::string FormatSpec(const ScenarioSpec& spec);
 std::optional<ScenarioSpec> ParseSpec(const std::string& text);
 
@@ -106,14 +108,11 @@ CheckOutcome RunCheckedScenario(const ScenarioSpec& spec);
 // first violation message. Empty when there are no violations.
 std::string CategoryOf(const std::vector<std::string>& violations);
 
-struct ShrinkResult {
-  ScenarioSpec spec;
-  int runs = 0;  // Scenario executions the shrink spent.
-};
-
-// Greedy deterministic delta-debugging: repeatedly applies the first
-// shrinking pass that still reproduces `category` until none does.
-ShrinkResult Shrink(const ScenarioSpec& spec, const std::string& category);
+// Greedy deterministic delta-debugging (GreedyShrink, src/check/shrink.h):
+// repeatedly applies the first shrinking pass that still reproduces
+// `category` until none does. An empty category returns the spec unchanged.
+ShrinkResult<ScenarioSpec> Shrink(const ScenarioSpec& spec,
+                                  const std::string& category);
 
 }  // namespace tableau::check
 

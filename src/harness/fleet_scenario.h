@@ -1,6 +1,6 @@
 // Fleet experiment construction: maps a compact experiment description
 // (host shape x VM reservation stream) onto a fleet::ClusterConfig. Shared
-// by bench_fleet, the tableau_fleetctl CLI, and the fleet tests so the
+// by bench_fleet, the `tableau fleet` CLI, and the fleet tests so the
 // 64-host determinism scenario is one definition, not three copies.
 #ifndef SRC_HARNESS_FLEET_SCENARIO_H_
 #define SRC_HARNESS_FLEET_SCENARIO_H_

@@ -168,4 +168,33 @@ Scenario BuildVmScenario(const ScenarioConfig& config, const std::vector<VmSpec>
   return scenario;
 }
 
+namespace {
+
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+std::uint64_t FnvMix(std::uint64_t hash, std::uint64_t value) {
+  return (hash ^ value) * kFnvPrime;
+}
+
+}  // namespace
+
+std::uint64_t TraceFingerprint(const Machine& machine) {
+  std::uint64_t hash = 1469598103934665603ull;
+  machine.trace().ForEach([&hash](const TraceRecord& record) {
+    hash = FnvMix(hash, static_cast<std::uint64_t>(record.time));
+    hash = FnvMix(hash, static_cast<std::uint64_t>(record.event));
+    hash = FnvMix(hash, static_cast<std::uint64_t>(record.cpu));
+    hash = FnvMix(hash, static_cast<std::uint64_t>(record.vcpu));
+    hash = FnvMix(hash, static_cast<std::uint64_t>(record.arg));
+  });
+  hash = FnvMix(hash, machine.trace().total_recorded());
+  return FnvMix(hash, machine.sim().events_executed());
+}
+
+std::uint64_t GoldenFingerprint(const Machine& machine) {
+  const std::uint64_t hash =
+      FnvMix(TraceFingerprint(machine), machine.context_switches());
+  return FnvMix(hash, machine.schedule_invocations());
+}
+
 }  // namespace tableau

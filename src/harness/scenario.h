@@ -108,6 +108,16 @@ Scenario BuildVmScenario(const ScenarioConfig& config, const std::vector<VmSpec>
 // telemetry is a pure observer — attaching it does not change the schedule.
 void AttachTelemetry(Scenario& scenario, obs::Telemetry* telemetry);
 
+// FNV-1a over every retained trace record, then the trace's total_recorded()
+// and the engine's events_executed(): the run-determinism fingerprint that
+// observer-neutrality checks compare with an observer on and off.
+std::uint64_t TraceFingerprint(const Machine& machine);
+
+// TraceFingerprint continued over context_switches() and
+// schedule_invocations(): the engine-golden fingerprint pinned in
+// tests/engine_golden_test.cc.
+std::uint64_t GoldenFingerprint(const Machine& machine);
+
 }  // namespace tableau
 
 #endif  // SRC_HARNESS_SCENARIO_H_

@@ -1,8 +1,8 @@
 // Workload-population helpers shared by the benches, tools, and tests:
 // attach the paper's background workload mixes (Sec. 7.3) to a built
 // Scenario. Hoisted out of bench/bench_util.h so every scenario consumer
-// (fig benches, obsctl, the fuzzer) builds its VM population through one
-// public harness API instead of private copies.
+// (fig benches, `tableau obs`, the fuzzer) builds its VM population through
+// one public harness API instead of private copies.
 #ifndef SRC_HARNESS_WORKLOADS_H_
 #define SRC_HARNESS_WORKLOADS_H_
 

@@ -49,6 +49,7 @@ class Machine {
   Machine(MachineConfig config, std::unique_ptr<VcpuScheduler> scheduler);
 
   Simulation& sim() { return *sim_; }
+  const Simulation& sim() const { return *sim_; }
   VcpuScheduler& scheduler() { return *scheduler_; }
   const MachineConfig& config() const { return config_; }
   int num_cpus() const { return config_.num_cpus; }

@@ -10,7 +10,7 @@
 //
 // Metrics are pure observers: recording never feeds back into simulated
 // behaviour, so a run with metrics enabled is bit-identical to one with them
-// disabled (enforced by tests/obs_test.cc and `tableau_tracedump
+// disabled (enforced by tests/obs_test.cc and `tableau trace
 // --check-determinism`).
 //
 // Snapshot/delta semantics: Snapshot() captures every metric's current value

@@ -4,7 +4,7 @@
 // observers (no simulation events, no feedback into scheduling) and — after
 // Bind — zero-allocation, so a run with telemetry attached is bit-identical
 // to one without (proved by tests/telemetry_test.cc fingerprint checks and
-// `tableau_obsctl --check-determinism`).
+// `tableau obs --check-determinism`).
 //
 // Lifecycle: construct with a Config, optionally SetVcpuName/SetVmOf, then
 // Machine::Start calls Bind once vCPU/pCPU counts are known. Machine drives

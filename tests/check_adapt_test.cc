@@ -57,7 +57,7 @@ TEST(AdaptFuzz, ThousandSeedBatteryHoldsEveryProperty) {
       continue;
     }
     const std::string category = AdaptCategoryOf(outcome.violations);
-    const AdaptShrinkResult shrunk = ShrinkAdaptSpec(spec, category);
+    const ShrinkResult<AdaptScenarioSpec> shrunk = ShrinkAdaptSpec(spec, category);
     const std::string path =
         WriteReproducer(shrunk.spec, category, static_cast<std::uint64_t>(seed));
     FAIL() << "seed " << seed << " (" << outcome.violations.size()
@@ -102,11 +102,20 @@ TEST(AdaptFuzz, ParserRejectsMalformedSpecs) {
       ParseAdaptSpec("tableau-adapt-repro v1\nseed=1\n").has_value());
   EXPECT_FALSE(  // VM line without a demand trace.
       ParseAdaptSpec("tableau-adapt-repro v1\nvm=init:0.25\n").has_value());
+  // Every value must parse in full, demand entries included.
+  const std::string header = "tableau-adapt-repro v1\n";
+  const std::string vm = "vm=init:0.25 latency_ns:20000000 demand:0.05,x,0.5\n";
+  ASSERT_TRUE(ParseAdaptSpec(header + vm).has_value());
+  for (const std::string& bad :
+       {"num_cpus=2x\n" + vm, "seed=one\n" + vm,
+        std::string("vm=init:0.25 latency_ns:20000000 demand:0.05x,x,0.5\n")}) {
+    EXPECT_FALSE(ParseAdaptSpec(header + bad).has_value()) << bad;
+  }
 }
 
 TEST(AdaptFuzz, ShrinkWithoutCategoryIsIdentity) {
   const AdaptScenarioSpec spec = GenerateAdaptSpec(7);
-  const AdaptShrinkResult result = ShrinkAdaptSpec(spec, "");
+  const ShrinkResult<AdaptScenarioSpec> result = ShrinkAdaptSpec(spec, "");
   EXPECT_EQ(result.runs, 0);
   EXPECT_EQ(FormatAdaptSpec(result.spec), FormatAdaptSpec(spec));
 }

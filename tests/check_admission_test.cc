@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/check/shrink.h"
 #include "src/common/rng.h"
 #include "src/common/time.h"
 #include "src/rt/admission.h"
@@ -90,20 +92,20 @@ bool Disagrees(const std::vector<PeriodicTask>& tasks) {
 // Greedy delta-debugging: repeatedly drop any task whose removal preserves
 // the disagreement, until no single removal does.
 std::vector<PeriodicTask> Shrink(std::vector<PeriodicTask> tasks) {
-  bool shrunk = true;
-  while (shrunk && tasks.size() > 1) {
-    shrunk = false;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      std::vector<PeriodicTask> without = tasks;
-      without.erase(without.begin() + static_cast<std::ptrdiff_t>(i));
-      if (Disagrees(without)) {
-        tasks = std::move(without);
-        shrunk = true;
-        break;
-      }
+  const auto without_one = [](const std::vector<PeriodicTask>& set) {
+    std::vector<std::vector<PeriodicTask>> candidates;
+    for (std::size_t i = 0; set.size() > 1 && i < set.size(); ++i) {
+      candidates.push_back(set);
+      candidates.back().erase(candidates.back().begin() +
+                              static_cast<std::ptrdiff_t>(i));
     }
-  }
-  return tasks;
+    return candidates;
+  };
+  return check::GreedyShrink(
+             std::move(tasks), without_one,
+             [](const std::vector<PeriodicTask>&) { return true; }, Disagrees,
+             std::numeric_limits<int>::max())
+      .spec;
 }
 
 TEST(AdmissionDifferential, LadderVerdictMatchesEdfSimulation) {

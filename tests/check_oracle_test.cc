@@ -5,8 +5,8 @@
 // reference model, plus a verified table behind every Tableau plan.
 //
 // Any failure here prints the serialized reproducer; paste it into a file
-// and replay with `tableau_checkctl replay` (or shrink with
-// `tableau_checkctl fuzz --shrink` around the failing seed).
+// and replay with `tableau check replay` (or shrink with
+// `tableau check fuzz --shrink` around the failing seed).
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -213,6 +213,15 @@ TEST(ScenarioSpec, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseSpec("not a repro").has_value());
   EXPECT_FALSE(ParseSpec("tableau-repro v1\nbogus_key=1\n").has_value());
   EXPECT_FALSE(ParseSpec("tableau-repro v1\nseed=1\n").has_value());  // No VMs.
+  // Every value must parse in full; the vm= line must hold exactly its fields.
+  const std::string header = "tableau-repro v1\n";
+  const std::string vm =
+      "vm=vcpus:1 util:0.25 latency_ns:20000000 workload:hog gang:0";
+  ASSERT_TRUE(ParseSpec(header + vm + "\n").has_value());
+  for (const std::string& bad : std::vector<std::string>{
+           "seed=abc", "guest_cpus=2x", "capped=yes", vm + " extra:5"}) {
+    EXPECT_FALSE(ParseSpec(header + bad + "\n" + vm + "\n").has_value()) << bad;
+  }
 }
 
 // A Tableau scenario with a planted mutant: the oracles must notice, the
@@ -252,7 +261,7 @@ TEST(Shrink, MutantReproducerShrinksToFewVcpus) {
   const CheckOutcome outcome = RunCheckedScenario(spec);
   ASSERT_FALSE(outcome.violations.empty());
   const std::string category = CategoryOf(outcome.violations);
-  const ShrinkResult shrunk = Shrink(spec, category);
+  const ShrinkResult<ScenarioSpec> shrunk = Shrink(spec, category);
   // The shrunk spec still reproduces the same violation category...
   const CheckOutcome replay = RunCheckedScenario(shrunk.spec);
   EXPECT_EQ(CategoryOf(replay.violations), category);

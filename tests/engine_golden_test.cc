@@ -2,9 +2,10 @@
 // scenarios (Fig. 5 style: vantage CPU hog + I/O background on a 4-core
 // guest) must produce the exact trace-record sequence and aggregate counters
 // that the original binary-heap engine produced. The pinned fingerprints
-// were captured with tools/golden_capture against the seed engine; any
-// reordering of same-time events, lost tick, or drifted timestamp in the
-// timer-wheel engine changes the hash.
+// (GoldenFingerprint) were captured against the seed engine and are
+// regenerated with `tableau golden --update`; any reordering of same-time
+// events, lost tick, or drifted timestamp in the timer-wheel engine changes
+// the hash.
 #include <gtest/gtest.h>
 
 #include "bench/bench_util.h"
@@ -12,28 +13,6 @@
 
 namespace tableau {
 namespace {
-
-
-// FNV-1a over every retained trace record plus the run's aggregate counters.
-std::uint64_t Fingerprint(const Scenario& scenario) {
-  std::uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  scenario.machine->trace().ForEach([&](const TraceRecord& record) {
-    mix(static_cast<std::uint64_t>(record.time));
-    mix(static_cast<std::uint64_t>(record.event));
-    mix(static_cast<std::uint64_t>(record.cpu));
-    mix(static_cast<std::uint64_t>(record.vcpu));
-    mix(static_cast<std::uint64_t>(record.arg));
-  });
-  mix(scenario.machine->trace().total_recorded());
-  mix(scenario.machine->sim().events_executed());
-  mix(scenario.machine->context_switches());
-  mix(scenario.machine->schedule_invocations());
-  return hash;
-}
 
 std::uint64_t RunOne(SchedKind kind, bool capped) {
   ScenarioConfig config;
@@ -50,7 +29,7 @@ std::uint64_t RunOne(SchedKind kind, bool capped) {
   AttachBackground(scenario, Background::kIo, 1, background);
   scenario.machine->Start();
   scenario.machine->RunFor(300 * kMillisecond);
-  return Fingerprint(scenario);
+  return GoldenFingerprint(*scenario.machine);
 }
 
 TEST(EngineGolden, CreditCappedMatchesSeedEngine) {

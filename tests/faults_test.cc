@@ -181,22 +181,7 @@ std::uint64_t RunAndFingerprint(const ScenarioConfig& config, TimeNs duration) {
   }
   scenario.machine->Start();
   scenario.machine->RunFor(duration);
-
-  std::uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  scenario.machine->trace().ForEach([&](const TraceRecord& record) {
-    mix(static_cast<std::uint64_t>(record.time));
-    mix(static_cast<std::uint64_t>(record.event));
-    mix(static_cast<std::uint64_t>(record.cpu));
-    mix(static_cast<std::uint64_t>(record.vcpu));
-    mix(static_cast<std::uint64_t>(record.arg));
-  });
-  mix(scenario.machine->trace().total_recorded());
-  mix(scenario.machine->sim().events_executed());
-  return hash;
+  return TraceFingerprint(*scenario.machine);
 }
 
 ScenarioConfig SmallConfig() {

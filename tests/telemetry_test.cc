@@ -64,7 +64,8 @@ TEST(TimeSeriesRecorder, AddRangeSplitsAcrossWindowBoundaries) {
   const auto id = recorder.DefineSeries("busy");
   recorder.AddRange(id, 50, 250);  // 50 in w0, 100 in w1, 50 in w2.
 
-  const auto& windows = recorder.Snapshot().series.at("busy").windows;
+  const auto snapshot = recorder.Snapshot();
+  const auto& windows = snapshot.series.at("busy").windows;
   ASSERT_EQ(windows.size(), 3u);
   EXPECT_EQ(windows[0].sum, 50);
   EXPECT_EQ(windows[1].sum, 100);
@@ -444,24 +445,6 @@ TelemetryRun RunPingScenario(SchedKind kind, bool with_telemetry,
   return run;
 }
 
-std::uint64_t TraceFingerprint(const Scenario& scenario) {
-  std::uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  scenario.machine->trace().ForEach([&](const TraceRecord& record) {
-    mix(static_cast<std::uint64_t>(record.time));
-    mix(static_cast<std::uint64_t>(record.event));
-    mix(static_cast<std::uint64_t>(record.cpu));
-    mix(static_cast<std::uint64_t>(record.vcpu));
-    mix(static_cast<std::uint64_t>(record.arg));
-  });
-  mix(scenario.machine->trace().total_recorded());
-  mix(scenario.machine->sim().events_executed());
-  return hash;
-}
-
 constexpr SchedKind kAllSchedulers[] = {SchedKind::kCredit, SchedKind::kCredit2,
                                         SchedKind::kRtds, SchedKind::kTableau,
                                         SchedKind::kCfs};
@@ -481,7 +464,8 @@ TEST(TelemetryEndToEnd, AttachedTelemetryIsAPureObserver) {
   for (const SchedKind kind : kAllSchedulers) {
     const TelemetryRun with = RunPingScenario(kind, /*with_telemetry=*/true);
     const TelemetryRun without = RunPingScenario(kind, /*with_telemetry=*/false);
-    EXPECT_EQ(TraceFingerprint(with.scenario), TraceFingerprint(without.scenario))
+    EXPECT_EQ(TraceFingerprint(*with.scenario.machine),
+              TraceFingerprint(*without.scenario.machine))
         << SchedKindName(kind) << ": telemetry perturbed the simulation";
     EXPECT_EQ(with.scenario.machine->sim().events_executed(),
               without.scenario.machine->sim().events_executed())
@@ -496,8 +480,8 @@ TEST(TelemetryEndToEnd, DisabledTelemetryMatchesEnabledFingerprint) {
       RunPingScenario(SchedKind::kTableau, true, /*telemetry_enabled=*/true);
   const TelemetryRun disabled =
       RunPingScenario(SchedKind::kTableau, true, /*telemetry_enabled=*/false);
-  EXPECT_EQ(TraceFingerprint(enabled.scenario),
-            TraceFingerprint(disabled.scenario));
+  EXPECT_EQ(TraceFingerprint(*enabled.scenario.machine),
+            TraceFingerprint(*disabled.scenario.machine));
   // Disabled means nothing recorded: no spans, empty windows.
   EXPECT_EQ(disabled.spans_checked, 0u);
   EXPECT_EQ(disabled.telemetry->slo().VerdictFor(0).requests, 0u);
