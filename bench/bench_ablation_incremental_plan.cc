@@ -1,14 +1,11 @@
-// Ablation: incremental per-core replanning and plan caching — the two
-// Sec. 7.1 reconfiguration-time optimizations ("tables can be incrementally
-// re-computed on a per-core basis"; "centrally cache tables for common
-// configurations"). Measures reconfiguration latency for a single-VM
-// arrival against a full replan, across machine sizes, plus cache hits for
-// a tiered fleet.
+// Ablation: incremental per-core replanning, the Sec. 7.1
+// reconfiguration-time optimization ("tables can be incrementally
+// re-computed on a per-core basis"). Measures reconfiguration latency for a
+// single-VM arrival against a full replan, across machine sizes.
 #include <chrono>
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/core/plan_cache.h"
 #include "src/core/planner.h"
 
 using namespace tableau;
@@ -68,30 +65,5 @@ int main() {
                   latency == kMillisecond ? "(1ms) " : "(20ms)", full_ms / incr_ms);
     }
   }
-
-  PrintHeader("Ablation: plan cache over a tiered fleet");
-  PlannerConfig config;
-  config.num_cpus = 12;
-  PlanCache cache(config, /*capacity=*/16);
-  // A fleet repeatedly provisioning hosts from 4 standard shapes.
-  const std::vector<std::vector<VcpuRequest>> shapes = {
-      UniformRequests(48, 20 * kMillisecond),
-      UniformRequests(24, 30 * kMillisecond),
-      UniformRequests(12, 60 * kMillisecond),
-      UniformRequests(36, 10 * kMillisecond),
-  };
-  const double cold_ms = MeasureMs([&] { cache.GetOrPlan(shapes[0]); }, 1);
-  const double mixed_ms = MeasureMs(
-      [&] {
-        for (const auto& shape : shapes) {
-          TABLEAU_CHECK(cache.GetOrPlan(shape).success);
-        }
-      },
-      25);
-  std::printf("first plan (cold): %.3f ms; steady-state per-host plan: %.3f ms\n",
-              cold_ms, mixed_ms / 4);
-  std::printf("cache: %llu hits / %llu misses\n",
-              static_cast<unsigned long long>(cache.hits()),
-              static_cast<unsigned long long>(cache.misses()));
   return 0;
 }

@@ -3,25 +3,23 @@
 //   planning time + table push + switch-in-effect delay,
 // where the switch delay is bounded by two rounds of the current table
 // (~205 ms for the 102.7 ms hyperperiod) by the lock-free time-synchronized
-// protocol. This bench measures each component on a live simulated host and
-// the size of the delta hypercall payload, demonstrating the paper's claim
-// that reconfigurations cost "a few hundred milliseconds" end to end — with
-// the switch protocol, not planning, as the dominant term in this
-// implementation.
+// protocol. This bench measures each component on a live simulated host,
+// demonstrating the paper's claim that reconfigurations cost "a few hundred
+// milliseconds" end to end — with the switch protocol, not planning, as the
+// dominant term in this implementation.
 #include <cstdio>
 #include <chrono>
 #include <memory>
 
 #include "bench/bench_util.h"
-#include "src/table/table_delta.h"
 
 using namespace tableau;
 using namespace tableau::bench;
 
 int main() {
   PrintHeader("Extension: end-to-end reconfiguration latency (one VM arrives)");
-  std::printf("%10s | %12s %12s %12s %14s\n", "push at", "plan (ms)", "switch (ms)",
-              "total (ms)", "delta bytes");
+  std::printf("%10s | %12s %12s %12s\n", "push at", "plan (ms)", "switch (ms)",
+              "total (ms)");
 
   for (const TimeNs push_offset :
        {10 * kMillisecond, 60 * kMillisecond, 101 * kMillisecond}) {
@@ -46,12 +44,11 @@ int main() {
     scenario.machine->Start();
     scenario.machine->RunFor(push_offset);
 
-    // VM 47 arrives: incremental replan, delta push, timed switch.
+    // VM 47 arrives: incremental replan, table push, timed switch.
     const auto wall_start = std::chrono::steady_clock::now();
     const PlanResult next =
         planner.Solve(PlanRequest::Delta(base, {{47, 0.25, 20 * kMillisecond}}));
     TABLEAU_CHECK(next.success);
-    const auto delta = SerializeDelta(base.table, next.table);
     const double plan_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                   wall_start)
@@ -62,8 +59,8 @@ int main() {
     const TimeNs effective_at = scenario.tableau->dispatcher().pending_switch_time();
     const double switch_ms = ToMs(effective_at - pushed_at);
 
-    std::printf("%9.0fms | %12.3f %12.1f %12.1f %14zu\n", ToMs(push_offset), plan_ms,
-                switch_ms, plan_ms + switch_ms, delta.size());
+    std::printf("%9.0fms | %12.3f %12.1f %12.1f\n", ToMs(push_offset), plan_ms,
+                switch_ms, plan_ms + switch_ms);
 
     // Sanity: run past the switch; the new vCPU's reservation is in effect.
     scenario.machine->RunFor(effective_at - pushed_at + 300 * kMillisecond);
@@ -72,9 +69,9 @@ int main() {
 
   std::printf(
       "\ninterpretation: planning is sub-millisecond (C++ planner + incremental\n"
-      "replanning), the delta hypercall is a few hundred bytes, and the\n"
-      "time-synchronized switch dominates at 1-2 rounds of the 102.7 ms table —\n"
-      "consistent with the paper's 'few hundred milliseconds per reconfiguration'\n"
-      "and far below Xen's multi-second VM creation times (Sec. 7.1).\n");
+      "replanning) and the time-synchronized switch dominates at 1-2 rounds of\n"
+      "the 102.7 ms table — consistent with the paper's 'few hundred\n"
+      "milliseconds per reconfiguration' and far below Xen's multi-second VM\n"
+      "creation times (Sec. 7.1).\n");
   return 0;
 }

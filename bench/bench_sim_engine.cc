@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/sim/sharded_sim.h"
 #include "src/sim/simulation.h"
 
 using namespace tableau;
@@ -233,121 +232,6 @@ PerEventNs RunWheelPercentiles(TimeNs horizon) {
   return PerEventNs{at(0.50), at(0.90), at(0.99)};
 }
 
-// Sharded single-host mode: the same churn population split across 4 pCPU
-// shards with a ring of cross-shard posts, run once multiplexed on the
-// serial engine and once on per-shard engines (worker threads when the host
-// has them). Per-shard FNV fingerprints must match between the modes — the
-// speedup is only reported if "fast" is provably not "different".
-constexpr int kShards = 4;
-constexpr int kShardActors = 16;  // Per shard; 4 * 16 matches kActors.
-
-struct ShardedBench {
-  struct Actor {
-    ShardedBench* owner = nullptr;
-    int shard = 0;
-    int index = 0;
-    EventId timer = kInvalidEvent;
-  };
-  struct Shard {
-    Churn churn;
-    std::uint64_t fp = 1469598103934665603ull;
-    std::uint64_t posts = 0;
-  };
-
-  explicit ShardedBench(const ShardedSimulation::Options& options)
-      : sim(options) {
-    shards.resize(kShards);
-    actors.resize(kShards * kShardActors);
-    for (int s = 0; s < kShards; ++s) {
-      shards[static_cast<std::size_t>(s)].churn.lcg = 42 + 1000ull * s;
-      Simulation& engine = sim.shard(s);
-      for (int i = 0; i < kShardActors; ++i) {
-        Actor* actor = &actors[static_cast<std::size_t>(s * kShardActors + i)];
-        actor->owner = this;
-        actor->shard = s;
-        actor->index = i;
-        actor->timer = engine.CreateTimer([actor] { Fire(actor); });
-        engine.Arm(actor->timer,
-                   static_cast<TimeNs>(
-                       shards[static_cast<std::size_t>(s)].churn.Next() %
-                       100000));
-      }
-      // Per-shard accounting ticks (kPeriodics split across the shards).
-      Shard* shard = &shards[static_cast<std::size_t>(s)];
-      for (int i = 0; i < kPeriodics / kShards; ++i) {
-        const TimeNs period = 30000 + 1000 * (s * (kPeriodics / kShards) + i);
-        engine.SchedulePeriodic(period, period,
-                                [shard] { ++shard->churn.fired; });
-      }
-    }
-  }
-
-  static void Mix(std::uint64_t& fp, std::uint64_t v) {
-    fp = (fp ^ v) * 1099511628211ull;
-  }
-
-  static void Fire(Actor* actor) {
-    ShardedBench* bench = actor->owner;
-    Shard& shard = bench->shards[static_cast<std::size_t>(actor->shard)];
-    Simulation& engine = bench->sim.shard(actor->shard);
-    ++shard.churn.fired;
-    Mix(shard.fp, static_cast<std::uint64_t>(engine.Now()));
-    engine.Arm(actor->timer, engine.Now() + shard.churn.Delay());
-    const EventId one = engine.ScheduleAfter(
-        1 + static_cast<TimeNs>(shard.churn.Next() % 200000),
-        [&shard] { ++shard.churn.fired; });
-    if (shard.churn.Next() % 2 == 0) {
-      engine.Cancel(one);
-    }
-    if (shard.churn.fired % 64 == 0) {
-      const int to = (actor->shard + 1) % kShards;
-      Shard* target = &bench->shards[static_cast<std::size_t>(to)];
-      ShardedBench* owner = bench;
-      ++shard.posts;
-      const auto posted =
-          bench->sim.Post(actor->shard, to,
-                          bench->sim.epoch_ns() +
-                              static_cast<TimeNs>(shard.churn.Next() % 100000),
-                          [owner, target, to] {
-                            ++target->churn.fired;
-                            Mix(target->fp, static_cast<std::uint64_t>(
-                                                owner->sim.shard(to).Now()));
-                          });
-      TABLEAU_CHECK(posted.ok());
-    }
-  }
-
-  std::vector<std::uint64_t> Fingerprints() const {
-    std::vector<std::uint64_t> fps;
-    for (const Shard& shard : shards) {
-      fps.push_back(shard.fp);
-    }
-    return fps;
-  }
-
-  ShardedSimulation sim;
-  std::vector<Shard> shards;
-  std::vector<Actor> actors;
-};
-
-struct ShardedResult {
-  std::uint64_t events;
-  double seconds;
-  std::vector<std::uint64_t> fingerprints;
-};
-
-ShardedResult RunSharded(TimeNs horizon, bool sharded, bool parallel) {
-  ShardedSimulation::Options options;
-  options.num_shards = kShards;
-  options.sharded = sharded;
-  options.parallel = parallel;
-  ShardedBench bench(options);
-  const auto start = std::chrono::steady_clock::now();
-  bench.sim.RunUntil(horizon);
-  return ShardedResult{bench.sim.events_executed(), SecondsSince(start),
-                       bench.Fingerprints()};
-}
-
 // Harness comparison: the same batch of short full-system simulations run
 // serially and through RunSimulations on the worker pool. The per-cell
 // results are identical; only the wall clock differs.
@@ -390,27 +274,6 @@ int main() {
   std::printf("p50 %.1f ns  p90 %.1f ns  p99 %.1f ns\n", per_event.p50,
               per_event.p90, per_event.p99);
 
-  PrintHeader("Sharded single-host mode: serial vs per-pCPU engines");
-  const bool parallel_shards = BenchThreads() > 1;
-  const ShardedResult shard_serial =
-      RunSharded(horizon, /*sharded=*/false, /*parallel=*/false);
-  const ShardedResult shard_split =
-      RunSharded(horizon, /*sharded=*/true, parallel_shards);
-  const double shard_serial_rate =
-      static_cast<double>(shard_serial.events) / shard_serial.seconds;
-  const double shard_split_rate =
-      static_cast<double>(shard_split.events) / shard_split.seconds;
-  const bool shard_deterministic =
-      shard_serial.fingerprints == shard_split.fingerprints &&
-      shard_serial.events == shard_split.events;
-  std::printf("serial  : %10.0f events/s  (%llu events)\n", shard_serial_rate,
-              static_cast<unsigned long long>(shard_serial.events));
-  std::printf("sharded : %10.0f events/s  (%d shards, %s, fingerprints %s)\n",
-              shard_split_rate, kShards,
-              parallel_shards ? "threaded" : "single-threaded",
-              shard_deterministic ? "identical" : "DIVERGED");
-  std::printf("speedup : %10.2fx\n", shard_split_rate / shard_serial_rate);
-
   PrintHeader("Measurement harness: serial sweep vs parallel RunSimulations");
   const TimeNs cell_duration = 100 * kMillisecond;
   std::vector<std::function<std::uint64_t()>> tasks;
@@ -443,16 +306,10 @@ int main() {
   json.Add("per_event_ns_p50", per_event.p50);
   json.Add("per_event_ns_p90", per_event.p90);
   json.Add("per_event_ns_p99", per_event.p99);
-  json.Add("sharded_serial_events_per_sec", shard_serial_rate);
-  json.Add("sharded_events_per_sec", shard_split_rate);
-  json.Add("sharded_speedup", shard_split_rate / shard_serial_rate);
-  json.Add("sharded_shards", kShards);
-  json.Add("sharded_threaded", parallel_shards ? 1 : 0);
-  json.Add("sharded_deterministic", shard_deterministic ? 1 : 0);
   json.Add("harness_serial_sec", serial_seconds);
   json.Add("harness_parallel_sec", parallel_seconds);
   json.Add("harness_threads", BenchThreads());
   json.Add("harness_deterministic", identical ? 1 : 0);
   json.Write();
-  return identical && shard_deterministic ? 0 : 1;
+  return identical ? 0 : 1;
 }

@@ -71,7 +71,7 @@ struct Host {
     for (const auto& [id, tier] : pending) {
       requests.push_back(VcpuRequest{id, tier.utilization, tier.latency_goal});
     }
-    PlanResult plan = planner.Plan(requests);
+    PlanResult plan = planner.Solve(PlanRequest::Full(requests));
     if (!plan.success) {
       std::printf("  admission REJECTED: %s\n", plan.error.c_str());
       return false;

@@ -47,8 +47,8 @@ int main() {
   PlannerConfig config;
   config.num_cpus = 2;
   const Planner planner(config);
-  PlanResult plan = planner.Plan({{0, 0.25, 20 * kMillisecond},
-                                  {1, 0.25, 20 * kMillisecond}});
+  PlanResult plan = planner.Solve(
+      PlanRequest::Full({{0, 0.25, 20 * kMillisecond}, {1, 0.25, 20 * kMillisecond}}));
   TABLEAU_CHECK(plan.success);
 
   // Deliberately misalign the two members' slots (half a period apart) to

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   PlannerConfig config;
   config.num_cpus = cores;
   const Planner planner(config);
-  const PlanResult plan = planner.Plan(requests);
+  const PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   if (!plan.success) {
     std::fprintf(stderr, "planner failed: %s\n", plan.error.c_str());
     return 1;

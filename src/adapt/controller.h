@@ -9,8 +9,8 @@
 //
 // Policy invariants (fuzz-checked by tests/check_adapt_test.cc):
 //  - A window with no data holds: a briefly-idle VM must not be resized to
-//    its floor on the strength of silence (the TimeSeriesRecorder::DataAt /
-//    Telemetry window-view "no data" signal, not 0.0 demand).
+//    its floor on the strength of silence (the Telemetry::LastWindowView
+//    "no data" signal, not 0.0 demand).
 //  - Hysteresis: grow only when the target exceeds the live reservation by
 //    grow_deadband, shrink only below it by shrink_deadband, and at most
 //    one committed resize per cooldown_windows observed windows per VM.

@@ -78,19 +78,4 @@ double DemandPredictor::Quantile(double q) const {
   return sorted[static_cast<std::size_t>(rank - 1)];
 }
 
-DemandPredictor::State DemandPredictor::Snapshot() const {
-  State state;
-  state.ring = ring_;
-  state.next = next_;
-  state.count = count_;
-  return state;
-}
-
-void DemandPredictor::Restore(const State& state) {
-  TABLEAU_CHECK(static_cast<int>(state.ring.size()) == config_.history);
-  ring_ = state.ring;
-  next_ = state.next;
-  count_ = state.count;
-}
-
 }  // namespace tableau::adapt

@@ -5,11 +5,9 @@
 // with a quantile-tracking fallback for the cold-start and degenerate
 // cases where a line fit is meaningless.
 //
-// The predictor is deterministic and allocation-free after construction:
-// observations live in a fixed ring sized by PredictorConfig::history, the
-// fit is closed-form (no iteration, no epsilon-dependent convergence), and
-// Snapshot()/Restore() round-trips the full state bit-identically — the
-// property tests/adapt_test.cc pins so fleet runs stay fingerprint-stable
+// The predictor is deterministic: observations live in a fixed ring sized
+// by PredictorConfig::history and the fit is closed-form (no iteration, no
+// epsilon-dependent convergence), so fleet runs stay fingerprint-stable
 // across execution modes.
 //
 // Why a line fit is enough: the prediction is linear in the observations
@@ -48,15 +46,6 @@ class DemandPredictor {
     bool from_fit = false;
   };
 
-  // Full predictor state, equality-comparable for the bit-identity test.
-  struct State {
-    std::vector<double> ring;
-    int next = 0;
-    int count = 0;
-
-    bool operator==(const State&) const = default;
-  };
-
   DemandPredictor() : DemandPredictor(PredictorConfig{}) {}
   explicit DemandPredictor(PredictorConfig config);
 
@@ -73,9 +62,6 @@ class DemandPredictor {
   // Empirical quantile over the retained ring (nearest-rank, q in [0, 1]).
   // 0 before the first observation.
   double Quantile(double q) const;
-
-  State Snapshot() const;
-  void Restore(const State& state);
 
  private:
   PredictorConfig config_;

@@ -11,8 +11,8 @@
 //      so every ParallelFor completes even if no worker ever picks it up
 //      (e.g. a pool constructed with 1 thread spawns no workers at all).
 //   3. Concurrent callers: several threads may issue ParallelFor on the same
-//      pool simultaneously (PlanCache::GetOrPlan is thread-safe and shares
-//      one planner); jobs are queued and drained cooperatively.
+//      pool simultaneously (Planner::Solve is reentrant, and copies of a
+//      planner share its pool); jobs are queued and drained cooperatively.
 //   4. Cheap hand-off: indices are claimed in contiguous grains (not one by
 //      one) and submitting a job wakes only as many workers as there are
 //      grains left after the caller takes one — a loop with fewer grains

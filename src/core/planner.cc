@@ -531,7 +531,7 @@ PlanResult Planner::PlanDelta(const PlanResult& previous,
     return PlanFull(requests);
   }
   // Instrumented only past this point: the fallback paths above land in
-  // Plan(), which carries its own timers (avoids double-counting plan_total).
+  // PlanFull(), which carries its own timers (avoids double-counting plan_total).
   const PhaseMetrics pm = ResolvePhaseMetrics(config_.metrics, config_.wall_timings);
   PhaseTimer total_timer(pm.plan_total);
   if (pm.incremental_plans != nullptr) {
@@ -577,7 +577,7 @@ PlanResult Planner::PlanDelta(const PlanResult& previous,
       }
     }
     if (best == -1 && task.cost > 1) {
-      // Quantization retry: a 1 ns shave may make it fit (see Plan()).
+      // Quantization retry: a 1 ns shave may make it fit (see PlanFull()).
       const double exact =
           request.utilization * static_cast<double>(task.period);
       if (static_cast<double>(task.cost) > exact) {
@@ -790,22 +790,6 @@ PlanResult Planner::SolveImpl(const PlanRequest& request) const {
     }
   }
   return result;
-}
-
-PlanResult Planner::Plan(const std::vector<VcpuRequest>& requests) const {
-  PlanRequest request;
-  request.requests = requests;
-  return Solve(request);
-}
-
-PlanResult Planner::PlanIncremental(const PlanResult& previous,
-                                    const std::vector<VcpuRequest>& added,
-                                    const std::vector<VcpuId>& departed) const {
-  PlanRequest request;
-  request.previous = &previous;
-  request.added = added;
-  request.departed = departed;
-  return Solve(request);
 }
 
 }  // namespace tableau

@@ -153,12 +153,12 @@ struct PlanResult {
   std::vector<VcpuPlan> vcpus;
   // Per-shared-core task assignment (fully populated for partitioned and
   // semi-partitioned plans; empty entries for clustered cores). Consumed by
-  // PlanIncremental to avoid replanning untouched cores.
+  // delta solves to avoid replanning untouched cores.
   std::vector<std::vector<PeriodicTask>> core_tasks;
   // Original requests, keyed by vCPU (for incremental replanning).
   std::vector<VcpuRequest> requests;
   // Cores whose allocations changed relative to the previous plan (only set
-  // by PlanIncremental; Plan marks every core dirty).
+  // by delta solves; a full solve marks every core dirty).
   std::vector<int> dirty_cores;
 };
 
@@ -215,21 +215,6 @@ class Planner {
   // Solve() is const and reentrant.
   PlanResult Solve(const PlanRequest& request) const;
 
-  // Thin wrapper: full plan via Solve(). vCPU ids must be unique.
-  PlanResult Plan(const std::vector<VcpuRequest>& requests) const;
-
-  // Thin wrapper: incremental replanning via Solve() (the Sec. 7.1
-  // optimization: "tables can be incrementally re-computed on a per-core
-  // basis"): starting from a previous successful plan, removes `departed`
-  // vCPUs and places `added` ones, re-simulating only the cores whose
-  // assignments changed; untouched cores keep their previous allocations
-  // verbatim. Falls back to a full plan when the previous plan used
-  // splitting/clustering, when a new vCPU does not fit on any single core,
-  // or when rebalancing is needed.
-  PlanResult PlanIncremental(const PlanResult& previous,
-                             const std::vector<VcpuRequest>& added,
-                             const std::vector<VcpuId>& departed) const;
-
   const PlannerConfig& config() const { return config_; }
 
  private:
@@ -241,13 +226,20 @@ class Planner {
   // both). PlanDelta's fallbacks call PlanFull directly, so a single Solve
   // draws at most one injected outcome and degrades at most once.
   PlanResult PlanFull(const std::vector<VcpuRequest>& requests) const;
+  // Incremental replanning (the Sec. 7.1 optimization: "tables can be
+  // incrementally re-computed on a per-core basis"): starting from a previous
+  // successful plan, removes `departed` vCPUs and places `added` ones,
+  // re-simulating only the cores whose assignments changed; untouched cores
+  // keep their previous allocations verbatim. Falls back to a full plan when
+  // the previous plan used splitting/clustering, when a new vCPU does not fit
+  // on any single core, or when rebalancing is needed.
   PlanResult PlanDelta(const PlanResult& previous,
                        const std::vector<VcpuRequest>& added,
                        const std::vector<VcpuId>& departed) const;
 
   PlannerConfig config_;
   // Shared by copies of the planner; null when config_.num_threads <= 1.
-  // The pool accepts jobs from concurrent Plan() calls, so the planner stays
+  // The pool accepts jobs from concurrent Solve() calls, so the planner stays
   // reentrant.
   std::shared_ptr<ThreadPool> pool_;
 };

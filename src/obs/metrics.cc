@@ -197,52 +197,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snapshot;
 }
 
-MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& since) const {
-  MetricsSnapshot delta = *this;
-  for (auto& [name, value] : delta.values) {
-    const auto it = since.values.find(name);
-    if (it == since.values.end() || it->second.kind != value.kind) {
-      continue;
-    }
-    const MetricValue& old = it->second;
-    switch (value.kind) {
-      case MetricKind::kCounter:
-        value.counter -= old.counter;
-        break;
-      case MetricKind::kGauge:
-        break;  // Gauges keep the newer reading.
-      case MetricKind::kHistogram: {
-        value.hist.count -= std::min(value.hist.count, old.hist.count);
-        value.hist.sum -= old.hist.sum;
-        // Both bucket lists are ascending by index: subtract with a linear
-        // two-pointer merge (no per-bucket map nodes), dropping emptied
-        // buckets in place.
-        std::vector<std::pair<int, std::uint64_t>> merged;
-        merged.reserve(value.hist.buckets.size());
-        std::size_t oi = 0;
-        for (const auto& [index, n] : value.hist.buckets) {
-          while (oi < old.hist.buckets.size() &&
-                 old.hist.buckets[oi].first < index) {
-            ++oi;
-          }
-          std::uint64_t remaining = n;
-          if (oi < old.hist.buckets.size() &&
-              old.hist.buckets[oi].first == index) {
-            remaining -= std::min(remaining, old.hist.buckets[oi].second);
-          }
-          if (remaining > 0) {
-            merged.emplace_back(index, remaining);
-          }
-        }
-        value.hist.buckets = std::move(merged);
-        // min/max are not invertible over an interval; keep the newer ones.
-        break;
-      }
-    }
-  }
-  return delta;
-}
-
 void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   for (const auto& [name, incoming] : other.values) {
     const auto it = values.find(name);

@@ -13,11 +13,9 @@
 // disabled (enforced by tests/obs_test.cc and `tableau trace
 // --check-determinism`).
 //
-// Snapshot/delta semantics: Snapshot() captures every metric's current value
-// into a plain-data MetricsSnapshot; Delta(older) subtracts counter and
-// histogram contents (gauges keep the newer value), so callers can meter an
-// interval of a long run. Snapshots merge (for aggregating across machines),
-// serialize to JSON/CSV, and parse back from their own JSON.
+// Snapshot semantics: Snapshot() captures every metric's current value into
+// a plain-data MetricsSnapshot. Snapshots merge (for aggregating across
+// machines), serialize to JSON/CSV, and parse back from their own JSON.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
@@ -185,11 +183,6 @@ struct MetricsSnapshot {
   std::map<std::string, MetricValue> values;
 
   bool empty() const { return values.empty(); }
-
-  // This minus `since`: counters and histogram contents subtract (clamped at
-  // zero for counts); gauges keep this snapshot's value; metrics absent from
-  // `since` pass through unchanged.
-  MetricsSnapshot Delta(const MetricsSnapshot& since) const;
 
   // Aggregation across registries (e.g. one machine per bench cell):
   // counters and histograms add; gauges keep the maximum, so the merge is

@@ -104,21 +104,6 @@ void TimeSeriesRecorder::AddRange(SeriesId series, TimeNs from, TimeNs to) {
   }
 }
 
-const TimeSeriesWindow* TimeSeriesRecorder::DataAt(SeriesId series,
-                                                   TimeNs at) const {
-  if (series == kNoSeries || at < 0) {
-    return nullptr;
-  }
-  const Series& s = series_[static_cast<std::size_t>(series)];
-  const std::int64_t w = at / options_.window_ns;
-  if (s.newest < 0 || w < s.oldest || w > s.newest) {
-    return nullptr;  // Never opened, or already evicted from the ring.
-  }
-  const TimeSeriesWindow& window =
-      s.ring[static_cast<std::size_t>(w % static_cast<std::int64_t>(s.ring.size()))];
-  return window.count == 0 ? nullptr : &window;
-}
-
 TimeSeriesSnapshot TimeSeriesRecorder::Snapshot() const {
   TimeSeriesSnapshot snapshot;
   snapshot.window_ns = options_.window_ns;

@@ -110,14 +110,6 @@ class TimeSeriesRecorder {
   // where the interval's endpoints fall.
   void AddRange(SeriesId series, TimeNs from, TimeNs to);
 
-  // Explicit no-data lookup: the retained window containing `at`, or
-  // nullptr when that window was never opened, was evicted from the ring,
-  // or holds zero samples. Consumers making control decisions (the adaptive
-  // reservation controller) must distinguish "no samples" from "samples
-  // summing to 0" — a briefly-idle VM reads as nullptr here, never as a
-  // window claiming zero demand.
-  const TimeSeriesWindow* DataAt(SeriesId series, TimeNs at) const;
-
   TimeSeriesSnapshot Snapshot() const;
 
  private:

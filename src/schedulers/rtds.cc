@@ -56,12 +56,6 @@ void RtdsScheduler::Attach(Machine* machine) {
   m_lock_timeouts_ = metrics.GetCounter("rtds.lock_timeouts");
 }
 
-void RtdsScheduler::ChargeGlobalLock(TimeNs hold) {
-  const TimeNs cost = global_lock_.Acquire(machine_->Now(), hold);
-  m_lock_acquire_ns_->Record(cost);
-  machine_->AddOpCost(cost);
-}
-
 void RtdsScheduler::ChargeGlobalLockBounded(TimeNs hold, TimeNs patience) {
   const LockModel::Acquisition acq =
       global_lock_.AcquireWithPatience(machine_->Now(), hold, patience);

@@ -54,9 +54,8 @@ class RtdsScheduler : public VcpuScheduler {
   // Preempt the idle CPU or the running vCPU with the latest deadline if
   // `info` beats it ("tickling"; scans all CPUs under the global lock).
   void Tickle(const VcpuInfo& info);
-  void ChargeGlobalLock(TimeNs hold);
-  // Bounded-patience variant: spin at most `patience`, then give up (Xen's
-  // trylock pattern on contended paths).
+  // Charges one global-lock acquisition with bounded patience: spin at most
+  // `patience`, then give up (Xen's trylock pattern on contended paths).
   void ChargeGlobalLockBounded(TimeNs hold, TimeNs patience);
 
   std::vector<VcpuInfo> info_;

@@ -115,32 +115,6 @@ void ShardedSimulation::RunUntil(TimeNs until) {
   }
 }
 
-void ShardedSimulation::AttachShardRecorder(int shard,
-                                            obs::TimeSeriesRecorder* recorder) {
-  TABLEAU_CHECK(shard >= 0 && shard < options_.num_shards);
-  if (shard_recorders_.empty()) {
-    shard_recorders_.assign(static_cast<std::size_t>(options_.num_shards),
-                            nullptr);
-  }
-  shard_recorders_[static_cast<std::size_t>(shard)] = recorder;
-}
-
-obs::TimeSeriesRecorder* ShardedSimulation::shard_recorder(int shard) const {
-  TABLEAU_CHECK(shard >= 0 && shard < options_.num_shards);
-  const auto index = static_cast<std::size_t>(shard);
-  return index < shard_recorders_.size() ? shard_recorders_[index] : nullptr;
-}
-
-obs::TimeSeriesSnapshot ShardedSimulation::MergedTimeSeries() const {
-  obs::TimeSeriesSnapshot merged;
-  for (const obs::TimeSeriesRecorder* recorder : shard_recorders_) {
-    if (recorder != nullptr) {
-      merged.Merge(recorder->Snapshot());
-    }
-  }
-  return merged;
-}
-
 std::uint64_t ShardedSimulation::events_executed() const {
   std::uint64_t total = 0;
   for (const auto& engine : engines_) {

@@ -1,13 +1,13 @@
-// pCPU-sharded single-host simulation mode (DESIGN.md "Simulation hot
-// loop", sharded determinism argument).
+// Epoch-barrier multi-engine simulation: the execution substrate of the
+// fleet (src/fleet/cluster.h), where each shard is one fleet host (DESIGN.md
+// "Simulation hot loop", sharded determinism argument).
 //
-// A ShardedSimulation partitions one host's event population into per-pCPU
-// shards. Each shard's events run on their own Simulation engine and the
-// shards advance in lock-step epochs: all shards run to the epoch boundary,
-// then buffered cross-shard messages (IPIs, table-switch notifications,
-// replan pushes) are merged in a deterministic (due-time, sender shard,
-// send seq) order and injected into their target shards before the next
-// epoch starts.
+// A ShardedSimulation partitions an event population into shards. Each
+// shard's events run on their own Simulation engine and the shards advance
+// in lock-step epochs: all shards run to the epoch boundary, then buffered
+// cross-shard messages (VM arrival activations, live-migration transfers)
+// are merged in a deterministic (due-time, sender shard, send seq) order and
+// injected into their target shards before the next epoch starts.
 //
 // Determinism / serial-equivalence argument: cross-shard sends must carry a
 // latency of at least one epoch (Post() checks), so a message posted during
@@ -37,7 +37,6 @@
 
 #include "src/common/check.h"
 #include "src/common/time.h"
-#include "src/obs/timeseries.h"
 #include "src/sim/simulation.h"
 
 namespace tableau {
@@ -114,20 +113,6 @@ class ShardedSimulation {
   // Barriers completed so far (observability / bench).
   std::uint64_t epochs() const { return epochs_; }
 
-  // Registers `recorder` as `shard`'s telemetry sink. Each shard records
-  // into its own recorder (no cross-thread contention during parallel
-  // epochs); MergedTimeSeries() combines them after the run. Not owned;
-  // must outlive this object.
-  void AttachShardRecorder(int shard, obs::TimeSeriesRecorder* recorder);
-  obs::TimeSeriesRecorder* shard_recorder(int shard) const;
-
-  // Deterministic merge of all attached shard recorders' snapshots.
-  // TimeSeriesSnapshot::Merge is commutative and associative (per-window
-  // count/sum adds, min/max folds), so the result is bit-identical
-  // regardless of shard order, thread interleaving, or serial vs sharded
-  // execution (asserted by tests).
-  obs::TimeSeriesSnapshot MergedTimeSeries() const;
-
  private:
   struct Message {
     TimeNs due;
@@ -147,7 +132,6 @@ class ShardedSimulation {
   // barrier merges them deterministically.
   std::vector<std::vector<Message>> outbox_;
   std::vector<std::uint64_t> next_seq_;
-  std::vector<obs::TimeSeriesRecorder*> shard_recorders_;
   TimeNs barrier_ = 0;
   std::uint64_t epochs_ = 0;
 };

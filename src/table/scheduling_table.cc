@@ -272,9 +272,12 @@ std::string SchedulingTable::Validate() const {
         return "cpu " + std::to_string(c) + ": bad SoA sentinel row";
       }
     }
+    // Allocation ends strictly increase (checked above), so the first one
+    // ending past the slice start only moves forward: one cursor serves
+    // every slice.
+    std::size_t want = 0;
     for (std::size_t s = 0; s < cpu.slice_floor.size(); ++s) {
       const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
-      std::size_t want = 0;
       while (want < n && cpu.allocations[want].end <= slice_start) {
         ++want;
       }

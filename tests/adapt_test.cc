@@ -150,30 +150,6 @@ TEST(DemandPredictor, StepResponseConvergesUpward) {
   EXPECT_NEAR(predicted, 0.8, 1e-9);
 }
 
-TEST(DemandPredictor, SnapshotRestoreIsBitIdentical) {
-  DemandPredictor original;
-  Rng rng(0xb17);
-  for (int i = 0; i < 37; ++i) {
-    original.Observe(rng.UniformDouble() / 3.0);  // Non-representable thirds.
-  }
-  const DemandPredictor::State state = original.Snapshot();
-
-  DemandPredictor restored;
-  restored.Restore(state);
-  EXPECT_TRUE(restored.Snapshot() == state);
-  // Bit-identical outputs now...
-  EXPECT_EQ(restored.Predict().demand, original.Predict().demand);
-  EXPECT_EQ(restored.Quantile(0.99), original.Quantile(0.99));
-  // ...and bit-identical evolution under the same future inputs.
-  for (int i = 0; i < 40; ++i) {
-    const double demand = rng.UniformDouble();
-    original.Observe(demand);
-    restored.Observe(demand);
-    EXPECT_EQ(restored.Predict().demand, original.Predict().demand);
-  }
-  EXPECT_TRUE(restored.Snapshot() == original.Snapshot());
-}
-
 TEST(DemandPredictor, QuantileIsNearestRank) {
   DemandPredictor predictor;
   for (const double demand : {0.5, 0.1, 0.3, 0.2, 0.4}) {

@@ -95,7 +95,7 @@ TEST(Coschedule, PlannerTablesStayValidAfterPass) {
   for (int i = 0; i < 8; ++i) {
     requests.push_back({i, 0.3, 40 * kMillisecond});
   }
-  PlanResult plan = planner.Plan(requests);
+  PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plan.success);
 
   std::vector<std::vector<Allocation>> per_core(4);

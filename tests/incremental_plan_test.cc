@@ -1,4 +1,4 @@
-// Tests for Planner::PlanIncremental (per-core incremental replanning, the
+// Tests for PlanRequest::Delta solves (per-core incremental replanning, the
 // Sec. 7.1 optimization).
 #include <gtest/gtest.h>
 
@@ -30,11 +30,12 @@ TEST(IncrementalPlan, AddOneVmTouchesOneCore) {
   PlannerConfig config;
   config.num_cpus = 8;
   const Planner planner(config);
-  const PlanResult base = planner.Plan(UniformRequests(16, 0.25, 20 * kMillisecond));
+  const PlanResult base =
+      planner.Solve(PlanRequest::Full(UniformRequests(16, 0.25, 20 * kMillisecond)));
   ASSERT_TRUE(base.success);
 
-  const PlanResult incremental = planner.PlanIncremental(
-      base, UniformRequests(1, 0.25, 20 * kMillisecond, /*first_id=*/16), {});
+  const PlanResult incremental = planner.Solve(PlanRequest::Delta(
+      base, UniformRequests(1, 0.25, 20 * kMillisecond, /*first_id=*/16)));
   ASSERT_TRUE(incremental.success);
   EXPECT_EQ(incremental.method, PlanMethod::kPartitioned);
   EXPECT_EQ(incremental.dirty_cores.size(), 1u);
@@ -58,10 +59,11 @@ TEST(IncrementalPlan, RemoveOneVmTouchesOneCore) {
   PlannerConfig config;
   config.num_cpus = 8;
   const Planner planner(config);
-  const PlanResult base = planner.Plan(UniformRequests(24, 0.25, 20 * kMillisecond));
+  const PlanResult base =
+      planner.Solve(PlanRequest::Full(UniformRequests(24, 0.25, 20 * kMillisecond)));
   ASSERT_TRUE(base.success);
 
-  const PlanResult incremental = planner.PlanIncremental(base, {}, {5});
+  const PlanResult incremental = planner.Solve(PlanRequest::Delta(base, {}, {5}));
   ASSERT_TRUE(incremental.success);
   EXPECT_EQ(incremental.dirty_cores.size(), 1u);
   EXPECT_EQ(incremental.vcpus.size(), 23u);
@@ -75,7 +77,8 @@ TEST(IncrementalPlan, GuaranteesHoldAfterChurn) {
   PlannerConfig config;
   config.num_cpus = 6;
   const Planner planner(config);
-  PlanResult plan = planner.Plan(UniformRequests(12, 0.25, 30 * kMillisecond));
+  PlanResult plan =
+      planner.Solve(PlanRequest::Full(UniformRequests(12, 0.25, 30 * kMillisecond)));
   ASSERT_TRUE(plan.success);
 
   Rng rng(7);
@@ -99,7 +102,7 @@ TEST(IncrementalPlan, GuaranteesHoldAfterChurn) {
       live.insert(next_id);
       ++next_id;
     }
-    plan = planner.PlanIncremental(plan, added, departed);
+    plan = planner.Solve(PlanRequest::Delta(plan, added, departed));
     ASSERT_TRUE(plan.success) << "round " << round << ": " << plan.error;
     ASSERT_EQ(plan.table.Validate(), "") << "round " << round;
     ASSERT_EQ(plan.vcpus.size(), live.size()) << "round " << round;
@@ -124,13 +127,14 @@ TEST(IncrementalPlan, MatchesFullPlanGuarantees) {
   PlannerConfig config;
   config.num_cpus = 4;
   const Planner planner(config);
-  PlanResult incremental = planner.Plan(UniformRequests(8, 0.2, 40 * kMillisecond));
+  PlanResult incremental =
+      planner.Solve(PlanRequest::Full(UniformRequests(8, 0.2, 40 * kMillisecond)));
   ASSERT_TRUE(incremental.success);
-  incremental = planner.PlanIncremental(
-      incremental, UniformRequests(4, 0.2, 40 * kMillisecond, 8), {1, 3});
+  incremental = planner.Solve(PlanRequest::Delta(
+      incremental, UniformRequests(4, 0.2, 40 * kMillisecond, 8), {1, 3}));
   ASSERT_TRUE(incremental.success);
 
-  const PlanResult full = planner.Plan(incremental.requests);
+  const PlanResult full = planner.Solve(PlanRequest::Full(incremental.requests));
   ASSERT_TRUE(full.success);
   ASSERT_EQ(full.vcpus.size(), incremental.vcpus.size());
   std::map<VcpuId, const VcpuPlan*> full_by_id;
@@ -150,9 +154,11 @@ TEST(IncrementalPlan, FallsBackWhenNoSingleCoreFits) {
   PlannerConfig config;
   config.num_cpus = 2;
   const Planner planner(config);
-  PlanResult plan = planner.Plan(UniformRequests(2, 0.55, 40 * kMillisecond));
+  PlanResult plan =
+      planner.Solve(PlanRequest::Full(UniformRequests(2, 0.55, 40 * kMillisecond)));
   ASSERT_TRUE(plan.success);
-  plan = planner.PlanIncremental(plan, UniformRequests(1, 0.6, 40 * kMillisecond, 2), {});
+  plan = planner.Solve(
+      PlanRequest::Delta(plan, UniformRequests(1, 0.6, 40 * kMillisecond, 2)));
   ASSERT_TRUE(plan.success) << plan.error;
   EXPECT_NE(plan.method, PlanMethod::kPartitioned);
   EXPECT_GE(Granted(plan.table, 2), 0.6 - 1e-6);
@@ -162,9 +168,11 @@ TEST(IncrementalPlan, FallsBackOnOverUtilization) {
   PlannerConfig config;
   config.num_cpus = 2;
   const Planner planner(config);
-  PlanResult plan = planner.Plan(UniformRequests(7, 0.25, 20 * kMillisecond));
+  PlanResult plan =
+      planner.Solve(PlanRequest::Full(UniformRequests(7, 0.25, 20 * kMillisecond)));
   ASSERT_TRUE(plan.success);
-  plan = planner.PlanIncremental(plan, UniformRequests(3, 0.25, 20 * kMillisecond, 7), {});
+  plan = planner.Solve(
+      PlanRequest::Delta(plan, UniformRequests(3, 0.25, 20 * kMillisecond, 7)));
   EXPECT_FALSE(plan.success);
   EXPECT_NE(plan.error.find("over-utilized"), std::string::npos);
 }
@@ -173,9 +181,10 @@ TEST(IncrementalPlan, EmptyDeltaIsAFastNoOp) {
   PlannerConfig config;
   config.num_cpus = 4;
   const Planner planner(config);
-  const PlanResult base = planner.Plan(UniformRequests(8, 0.25, 20 * kMillisecond));
+  const PlanResult base =
+      planner.Solve(PlanRequest::Full(UniformRequests(8, 0.25, 20 * kMillisecond)));
   ASSERT_TRUE(base.success);
-  const PlanResult same = planner.PlanIncremental(base, {}, {});
+  const PlanResult same = planner.Solve(PlanRequest::Delta(base));
   ASSERT_TRUE(same.success);
   EXPECT_TRUE(same.dirty_cores.empty());
   for (int c = 0; c < 4; ++c) {
@@ -189,9 +198,11 @@ TEST(IncrementalPlan, QuantizationShaveOnInsert) {
   PlannerConfig config;
   config.num_cpus = 1;
   const Planner planner(config);
-  PlanResult plan = planner.Plan(UniformRequests(3, 0.25, kMillisecond));
+  PlanResult plan =
+      planner.Solve(PlanRequest::Full(UniformRequests(3, 0.25, kMillisecond)));
   ASSERT_TRUE(plan.success);
-  plan = planner.PlanIncremental(plan, UniformRequests(1, 0.25, kMillisecond, 3), {});
+  plan = planner.Solve(
+      PlanRequest::Delta(plan, UniformRequests(1, 0.25, kMillisecond, 3)));
   ASSERT_TRUE(plan.success) << plan.error;
   EXPECT_EQ(plan.method, PlanMethod::kPartitioned);
 }

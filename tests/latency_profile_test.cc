@@ -62,7 +62,7 @@ TEST(LatencyProfile, MaxMatchesMaxBlackout) {
   for (int i = 0; i < 12; ++i) {
     requests.push_back({i, 0.3, 40 * kMillisecond});
   }
-  const PlanResult plan = planner.Plan(requests);
+  const PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plan.success);
   for (const VcpuPlan& vcpu : plan.vcpus) {
     const LatencyProfile profile = AnalyzeWakeupLatency(plan.table, vcpu.vcpu);

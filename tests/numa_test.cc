@@ -112,7 +112,7 @@ TEST(NumaPlanner, AffinityReflectedInTable) {
     request.socket_affinity = i < 4 ? 0 : 1;
     requests.push_back(request);
   }
-  const PlanResult plan = planner.Plan(requests);
+  const PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plan.success) << plan.error;
   for (const VcpuPlan& vcpu : plan.vcpus) {
     const std::vector<int> cpus = plan.table.CpusOf(vcpu.vcpu);
@@ -129,7 +129,7 @@ TEST(NumaPlanner, RejectsOutOfRangeSocket) {
   const Planner planner(config);
   VcpuRequest request{0, 0.25, 20 * kMillisecond};
   request.socket_affinity = 5;
-  const PlanResult plan = planner.Plan({request});
+  const PlanResult plan = planner.Solve(PlanRequest::Full({request}));
   EXPECT_FALSE(plan.success);
   EXPECT_NE(plan.error.find("socket affinity"), std::string::npos);
 }
@@ -140,7 +140,7 @@ TEST(NumaPlanner, AffinityIgnoredWhenTopologyDisabled) {
   const Planner planner(config);
   VcpuRequest request{0, 0.25, 20 * kMillisecond};
   request.socket_affinity = 7;  // Would be invalid if topology were active.
-  const PlanResult plan = planner.Plan({request});
+  const PlanResult plan = planner.Solve(PlanRequest::Full({request}));
   EXPECT_TRUE(plan.success) << plan.error;
 }
 
@@ -159,7 +159,7 @@ TEST(NumaPlanner, MixedAffinityStaysWithinGuarantees) {
   for (int i = 0; i < 6; ++i) {
     requests.push_back({id++, 0.2, 60 * kMillisecond});  // Unconstrained.
   }
-  const PlanResult plan = planner.Plan(requests);
+  const PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plan.success) << plan.error;
   ASSERT_EQ(plan.table.Validate(), "");
   for (const VcpuPlan& vcpu : plan.vcpus) {

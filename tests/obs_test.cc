@@ -83,28 +83,6 @@ TEST(MetricsRegistry, BucketUpperEdgesArePowersOfTwoMinusOne) {
   EXPECT_EQ(LatencyHistogram::BucketUpperEdge(10), 1023);
 }
 
-TEST(MetricsSnapshot, DeltaSubtractsCountersAndHistogramsKeepsGauges) {
-  MetricsRegistry registry;
-  obs::Counter* counter = registry.GetCounter("c");
-  obs::Gauge* gauge = registry.GetGauge("g");
-  LatencyHistogram* hist = registry.GetHistogram("h");
-  counter->Increment(10);
-  gauge->Set(1.0);
-  hist->Record(64);
-  const MetricsSnapshot before = registry.Snapshot();
-
-  counter->Increment(7);
-  gauge->Set(3.0);
-  hist->Record(64);
-  hist->Record(128);
-  const MetricsSnapshot delta = registry.Snapshot().Delta(before);
-
-  EXPECT_EQ(delta.values.at("c").counter, 7);
-  EXPECT_DOUBLE_EQ(delta.values.at("g").gauge, 3.0);
-  EXPECT_EQ(delta.values.at("h").hist.count, 2u);
-  EXPECT_EQ(delta.values.at("h").hist.sum, 64 + 128);
-}
-
 TEST(MetricsSnapshot, MergeAddsCountersAndHistogramsMaxesGauges) {
   MetricsRegistry a;
   a.GetCounter("c")->Increment(3);
@@ -530,25 +508,6 @@ TEST(MetricsSnapshot, MergeIsAssociativeAndCommutativeUnderShardReordering) {
   EXPECT_EQ(forward.values.at("c").counter, 3);
   EXPECT_DOUBLE_EQ(forward.values.at("g").gauge, 4.0);
   EXPECT_EQ(forward.values.at("h").hist.count, 3u);
-}
-
-TEST(MetricsSnapshot, DeltaAgainstEmptyAndDisjointBaselines) {
-  MetricsRegistry registry;
-  registry.GetCounter("c")->Increment(9);
-  const MetricsSnapshot now = registry.Snapshot();
-
-  // Empty baseline: delta is the snapshot itself.
-  EXPECT_EQ(now.Delta(MetricsSnapshot{}), now);
-
-  // Disjoint baseline: nothing to subtract.
-  MetricsRegistry other;
-  other.GetCounter("unrelated")->Increment(100);
-  EXPECT_EQ(now.Delta(other.Snapshot()).values.at("c").counter, 9);
-
-  // Kind conflict in the baseline: left untouched.
-  MetricsRegistry conflicting;
-  conflicting.GetGauge("c")->Set(5.0);
-  EXPECT_EQ(now.Delta(conflicting.Snapshot()).values.at("c").counter, 9);
 }
 
 }  // namespace

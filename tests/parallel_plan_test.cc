@@ -25,7 +25,7 @@ std::vector<std::uint8_t> PlanBytes(PlannerConfig config, int threads,
                                     PlanMethod* method_out = nullptr) {
   config.num_threads = threads;
   const Planner planner(config);
-  const PlanResult plan = planner.Plan(requests);
+  const PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   EXPECT_TRUE(plan.success) << plan.error;
   if (method_out != nullptr) {
     *method_out = plan.method;
@@ -116,9 +116,9 @@ TEST(ParallelPlan, ByteIdenticalIncremental) {
     PlannerConfig config = base;
     config.num_threads = threads;
     const Planner planner(config);
-    const PlanResult first = planner.Plan(initial);
+    const PlanResult first = planner.Solve(PlanRequest::Full(initial));
     ASSERT_TRUE(first.success) << first.error;
-    const PlanResult second = planner.PlanIncremental(first, added, departed);
+    const PlanResult second = planner.Solve(PlanRequest::Delta(first, added, departed));
     ASSERT_TRUE(second.success) << second.error;
     if (threads == 1) {
       serial = second.table.Serialize();

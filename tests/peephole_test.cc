@@ -116,12 +116,13 @@ TEST(Peephole, PlannerIntegrationReducesAllocations) {
 
   PlannerConfig plain_config;
   plain_config.num_cpus = 4;
-  const PlanResult plain = Planner(plain_config).Plan(requests);
+  const PlanResult plain = Planner(plain_config).Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plain.success);
 
   PlannerConfig optimized_config = plain_config;
   optimized_config.peephole_pass = true;
-  const PlanResult optimized = Planner(optimized_config).Plan(requests);
+  const PlanResult optimized =
+      Planner(optimized_config).Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(optimized.success);
   ASSERT_EQ(optimized.table.Validate(), "");
 

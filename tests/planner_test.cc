@@ -28,7 +28,8 @@ TEST(Planner, PaperSetup48VmsOn12Cores) {
   PlannerConfig config;
   config.num_cpus = 12;
   const Planner planner(config);
-  const PlanResult plan = planner.Plan(UniformRequests(48, 0.25, 20 * kMillisecond));
+  const PlanResult plan =
+      planner.Solve(PlanRequest::Full(UniformRequests(48, 0.25, 20 * kMillisecond)));
   ASSERT_TRUE(plan.success) << plan.error;
   EXPECT_EQ(plan.method, PlanMethod::kPartitioned);
   EXPECT_EQ(plan.table.Validate(), "");
@@ -48,7 +49,8 @@ TEST(Planner, UtilizationGuaranteeAcrossLatencyGoals) {
     PlannerConfig config;
     config.num_cpus = 4;
     const Planner planner(config);
-    const PlanResult plan = planner.Plan(UniformRequests(16, 0.25, latency));
+    const PlanResult plan =
+        planner.Solve(PlanRequest::Full(UniformRequests(16, 0.25, latency)));
     ASSERT_TRUE(plan.success) << plan.error << " latency " << latency;
     for (const VcpuPlan& vcpu : plan.vcpus) {
       EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), latency)
@@ -61,7 +63,8 @@ TEST(Planner, RejectsOverUtilized) {
   PlannerConfig config;
   config.num_cpus = 2;
   const Planner planner(config);
-  const PlanResult plan = planner.Plan(UniformRequests(9, 0.25, 20 * kMillisecond));
+  const PlanResult plan =
+      planner.Solve(PlanRequest::Full(UniformRequests(9, 0.25, 20 * kMillisecond)));
   EXPECT_FALSE(plan.success);
   EXPECT_NE(plan.error.find("over-utilized"), std::string::npos);
 }
@@ -70,17 +73,19 @@ TEST(Planner, RejectsBadRequests) {
   PlannerConfig config;
   config.num_cpus = 2;
   const Planner planner(config);
-  EXPECT_FALSE(planner.Plan({{0, 0.0, kMillisecond}}).success);
-  EXPECT_FALSE(planner.Plan({{0, 1.5, kMillisecond}}).success);
-  EXPECT_FALSE(planner.Plan({{0, 0.5, 0}}).success);
-  EXPECT_FALSE(planner.Plan({{0, 0.5, kMillisecond}, {0, 0.5, kMillisecond}}).success);
+  EXPECT_FALSE(planner.Solve(PlanRequest::Full({{0, 0.0, kMillisecond}})).success);
+  EXPECT_FALSE(planner.Solve(PlanRequest::Full({{0, 1.5, kMillisecond}})).success);
+  EXPECT_FALSE(planner.Solve(PlanRequest::Full({{0, 0.5, 0}})).success);
+  EXPECT_FALSE(
+      planner.Solve(PlanRequest::Full({{0, 0.5, kMillisecond}, {0, 0.5, kMillisecond}}))
+          .success);
 }
 
 TEST(Planner, EmptyRequestSetYieldsIdleTable) {
   PlannerConfig config;
   config.num_cpus = 2;
   const Planner planner(config);
-  const PlanResult plan = planner.Plan({});
+  const PlanResult plan = planner.Solve(PlanRequest::Full({}));
   ASSERT_TRUE(plan.success);
   EXPECT_EQ(plan.table.num_cpus(), 2);
   EXPECT_EQ(plan.table.cpu(0).allocations.size(), 0u);
@@ -93,7 +98,7 @@ TEST(Planner, DedicatedCoreForFullUtilization) {
   std::vector<VcpuRequest> requests = {{0, 1.0, kMillisecond},
                                        {1, 0.5, 20 * kMillisecond},
                                        {2, 0.5, 20 * kMillisecond}};
-  const PlanResult plan = planner.Plan(requests);
+  const PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plan.success) << plan.error;
   // vCPU 0 owns a full core.
   EXPECT_EQ(plan.table.TotalService(0), plan.table.length());
@@ -110,7 +115,7 @@ TEST(Planner, TooManyDedicatedVcpusRejected) {
   const Planner planner(config);
   std::vector<VcpuRequest> requests = {
       {0, 1.0, kMillisecond}, {1, 1.0, kMillisecond}, {2, 0.5, 20 * kMillisecond}};
-  EXPECT_FALSE(planner.Plan(requests).success);
+  EXPECT_FALSE(planner.Solve(PlanRequest::Full(requests)).success);
 }
 
 TEST(Planner, ExactFullPackAdmittedViaShaving) {
@@ -119,7 +124,8 @@ TEST(Planner, ExactFullPackAdmittedViaShaving) {
   PlannerConfig config;
   config.num_cpus = 4;
   const Planner planner(config);
-  const PlanResult plan = planner.Plan(UniformRequests(16, 0.25, 20 * kMillisecond));
+  const PlanResult plan =
+      planner.Solve(PlanRequest::Full(UniformRequests(16, 0.25, 20 * kMillisecond)));
   ASSERT_TRUE(plan.success) << plan.error;
   for (const VcpuPlan& vcpu : plan.vcpus) {
     // Within 1 ns per period of the requested share.
@@ -137,7 +143,8 @@ TEST(Planner, QuantizationShaveKeepsQuarterSharesPartitioned) {
   PlannerConfig config;
   config.num_cpus = 44;
   const Planner planner(config);
-  const PlanResult plan = planner.Plan(UniformRequests(160, 0.25, kMillisecond));
+  const PlanResult plan =
+      planner.Solve(PlanRequest::Full(UniformRequests(160, 0.25, kMillisecond)));
   ASSERT_TRUE(plan.success) << plan.error;
   EXPECT_EQ(plan.method, PlanMethod::kPartitioned);
   for (const VcpuPlan& vcpu : plan.vcpus) {
@@ -153,7 +160,8 @@ TEST(Planner, SemiPartitioningEngagesForUnpartitionableLoad) {
   PlannerConfig config;
   config.num_cpus = 2;
   const Planner planner(config);
-  const PlanResult plan = planner.Plan(UniformRequests(3, 0.6, 40 * kMillisecond));
+  const PlanResult plan =
+      planner.Solve(PlanRequest::Full(UniformRequests(3, 0.6, 40 * kMillisecond)));
   ASSERT_TRUE(plan.success) << plan.error;
   EXPECT_NE(plan.method, PlanMethod::kPartitioned);
   EXPECT_EQ(plan.table.Validate(), "");
@@ -171,7 +179,8 @@ TEST(Planner, SemiPartitionedLatencyStillBounded) {
   PlannerConfig config;
   config.num_cpus = 2;
   const Planner planner(config);
-  const PlanResult plan = planner.Plan(UniformRequests(3, 0.6, 40 * kMillisecond));
+  const PlanResult plan =
+      planner.Solve(PlanRequest::Full(UniformRequests(3, 0.6, 40 * kMillisecond)));
   ASSERT_TRUE(plan.success) << plan.error;
   for (const VcpuPlan& vcpu : plan.vcpus) {
     EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), 40 * kMillisecond) << vcpu.vcpu;
@@ -184,7 +193,8 @@ TEST(Planner, HighUtilizationManyVcpus) {
   PlannerConfig config;
   config.num_cpus = 8;
   const Planner planner(config);
-  const PlanResult plan = planner.Plan(UniformRequests(15, 0.52, 40 * kMillisecond));
+  const PlanResult plan =
+      planner.Solve(PlanRequest::Full(UniformRequests(15, 0.52, 40 * kMillisecond)));
   ASSERT_TRUE(plan.success) << plan.error;
   EXPECT_EQ(plan.table.Validate(), "");
   for (const VcpuPlan& vcpu : plan.vcpus) {
@@ -209,7 +219,7 @@ TEST(Planner, MixedTiersPlan) {
   for (int i = 0; i < 9; ++i) {
     requests.push_back({id++, 0.10, 100 * kMillisecond});
   }
-  const PlanResult plan = planner.Plan(requests);
+  const PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plan.success) << plan.error;
   for (const VcpuPlan& vcpu : plan.vcpus) {
     EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), vcpu.latency_goal) << vcpu.vcpu;
@@ -249,7 +259,7 @@ TEST_P(PlannerPropertyTest, RandomWorkloadsSatisfyGuarantees) {
     request.latency_goal = rng.UniformInt(2 * kMillisecond, 150 * kMillisecond);
     requests.push_back(request);
   }
-  const PlanResult plan = planner.Plan(requests);
+  const PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plan.success) << plan.error;
   ASSERT_EQ(plan.table.Validate(), "");
 

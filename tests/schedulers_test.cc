@@ -349,7 +349,7 @@ struct TableauFixture {
     }
     PlannerConfig planner_config;
     planner_config.num_cpus = cpus;
-    plan = Planner(planner_config).Plan(requests);
+    plan = Planner(planner_config).Solve(PlanRequest::Full(requests));
     TABLEAU_CHECK(plan.success);
     scheduler->PushTable(std::make_shared<SchedulingTable>(plan.table));
   }
@@ -484,7 +484,7 @@ TEST(TableauSched, TableSwitchAtRuntime) {
                                        {3, 0.05, 20 * kMillisecond}};
   PlannerConfig config;
   config.num_cpus = 1;
-  const PlanResult new_plan = Planner(config).Plan(requests);
+  const PlanResult new_plan = Planner(config).Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(new_plan.success);
   f.scheduler->PushTable(std::make_shared<SchedulingTable>(new_plan.table));
 

@@ -80,7 +80,7 @@ TEST(TableauRuntime, SplitVcpuNeverRunsConcurrently) {
                                        {2, 0.6, 40 * kMillisecond}};
   PlannerConfig planner_config;
   planner_config.num_cpus = 2;
-  PlanResult plan = Planner(planner_config).Plan(requests);
+  PlanResult plan = Planner(planner_config).Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plan.success);
 
   std::vector<std::unique_ptr<Vcpu>> dummy;

@@ -1,9 +1,10 @@
 // Tests for the windowed telemetry layer: TimeSeriesRecorder ring/window
-// semantics and order-independent merge, the causal LatencyAttributor's
-// exact time-partitioning (scripted and end-to-end across all five
-// schedulers), the per-VM SloTracker's window/streak/burst logic, Perfetto
-// flow-event export, and — most load-bearing — the purity guarantee: a run
-// with telemetry attached is trace-fingerprint-identical to one without.
+// semantics and order-independent merge, the per-vCPU window views the
+// adaptive controller reads, the causal LatencyAttributor's exact
+// time-partitioning (scripted and end-to-end across all five schedulers),
+// the per-VM SloTracker's window/streak/burst logic, Perfetto flow-event
+// export, and — most load-bearing — the purity guarantee: a run with
+// telemetry attached is trace-fingerprint-identical to one without.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +18,6 @@
 #include "src/obs/telemetry.h"
 #include "src/obs/timeseries.h"
 #include "src/obs/trace_export.h"
-#include "src/sim/sharded_sim.h"
 #include "src/workloads/guest.h"
 #include "src/workloads/ping.h"
 
@@ -95,48 +95,6 @@ TEST(TimeSeriesRecorder, RingEvictsOldWindowsAndCountsLateSamples) {
   EXPECT_EQ(recorder.Snapshot().series.at("s").late_samples, 1u);
 }
 
-TEST(TimeSeriesRecorder, DataAtDistinguishesNoDataFromZero) {
-  // Pinned regression: a window with no samples must read as an explicit
-  // "no data" (nullptr), never as a window claiming value 0.0 — the
-  // adaptive reservation controller would otherwise shrink a briefly-idle
-  // VM to its floor on the strength of silence.
-  TimeSeriesRecorder recorder({/*window_ns=*/100, /*window_capacity=*/4});
-  const auto id = recorder.DefineSeries("s");
-
-  // Before any sample: nothing is retained anywhere.
-  EXPECT_EQ(recorder.DataAt(id, 0), nullptr);
-  EXPECT_EQ(recorder.DataAt(id, 250), nullptr);
-
-  recorder.Observe(id, 10, 5);    // Window 0.
-  recorder.Observe(id, 210, 0);   // Window 2: a real sample of value zero.
-
-  // Window 0 has data; any time inside it resolves to the same window.
-  const obs::TimeSeriesWindow* w0 = recorder.DataAt(id, 99);
-  ASSERT_NE(w0, nullptr);
-  EXPECT_EQ(w0->start, 0);
-  EXPECT_EQ(w0->sum, 5);
-
-  // Window 1 sits between two sampled windows and was opened by the ring
-  // advance — but holds zero samples, so it is "no data", not 0.0.
-  EXPECT_EQ(recorder.DataAt(id, 150), nullptr);
-
-  // A genuine zero-valued sample is data: count 1, sum 0 — distinguishable
-  // from the nullptr above.
-  const obs::TimeSeriesWindow* w2 = recorder.DataAt(id, 210);
-  ASSERT_NE(w2, nullptr);
-  EXPECT_EQ(w2->count, 1u);
-  EXPECT_EQ(w2->sum, 0);
-
-  // Future windows (never opened) and evicted windows are both no-data.
-  EXPECT_EQ(recorder.DataAt(id, 1000), nullptr);
-  recorder.Observe(id, 950, 2);  // Window 9 evicts everything before 6.
-  EXPECT_EQ(recorder.DataAt(id, 10), nullptr);
-
-  // Invalid series / negative time never fault.
-  EXPECT_EQ(recorder.DataAt(TimeSeriesRecorder::kNoSeries, 10), nullptr);
-  EXPECT_EQ(recorder.DataAt(id, -5), nullptr);
-}
-
 TEST(TimeSeriesSnapshot, MergeIsOrderIndependent) {
   TimeSeriesRecorder a({/*window_ns=*/100, /*window_capacity=*/8});
   const auto ida = a.DefineSeries("shared");
@@ -167,30 +125,6 @@ TEST(TimeSeriesSnapshot, MergeIsOrderIndependent) {
   EXPECT_EQ(ab.series.count("only_a"), 1u);
 }
 
-TEST(TimeSeriesSnapshot, ShardedSimulationMergesShardRecorders) {
-  ShardedSimulation::Options options;
-  options.num_shards = 3;
-  options.sharded = true;
-  ShardedSimulation sharded(options);
-
-  std::vector<std::unique_ptr<TimeSeriesRecorder>> recorders;
-  for (int shard = 0; shard < options.num_shards; ++shard) {
-    recorders.push_back(std::make_unique<TimeSeriesRecorder>(
-        TimeSeriesRecorder::Options{/*window_ns=*/100, /*window_capacity=*/8}));
-    const auto id = recorders.back()->DefineSeries("load");
-    recorders.back()->Observe(id, 10 * (shard + 1), shard + 1);
-    sharded.AttachShardRecorder(shard, recorders.back().get());
-  }
-
-  const TimeSeriesSnapshot merged = sharded.MergedTimeSeries();
-  const auto& windows = merged.series.at("load").windows;
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows[0].count, 3);
-  EXPECT_EQ(windows[0].sum, 6);
-  EXPECT_EQ(windows[0].min, 1);
-  EXPECT_EQ(windows[0].max, 3);
-}
-
 TEST(TimeSeriesSnapshot, JsonAndCsvExportCarrySchemaAndData) {
   TimeSeriesRecorder recorder({/*window_ns=*/100, /*window_capacity=*/8});
   const auto id = recorder.DefineSeries("a,b");  // Awkward CSV name.
@@ -205,6 +139,41 @@ TEST(TimeSeriesSnapshot, JsonAndCsvExportCarrySchemaAndData) {
   EXPECT_NE(csv.find("series,window_start_ns,count,sum,min,max,mean\n"),
             std::string::npos);
   EXPECT_NE(csv.find("\"a,b\",0,1,4,4,4,4\n"), std::string::npos);
+}
+
+// --- Telemetry window views: the adaptive controller's hold signal ---
+
+TEST(Telemetry, LastWindowViewDistinguishesNoDataFromZero) {
+  // Host::AdaptTick reads this view: a vCPU that was blocked through a whole
+  // window must read as "no data", never as a window claiming zero demand,
+  // or the controller would shrink a briefly-idle VM to its floor on the
+  // strength of silence.
+  Telemetry::Config config;
+  config.window_ns = 100;
+  Telemetry telemetry(config);
+  telemetry.Bind(/*num_cpus=*/1, /*num_vcpus=*/2, /*table_driven=*/true, /*start=*/0);
+
+  // vCPU 0 stays blocked; vCPU 1 waits [10, 20), runs [20, 70), then blocks.
+  telemetry.OnWakeup(1, 10);
+  telemetry.OnDispatch(1, 20);
+  telemetry.OnServiceRange(1, /*cpu=*/0, 20, 70);
+  telemetry.OnBlock(1, 70);
+  telemetry.OnCadenceSample(100, /*runnable_waiting=*/0, /*running=*/0);
+
+  const Telemetry::VcpuWindowView& idle = telemetry.LastWindowView(0);
+  EXPECT_FALSE(idle.has_data);
+  EXPECT_EQ(idle.demand_ns, 0);
+  EXPECT_EQ(idle.supply_ns, 0);
+  const Telemetry::VcpuWindowView& ran = telemetry.LastWindowView(1);
+  EXPECT_TRUE(ran.has_data);
+  EXPECT_EQ(ran.supply_ns, 50);
+  EXPECT_EQ(ran.demand_ns, 60);  // 10 ns in the wake queue + 50 ns of service.
+
+  // The next window, blocked throughout, is "no data" again: the previous
+  // window's activity does not carry over.
+  telemetry.OnCadenceSample(200, 0, 0);
+  EXPECT_FALSE(telemetry.LastWindowView(1).has_data);
+  EXPECT_EQ(telemetry.LastWindowView(1).supply_ns, 0);
 }
 
 // --- LatencyAttributor: scripted exactness ---

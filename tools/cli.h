@@ -17,6 +17,24 @@
 
 namespace tableau::cli {
 
+// Reads a decimal count of `unit`s (e.g. "2.5" milliseconds) into ns. Fails
+// unless the text parses in full to a finite, non-negative value whose ns
+// count fits in TimeNs.
+inline bool ParseDuration(std::string_view text, TimeNs unit, TimeNs* out) {
+  double value = 0;
+  if (!ParseValue(text, &value)) {
+    return false;
+  }
+  const double ns = value * unit;
+  // 0x1p63 is 2^63, just past INT64_MAX, so the cast below is in range;
+  // NaN fails both comparisons.
+  if (!(ns >= 0 && ns < 0x1p63)) {
+    return false;
+  }
+  *out = static_cast<TimeNs>(ns);
+  return true;
+}
+
 // Each flag is bound to its destination up front. Parse() prints usage and
 // exits 2 on an unknown flag, a missing value, a value that does not parse
 // in full, or a wrong number of positional arguments.
@@ -49,15 +67,11 @@ class FlagSet {
       return true;
     });
   }
-  // A decimal count of `unit`s (e.g. --latency-goal-ms) stored in ns.
+  // A decimal count of `unit`s (e.g. --latency-goal-ms) stored in ns; see
+  // ParseDuration for what is rejected.
   void Duration(const char* name, TimeNs* out, TimeNs unit) {
     Custom(name, "X", [out, unit](std::string_view text) {
-      double value = 0;
-      if (!ParseValue(text, &value)) {
-        return false;
-      }
-      *out = static_cast<TimeNs>(value * unit);
-      return true;
+      return ParseDuration(text, unit, out);
     });
   }
 

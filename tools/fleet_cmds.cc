@@ -218,7 +218,7 @@ int CheckDeterminism(const FleetScenarioConfig& base, TimeNs duration, bool adap
 
 int FleetMain(int argc, char** argv, bool adapt) {
   FleetScenarioConfig config = adapt ? ElasticDefaults() : FleetScenarioConfig{};
-  double seconds = adapt ? 10.0 : 0.5;
+  TimeNs duration = adapt ? 10 * kSecond : kSecond / 2;
   bool check_determinism = false;
   std::string json_out;
   FlagSet flags(adapt ? "adapt run|describe" : "fleet run|describe");
@@ -251,7 +251,7 @@ int FleetMain(int argc, char** argv, bool adapt) {
     flags.Switch("--first-fit",
                  [&config] { config.placement = fleet::PlacementPolicy::kFirstFit; });
   }
-  flags.Value("--seconds", &seconds);
+  flags.Duration("--seconds", &duration, kSecond);
   flags.Value("--seed", &config.seed);
   flags.Switch("--sharded", [&config] { config.sharded = true; });
   flags.Switch("--parallel", [&config] { config.sharded = config.parallel = true; });
@@ -263,7 +263,6 @@ int FleetMain(int argc, char** argv, bool adapt) {
     flags.Usage();
   }
 
-  const TimeNs duration = static_cast<TimeNs>(seconds * kSecond);
   if (check_determinism) {
     return CheckDeterminism(config, duration, adapt);
   }

@@ -46,7 +46,7 @@ namespace {
 struct CellOptions {
   SchedKind scheduler = SchedKind::kTableau;
   int cpus = 4;
-  double seconds = 0.3;
+  TimeNs duration = 300 * kMillisecond;
   bool capped = true;
   bool validate = false;
   bool check_determinism = false;
@@ -59,7 +59,7 @@ void AddCellFlags(FlagSet& flags, CellOptions& cell) {
     return kind.has_value();
   });
   flags.Value("--cpus", &cell.cpus);
-  flags.Value("--seconds", &cell.seconds);
+  flags.Duration("--seconds", &cell.duration, kSecond);
   flags.Switch("--capped", [&cell] { cell.capped = true; });
   flags.Switch("--uncapped", [&cell] { cell.capped = false; });
   flags.Switch("--validate", [&cell] { cell.validate = true; });
@@ -88,7 +88,7 @@ Scenario RunFig5Cell(const CellOptions& cell, bool metrics_enabled) {
   BackgroundWorkloads background;
   AttachBackground(scenario, Background::kIo, 1, background);
   scenario.machine->Start();
-  scenario.machine->RunFor(static_cast<TimeNs>(cell.seconds * kSecond));
+  scenario.machine->RunFor(cell.duration);
   return scenario;
 }
 
@@ -105,15 +105,15 @@ struct Fig6Run {
 
 // A Fig. 6-style cell: ping traffic into the vantage VM, system noise on the
 // vantage, I/O-intensive stress in every other VM.
-Fig6Run RunFig6Cell(const CellOptions& cell, double window_ms, double slo_ms,
+Fig6Run RunFig6Cell(const CellOptions& cell, TimeNs window, TimeNs slo_latency,
                     bool telemetry_enabled) {
   Fig6Run run;
   run.scenario = BuildScenario(CellConfig(cell));
   run.scenario.machine->trace().set_enabled(true);
 
   obs::Telemetry::Config telemetry_config;
-  telemetry_config.window_ns = static_cast<TimeNs>(window_ms * kMillisecond);
-  telemetry_config.slo.target_latency_ns = static_cast<TimeNs>(slo_ms * kMillisecond);
+  telemetry_config.window_ns = window;
+  telemetry_config.slo.target_latency_ns = slo_latency;
   run.telemetry = std::make_unique<obs::Telemetry>(telemetry_config);
   run.telemetry->set_enabled(telemetry_enabled);
   AttachTelemetry(run.scenario, run.telemetry.get());
@@ -137,7 +137,7 @@ Fig6Run RunFig6Cell(const CellOptions& cell, double window_ms, double slo_ms,
   run.ping->Start(0);
 
   run.scenario.machine->Start();
-  run.scenario.machine->RunFor(static_cast<TimeNs>(cell.seconds * kSecond));
+  run.scenario.machine->RunFor(cell.duration);
   return run;
 }
 
@@ -314,7 +314,7 @@ int TraceMain(int argc, char** argv) {
   AddCellFlags(flags, cell);
   flags.Value("--out", &out);
   flags.Parse(argc, argv, 0);
-  if (cell.cpus < 1 || cell.seconds <= 0) {
+  if (cell.cpus < 1 || cell.duration <= 0) {
     flags.Usage();
   }
 
@@ -345,25 +345,25 @@ int TraceMain(int argc, char** argv) {
 
 int ObsMain(int argc, char** argv) {
   CellOptions cell;
-  cell.seconds = 0.5;
-  double window_ms = 10;
-  double slo_ms = 10;
+  cell.duration = kSecond / 2;
+  TimeNs window = 10 * kMillisecond;
+  TimeNs slo_latency = 10 * kMillisecond;
   std::string json_out;
   std::string csv_out;
   std::string trace_out;
   FlagSet flags("obs");
   AddCellFlags(flags, cell);
-  flags.Value("--window-ms", &window_ms);
-  flags.Value("--slo-ms", &slo_ms);
+  flags.Duration("--window-ms", &window, kMillisecond);
+  flags.Duration("--slo-ms", &slo_latency, kMillisecond);
   flags.Value("--json", &json_out);
   flags.Value("--csv", &csv_out);
   flags.Value("--trace", &trace_out);
   flags.Parse(argc, argv, 0);
-  if (cell.cpus < 1 || cell.seconds <= 0 || window_ms <= 0 || slo_ms <= 0) {
+  if (cell.cpus < 1 || cell.duration <= 0 || window <= 0 || slo_latency <= 0) {
     flags.Usage();
   }
 
-  const Fig6Run run = RunFig6Cell(cell, window_ms, slo_ms, /*telemetry_enabled=*/true);
+  const Fig6Run run = RunFig6Cell(cell, window, slo_latency, /*telemetry_enabled=*/true);
   PrintSloTables(*run.telemetry);
   if (!json_out.empty() && !Save(json_out, run.telemetry->ToJson() + "\n")) {
     return 1;
@@ -383,7 +383,7 @@ int ObsMain(int argc, char** argv) {
   }
   return CheckObserverNeutral(
       TraceFingerprint(*run.scenario.machine),
-      TraceFingerprint(*RunFig6Cell(cell, window_ms, slo_ms, false).scenario.machine),
+      TraceFingerprint(*RunFig6Cell(cell, window, slo_latency, false).scenario.machine),
       "telemetry");
 }
 

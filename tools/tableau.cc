@@ -95,18 +95,19 @@ bool ParseVmSpec(std::string_view spec, VcpuId id, VcpuRequest* out) {
   const std::size_t first = spec.find(':');
   const std::size_t second = spec.find(':', first + 1);
   double utilization = 0;
-  double latency_ms = 0;
+  TimeNs latency_goal = 0;
   int socket = -1;
   if (first == std::string_view::npos ||
       !ParseValue(spec.substr(0, first), &utilization) ||
-      !ParseValue(spec.substr(first + 1, second - first - 1), &latency_ms) ||
+      !ParseDuration(spec.substr(first + 1, second - first - 1), kMillisecond,
+                     &latency_goal) ||
       (second != std::string_view::npos &&
        !ParseValue(spec.substr(second + 1), &socket))) {
     return false;
   }
   out->vcpu = id;
   out->utilization = utilization;
-  out->latency_goal = static_cast<TimeNs>(latency_ms * kMillisecond);
+  out->latency_goal = latency_goal;
   out->socket_affinity = socket;
   return true;
 }
