@@ -18,10 +18,14 @@ ctest --test-dir build-asan 2>&1 | tee -a test_output.txt
 ctest --test-dir build-asan -L check --output-on-failure 2>&1 | tee -a test_output.txt
 build-asan/tools/tableau check selftest
 build-asan/tools/tableau check fuzz --seeds 0:20000 --shrink --repro-dir tests/repro
-# Audit every table the planner-heavy benches emit (the uninstrumented bench
-# loop below regenerates the JSON artifacts without the verification cost).
+# Audit every table the planner-heavy benches emit, full plans (fig3, fig4)
+# and delta solves (incremental-plan ablation, reconfiguration) alike (the
+# uninstrumented bench loop below regenerates the JSON artifacts without the
+# verification cost).
 TABLEAU_VERIFY_TABLES=1 build-asan/bench/bench_fig3_table_generation_time
 TABLEAU_VERIFY_TABLES=1 build-asan/bench/bench_fig4_table_size
+TABLEAU_VERIFY_TABLES=1 build-asan/bench/bench_ablation_incremental_plan
+TABLEAU_VERIFY_TABLES=1 build-asan/bench/bench_ext_reconfiguration
 
 # Engine microbenchmark first: writes BENCH_sim_engine.json (events/sec for
 # the timer-wheel engine vs the legacy heap engine, parallel-harness timing).

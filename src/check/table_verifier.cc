@@ -309,8 +309,7 @@ std::vector<std::string> VerifyPlan(const PlanResult& plan, const PlannerConfig&
   }
   VerifyOptions options;
   options.coalesce_threshold = config.coalesce_threshold;
-  options.split_granularity = config.split_granularity;
-  options.expected_length = config.hyperperiod;
+  options.expected_length = kHyperperiodNs;
   return VerifyTable(plan.table, ContractsOf(plan), options);
 }
 

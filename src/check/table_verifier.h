@@ -54,7 +54,6 @@ struct VerifyOptions {
   // coalesce_threshold disables the donation-budget and min-allocation
   // checks (for hand-built tables that never went through coalescing).
   TimeNs coalesce_threshold = 30 * kMicrosecond;
-  TimeNs split_granularity = kMinPeriodNs;
   // When non-zero, the table length must equal this exactly.
   TimeNs expected_length = 0;
 };

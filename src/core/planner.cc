@@ -146,18 +146,227 @@ void ExportPoolStats(obs::MetricsRegistry* registry, const ThreadPool* pool) {
   }
 }
 
+// Solve() stretches every latency goal by this factor per degradation step.
+constexpr double kLatencyDegradationFactor = 2.0;
+
+// The request set a solve plans for: a full solve's requests, or a delta's
+// previous requests minus the departed vCPUs, plus the added ones.
+std::vector<VcpuRequest> MergedRequests(const PlanRequest& request) {
+  if (request.previous == nullptr) {
+    return request.requests;
+  }
+  const std::set<VcpuId> departing(request.departed.begin(), request.departed.end());
+  std::vector<VcpuRequest> merged;
+  for (const VcpuRequest& r : request.previous->requests) {
+    if (departing.find(r.vcpu) == departing.end()) {
+      merged.push_back(r);
+    }
+  }
+  merged.insert(merged.end(), request.added.begin(), request.added.end());
+  return merged;
+}
+
+// The socket a request is pinned to, or -1 when it may run anywhere (no
+// affinity, or cores_per_socket == 0: a flat machine).
+int RequiredSocket(const VcpuRequest& request, const PlannerConfig& config) {
+  return config.cores_per_socket > 0 && request.socket_affinity >= 0 ? request.socket_affinity
+                                                                     : -1;
+}
+
+// The request check both solve shapes run over the whole request set. A
+// utilization outside (0, 1] (NaN included), a non-positive latency goal, a
+// duplicate vCPU id, or a shared-core vCPU pinned to a socket the shared
+// cores do not reach is malformed (kInvalidRequest). Returns the error, or an
+// empty string.
+std::string CheckRequests(const std::vector<VcpuRequest>& requests,
+                          const PlannerConfig& config) {
+  std::set<VcpuId> seen;
+  int dedicated = 0;
+  for (const VcpuRequest& request : requests) {
+    if (!(request.utilization > 0.0 && request.utilization <= 1.0)) {
+      return "vCPU " + std::to_string(request.vcpu) + ": utilization out of (0, 1]";
+    }
+    if (request.latency_goal <= 0) {
+      return "vCPU " + std::to_string(request.vcpu) + ": non-positive latency goal";
+    }
+    if (!seen.insert(request.vcpu).second) {
+      return "duplicate vCPU id " + std::to_string(request.vcpu);
+    }
+    dedicated += request.utilization >= 1.0 ? 1 : 0;
+  }
+  // Dedicated vCPUs take the tail cores, so sockets span the shared cores.
+  // With no shared core left, PlanFull rejects the set for lack of cores.
+  const int shared_cores = config.num_cpus - dedicated;
+  if (config.cores_per_socket > 0 && shared_cores > 0) {
+    const int sockets = (shared_cores + config.cores_per_socket - 1) / config.cores_per_socket;
+    for (const VcpuRequest& request : requests) {
+      if (request.utilization < 1.0 && RequiredSocket(request, config) >= sockets) {
+        return "vCPU " + std::to_string(request.vcpu) + ": socket affinity out of range";
+      }
+    }
+  }
+  return "";
+}
+
+// The (U, L) -> periodic task mapping of a shared-core request, with its
+// admission rule. Returns the kAdmission error, or an empty string with
+// *mapping filled in.
+std::string MapSharedRequest(const VcpuRequest& request, TimeNs coalesce_threshold,
+                             TaskMapping* mapping) {
+  const std::optional<TaskMapping> mapped = MapRequestToTask(request);
+  if (!mapped.has_value()) {
+    return "vCPU " + std::to_string(request.vcpu) + ": unmappable reservation";
+  }
+  // A budget below the coalesce threshold cannot be delivered: every one of
+  // its allocations is a sub-threshold sliver, so post-processing would
+  // donate the entire reservation away and the vCPU would starve despite a
+  // "successful" plan. Reject at admission; the stepwise latency-goal
+  // degradation (larger T => larger C) can rescue the request.
+  if (mapped->task.cost < coalesce_threshold) {
+    return "vCPU " + std::to_string(request.vcpu) + ": budget " +
+           std::to_string(mapped->task.cost) + " ns below the coalesce threshold " +
+           std::to_string(coalesce_threshold) +
+           " ns; the whole reservation would be coalesced away";
+  }
+  *mapping = *mapped;
+  return "";
+}
+
+// True if ceil-rounding put `task`'s budget above the exact U*T, so a 1 ns
+// shave costs the vCPU less than a nanosecond of its share.
+bool RoundedUp(const PeriodicTask& task, double utilization) {
+  return static_cast<double>(task.cost) > utilization * static_cast<double>(task.period);
+}
+
+// Points a shared-core vCPU's plan at its (possibly shaved) task.
+void SetTask(VcpuPlan& plan, const PeriodicTask& task) {
+  plan.cost = task.cost;
+  plan.period = task.period;
+  plan.effective_utilization = task.Utilization();
+  plan.blackout_bound = 2 * (task.period - task.cost);
+}
+
+VcpuPlan SharedPlan(const VcpuRequest& request, const TaskMapping& mapping,
+                    const PeriodicTask& task) {
+  VcpuPlan plan;
+  plan.vcpu = request.vcpu;
+  plan.requested_utilization = request.utilization;
+  plan.latency_goal = request.latency_goal;
+  SetTask(plan, task);
+  plan.latency_goal_met =
+      mapping.latency_goal_met && plan.blackout_bound <= request.latency_goal;
+  return plan;
+}
+
+// The pipeline's tail, shared by both solve shapes. `result` arrives with its
+// method, vCPU plans, core tasks and requests; `per_core` with the
+// allocations earlier stages laid out (clustered and dedicated cores). Runs
+// the per-core EDF simulation of the fresh cores that have tasks, peephole,
+// coalescing, table build and validation, and the split/donation accounting
+// of the vCPUs on fresh cores. Cores not in `fresh` are copied verbatim from
+// `previous`, and the plans of their vCPUs are kept as they are: a carried
+// core is a whole core of a partitioned plan, so no vCPU straddles a fresh
+// and a carried core.
+void FinishPlan(const PlannerConfig& config, ThreadPool* pool, const PhaseMetrics& pm,
+                const std::vector<bool>& fresh, const SchedulingTable* previous,
+                std::vector<std::vector<Allocation>> per_core, AdmissionTally& tally,
+                PlanResult& result) {
+  const TimeNs h = kHyperperiodNs;
+  const std::vector<std::vector<PeriodicTask>>& core_tasks = result.core_tasks;
+  // Each core's simulation is independent and writes only its own slot of
+  // per_core, so the fan-out is deterministic: the merged table does not
+  // depend on completion order.
+  ParallelFor(pool, core_tasks.size(), [&](std::size_t core) {
+    if (!fresh[core] || core_tasks[core].empty()) {
+      return;
+    }
+    // On the partitioned path this is the core's admission decision; record
+    // which ladder rung could already settle it (semi-partitioned sets were
+    // admitted by the C=D probes, which tally their own decisions).
+    if (result.method == PlanMethod::kPartitioned) {
+      TallyCoreAdmission(core_tasks[core], h, tally);
+    }
+    // Recorded from whichever pool worker ran this core; the histogram is
+    // thread-safe by construction.
+    EdfSimResult sim;
+    {
+      PhaseTimer timer(pm.edf_core_sim);
+      sim = SimulateEdf(core_tasks[core], h);
+    }
+    TABLEAU_CHECK_MSG(sim.schedulable, "EDF simulation failed on core %d for vCPU %d",
+                      static_cast<int>(core), sim.missed_vcpu);
+    per_core[core] = std::move(sim.allocations);
+  });
+
+  // --- Post-processing: peephole, coalescing and table construction ---
+  // Carried cores are still empty here, so both passes skip them.
+  if (config.peephole_pass) {
+    PeepholeOptimize(per_core, core_tasks);
+  }
+  std::vector<std::pair<VcpuId, TimeNs>> donated;
+  {
+    PhaseTimer timer(pm.coalesce);
+    per_core = CoalesceAllocations(std::move(per_core), config.coalesce_threshold, &donated);
+  }
+  for (std::size_t core = 0; core < per_core.size(); ++core) {
+    if (!fresh[core]) {
+      per_core[core] = previous->cpu(static_cast<int>(core)).allocations;
+    }
+  }
+  result.table = SchedulingTable::Build(h, std::move(per_core));
+  const std::string violation = result.table.Validate();
+  TABLEAU_CHECK_MSG(violation.empty(), "planner produced invalid table: %s",
+                    violation.c_str());
+
+  std::map<VcpuId, int> fresh_cores_of;
+  std::vector<VcpuId> carried;
+  result.dirty_cores.clear();
+  for (int c = 0; c < result.table.num_cpus(); ++c) {
+    const auto core = static_cast<std::size_t>(c);
+    if (fresh[core]) {
+      result.dirty_cores.push_back(c);
+      for (const VcpuId vcpu : result.table.cpu(c).local_vcpus) {
+        ++fresh_cores_of[vcpu];
+      }
+    } else {
+      for (const PeriodicTask& task : core_tasks[core]) {
+        carried.push_back(task.vcpu);
+      }
+    }
+  }
+  std::sort(carried.begin(), carried.end());
+  std::map<VcpuId, TimeNs> donated_by_vcpu;
+  for (const auto& [vcpu, amount] : donated) {
+    donated_by_vcpu[vcpu] += amount;
+  }
+  for (VcpuPlan& plan : result.vcpus) {
+    if (std::binary_search(carried.begin(), carried.end(), plan.vcpu)) {
+      continue;
+    }
+    const auto cores = fresh_cores_of.find(plan.vcpu);
+    plan.split = cores != fresh_cores_of.end() && cores->second > 1;
+    const auto it = donated_by_vcpu.find(plan.vcpu);
+    plan.donated_ns = it == donated_by_vcpu.end() ? 0 : it->second;
+  }
+  result.success = true;
+  result.admission = TallyToBreakdown(tally);
+  ExportAdmissionMetrics(pm, result.admission);
+  if (config.wall_timings) {
+    ExportPoolStats(config.metrics, pool);
+  }
+}
+
 }  // namespace
 
 Planner::Planner(PlannerConfig config) : config_(config) {
   TABLEAU_CHECK(config_.num_cpus > 0);
-  TABLEAU_CHECK(config_.hyperperiod > 0);
   if (config_.num_threads > 1) {
     pool_ = std::make_shared<ThreadPool>(config_.num_threads);
   }
 }
 
 PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
-  const TimeNs h = config_.hyperperiod;
+  const TimeNs h = kHyperperiodNs;
   const PhaseMetrics pm = ResolvePhaseMetrics(config_.metrics, config_.wall_timings);
   PhaseTimer total_timer(pm.plan_total);
   if (pm.plans != nullptr) {
@@ -165,21 +374,8 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
   }
   AdmissionTally admission_tally;
 
-  // --- Validation ---
-  std::set<VcpuId> seen;
-  for (const VcpuRequest& request : requests) {
-    if (std::isnan(request.utilization) || request.utilization <= 0.0 ||
-        request.utilization > 1.0) {
-      return Fail(PlanFailure::kInvalidRequest,
-                  "vCPU " + std::to_string(request.vcpu) + ": utilization out of (0, 1]");
-    }
-    if (request.latency_goal <= 0) {
-      return Fail(PlanFailure::kInvalidRequest,
-                  "vCPU " + std::to_string(request.vcpu) + ": non-positive latency goal");
-    }
-    if (!seen.insert(request.vcpu).second) {
-      return Fail(PlanFailure::kInvalidRequest, "duplicate vCPU id " + std::to_string(request.vcpu));
-    }
+  if (const std::string error = CheckRequests(requests, config_); !error.empty()) {
+    return Fail(PlanFailure::kInvalidRequest, error);
   }
 
   // --- Dedicated cores for U == 1 vCPUs ---
@@ -203,35 +399,14 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
   PlanResult result;
   std::vector<PeriodicTask> tasks;
   for (const VcpuRequest& request : shared) {
-    const std::optional<TaskMapping> mapping = MapRequestToTask(request);
-    if (!mapping.has_value()) {
-      return Fail(PlanFailure::kAdmission,
-                  "vCPU " + std::to_string(request.vcpu) + ": unmappable reservation");
+    TaskMapping mapping;
+    if (const std::string error =
+            MapSharedRequest(request, config_.coalesce_threshold, &mapping);
+        !error.empty()) {
+      return Fail(PlanFailure::kAdmission, error);
     }
-    // A budget below the coalesce threshold cannot be delivered: every one of
-    // its allocations is a sub-threshold sliver, so post-processing would
-    // donate the entire reservation away and the vCPU would starve despite a
-    // "successful" plan. Reject at admission; the stepwise latency-goal
-    // degradation (larger T => larger C) can rescue the request.
-    if (mapping->task.cost < config_.coalesce_threshold) {
-      return Fail(PlanFailure::kAdmission,
-                  "vCPU " + std::to_string(request.vcpu) + ": budget " +
-                      std::to_string(mapping->task.cost) +
-                      " ns below the coalesce threshold " +
-                      std::to_string(config_.coalesce_threshold) +
-                      " ns; the whole reservation would be coalesced away");
-    }
-    tasks.push_back(mapping->task);
-    VcpuPlan plan;
-    plan.vcpu = request.vcpu;
-    plan.requested_utilization = request.utilization;
-    plan.latency_goal = request.latency_goal;
-    plan.cost = mapping->task.cost;
-    plan.period = mapping->task.period;
-    plan.effective_utilization = mapping->task.Utilization();
-    plan.blackout_bound = mapping->blackout_bound;
-    plan.latency_goal_met = mapping->latency_goal_met;
-    result.vcpus.push_back(plan);
+    tasks.push_back(mapping.task);
+    result.vcpus.push_back(SharedPlan(request, mapping, mapping.task));
   }
   for (const VcpuId vcpu : dedicated) {
     VcpuPlan plan;
@@ -254,8 +429,7 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
   if (total_demand > capacity) {
     std::vector<std::size_t> shavable;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const double exact = shared[i].utilization * static_cast<double>(tasks[i].period);
-      if (static_cast<double>(tasks[i].cost) > exact &&
+      if (RoundedUp(tasks[i], shared[i].utilization) &&
           tasks[i].cost > config_.coalesce_threshold) {
         shavable.push_back(i);
       }
@@ -269,15 +443,13 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
       }
       tasks[i].cost -= 1;
       total_demand -= h / tasks[i].period;
-      result.vcpus[i].cost = tasks[i].cost;
-      result.vcpus[i].effective_utilization = tasks[i].Utilization();
-      result.vcpus[i].blackout_bound = 2 * (tasks[i].period - tasks[i].cost);
+      SetTask(result.vcpus[i], tasks[i]);
     }
   }
   // The machine-level capacity verdict is one utilization-rung admission
   // decision, whichever way it goes.
   admission_tally.Record(AdmissionRung::kUtilization);
-  if (total_demand > static_cast<TimeNs>(shared_cores) * h) {
+  if (total_demand > capacity) {
     PlanResult rejected =
         Fail(PlanFailure::kAdmission,
              "over-utilized: demand " + std::to_string(total_demand) + " ns > " +
@@ -291,25 +463,17 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
   std::vector<std::vector<Allocation>> per_core(
       static_cast<std::size_t>(config_.num_cpus));
   std::vector<std::vector<PeriodicTask>> core_tasks;
-  std::vector<bool> core_is_clustered(static_cast<std::size_t>(shared_cores), false);
 
-  // NUMA affinity constraints, honored by the partitioning stage.
+  // NUMA affinity constraints (CheckRequests vetted the sockets), honored by
+  // the partitioning stage.
   std::map<VcpuId, int> socket_of;
-  const int cores_per_socket =
-      config_.cores_per_socket > 0 ? config_.cores_per_socket : shared_cores;
-  if (config_.cores_per_socket > 0) {
-    for (const VcpuRequest& request : shared) {
-      if (request.socket_affinity >= 0) {
-        const int sockets = (shared_cores + cores_per_socket - 1) / cores_per_socket;
-        if (request.socket_affinity >= sockets) {
-          return Fail(PlanFailure::kInvalidRequest,
-                      "vCPU " + std::to_string(request.vcpu) +
-                          ": socket affinity out of range");
-        }
-        socket_of[request.vcpu] = request.socket_affinity;
-      }
+  for (const VcpuRequest& request : shared) {
+    if (const int socket = RequiredSocket(request, config_); socket >= 0) {
+      socket_of[request.vcpu] = socket;
     }
   }
+  const int cores_per_socket =
+      config_.cores_per_socket > 0 ? config_.cores_per_socket : shared_cores;
   const auto Partition = [&](const std::vector<PeriodicTask>& task_set) {
     PhaseTimer timer(pm.partition);
     return WorstFitDecreasingNuma(task_set, socket_of, shared_cores, cores_per_socket,
@@ -326,8 +490,7 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
     std::vector<PeriodicTask> shaved = tasks;
     bool any_shaved = false;
     for (std::size_t i = 0; i < shaved.size(); ++i) {
-      const double exact = shared[i].utilization * static_cast<double>(shaved[i].period);
-      if (static_cast<double>(shaved[i].cost) > exact && shaved[i].cost > 1) {
+      if (RoundedUp(shaved[i], shared[i].utilization) && shaved[i].cost > 1) {
         shaved[i].cost -= 1;
         any_shaved = true;
       }
@@ -338,9 +501,7 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
         partition = std::move(retry);
         tasks = std::move(shaved);
         for (std::size_t i = 0; i < tasks.size(); ++i) {
-          result.vcpus[i].cost = tasks[i].cost;
-          result.vcpus[i].effective_utilization = tasks[i].Utilization();
-          result.vcpus[i].blackout_bound = 2 * (tasks[i].period - tasks[i].cost);
+          SetTask(result.vcpus[i], tasks[i]);
         }
       }
     }
@@ -352,14 +513,16 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
     SemiPartitionResult semi;
     {
       PhaseTimer timer(pm.cd_split);
-      semi = SemiPartition(tasks, shared_cores, h, config_.split_granularity,
-                           pool_.get(), &admission_tally);
+      semi = SemiPartition(tasks, shared_cores, h, kMinPeriodNs, pool_.get(),
+                           &admission_tally);
     }
     if (semi.complete) {
       result.method = PlanMethod::kSemiPartitioned;
       core_tasks = std::move(semi.core_tasks);
     } else {
       // --- Stage 3: DP-Fair over a growing cluster of cores ---
+      // Clustered cores get their allocations here and no tasks, so the
+      // tail's EDF simulation passes them by.
       result.method = PlanMethod::kClustered;
       core_tasks = std::move(semi.core_tasks);
       // Cores hosting C=D pieces keep their EDF tables; only cores with
@@ -401,7 +564,6 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
         for (int i = 0; i < k; ++i) {
           const auto core = static_cast<std::size_t>(mergeable[i]);
           core_tasks[core].clear();
-          core_is_clustered[core] = true;
           per_core[core] = std::move(cluster.core_allocations[static_cast<std::size_t>(i)]);
         }
         clustered = true;
@@ -422,45 +584,10 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
         core_tasks.assign(static_cast<std::size_t>(shared_cores), {});
         for (int c = 0; c < shared_cores; ++c) {
           const auto core = static_cast<std::size_t>(c);
-          core_is_clustered[core] = true;
           per_core[core] = std::move(cluster.core_allocations[core]);
         }
       }
     }
-  }
-
-  // --- Simulate per-core EDF schedules for non-clustered cores ---
-  // Each core's simulation is independent and writes only its own slot of
-  // per_core, so the fan-out is deterministic: the merged table does not
-  // depend on completion order.
-  ParallelFor(pool_.get(), static_cast<std::size_t>(shared_cores), [&](std::size_t core) {
-    if (core_is_clustered[core] || core_tasks.empty()) {
-      return;
-    }
-    if (core_tasks[core].empty()) {
-      return;
-    }
-    // On the partitioned path this is the core's admission decision; record
-    // which ladder rung could already settle it (semi-partitioned sets were
-    // admitted by the C=D probes, which tally their own decisions).
-    if (result.method == PlanMethod::kPartitioned) {
-      TallyCoreAdmission(core_tasks[core], h, admission_tally);
-    }
-    // Recorded from whichever pool worker ran this core; the histogram is
-    // thread-safe by construction.
-    EdfSimResult sim;
-    {
-      PhaseTimer timer(pm.edf_core_sim);
-      sim = SimulateEdf(core_tasks[core], h);
-    }
-    TABLEAU_CHECK_MSG(sim.schedulable, "EDF simulation failed on core %d for vCPU %d",
-                      static_cast<int>(core), sim.missed_vcpu);
-    per_core[core] = std::move(sim.allocations);
-  });
-
-  // --- Optional peephole pass: defragment jobs within their windows ---
-  if (config_.peephole_pass) {
-    PeepholeOptimize(per_core, core_tasks);
   }
 
   // --- Dedicated cores occupy the tail core indices ---
@@ -469,66 +596,25 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
     per_core[core].push_back(Allocation{dedicated[i], 0, h});
   }
 
-  // --- Post-processing: coalescing and table construction ---
-  std::vector<std::pair<VcpuId, TimeNs>> donated;
-  {
-    PhaseTimer timer(pm.coalesce);
-    per_core =
-        CoalesceAllocations(std::move(per_core), config_.coalesce_threshold, &donated);
-  }
-  result.table = SchedulingTable::Build(h, std::move(per_core));
-  const std::string violation = result.table.Validate();
-  TABLEAU_CHECK_MSG(violation.empty(), "planner produced invalid table: %s",
-                    violation.c_str());
-
-  std::map<VcpuId, TimeNs> donated_by_vcpu;
-  for (const auto& [vcpu, amount] : donated) {
-    donated_by_vcpu[vcpu] += amount;
-  }
-  for (VcpuPlan& plan : result.vcpus) {
-    plan.split = result.table.CpusOf(plan.vcpu).size() > 1;
-    const auto it = donated_by_vcpu.find(plan.vcpu);
-    plan.donated_ns = it == donated_by_vcpu.end() ? 0 : it->second;
-  }
   result.core_tasks = std::move(core_tasks);
   result.requests = requests;
-  result.dirty_cores.resize(static_cast<std::size_t>(config_.num_cpus));
-  for (int c = 0; c < config_.num_cpus; ++c) {
-    result.dirty_cores[static_cast<std::size_t>(c)] = c;
-  }
-  result.success = true;
-  result.admission = TallyToBreakdown(admission_tally);
-  ExportAdmissionMetrics(pm, result.admission);
-  if (config_.wall_timings) {
-    ExportPoolStats(config_.metrics, pool_.get());
-  }
+  FinishPlan(config_, pool_.get(), pm,
+             std::vector<bool>(static_cast<std::size_t>(config_.num_cpus), true),
+             /*previous=*/nullptr, std::move(per_core), admission_tally, result);
   return result;
 }
 
-PlanResult Planner::PlanDelta(const PlanResult& previous,
-                              const std::vector<VcpuRequest>& added,
-                              const std::vector<VcpuId>& departed) const {
-  const TimeNs h = config_.hyperperiod;
-
-  // Merged request list (used both for fallback and for the result).
-  std::set<VcpuId> departing(departed.begin(), departed.end());
-  std::vector<VcpuRequest> requests;
-  for (const VcpuRequest& request : previous.requests) {
-    if (departing.find(request.vcpu) == departing.end()) {
-      requests.push_back(request);
-    }
-  }
-  requests.insert(requests.end(), added.begin(), added.end());
-
-  // The fast path handles the common fully partitioned case without
-  // dedicated cores; anything else falls back to a full plan.
-  const bool fast_path_applicable =
+PlanResult Planner::PlanDelta(const PlanRequest& request) const {
+  const TimeNs h = kHyperperiodNs;
+  const PlanResult& previous = *request.previous;
+  std::vector<VcpuRequest> requests = MergedRequests(request);
+  const bool reusable =
       previous.success && previous.method == PlanMethod::kPartitioned &&
       static_cast<int>(previous.core_tasks.size()) == config_.num_cpus &&
-      std::none_of(added.begin(), added.end(),
+      std::none_of(request.added.begin(), request.added.end(),
                    [](const VcpuRequest& r) { return r.utilization >= 1.0; });
-  if (!fast_path_applicable) {
-    return PlanFull(requests);
+  if (!reusable || !CheckRequests(requests, config_).empty()) {
+    return PlanFull(requests);  // Which also words every rejection.
   }
   // Instrumented only past this point: the fallback paths above land in
   // PlanFull(), which carries its own timers (avoids double-counting plan_total).
@@ -539,58 +625,47 @@ PlanResult Planner::PlanDelta(const PlanResult& previous,
   }
   AdmissionTally admission_tally;
 
-  std::vector<std::vector<PeriodicTask>> core_tasks = previous.core_tasks;
-  std::set<int> dirty;
-
-  // Remove departed vCPUs from their cores.
-  for (int c = 0; c < config_.num_cpus; ++c) {
-    auto& assigned = core_tasks[static_cast<std::size_t>(c)];
+  // Departed vCPUs leave their cores, which turn fresh.
+  PlanResult result;
+  result.method = PlanMethod::kPartitioned;
+  result.core_tasks = previous.core_tasks;
+  const auto num_cpus = static_cast<std::size_t>(config_.num_cpus);
+  std::vector<bool> fresh(num_cpus, false);
+  std::vector<TimeNs> load(num_cpus);
+  const std::set<VcpuId> departing(request.departed.begin(), request.departed.end());
+  const auto Departs = [&](VcpuId vcpu) { return departing.find(vcpu) != departing.end(); };
+  for (std::size_t core = 0; core < num_cpus; ++core) {
+    std::vector<PeriodicTask>& assigned = result.core_tasks[core];
     const std::size_t before = assigned.size();
     assigned.erase(std::remove_if(assigned.begin(), assigned.end(),
-                                  [&](const PeriodicTask& t) {
-                                    return departing.find(t.vcpu) != departing.end();
-                                  }),
+                                  [&](const PeriodicTask& t) { return Departs(t.vcpu); }),
                    assigned.end());
-    if (assigned.size() != before) {
-      dirty.insert(c);
+    fresh[core] = assigned.size() != before;
+    load[core] = TotalDemand(assigned, h);
+  }
+  for (const VcpuPlan& plan : previous.vcpus) {
+    if (!Departs(plan.vcpu)) {
+      result.vcpus.push_back(plan);
     }
   }
 
-  // Place added vCPUs worst-fit over current per-core demand.
-  std::vector<VcpuPlan> added_plans;
-  for (const VcpuRequest& request : added) {
-    const std::optional<TaskMapping> mapping = MapRequestToTask(request);
-    if (!mapping.has_value()) {
-      return PlanFull(requests);  // Full path produces the proper error.
+  // Added vCPUs go, in order, to the worst-fit core of their socket.
+  const int cores_per_socket =
+      config_.cores_per_socket > 0 ? config_.cores_per_socket : config_.num_cpus;
+  for (const VcpuRequest& added : request.added) {
+    TaskMapping mapping;
+    if (!MapSharedRequest(added, config_.coalesce_threshold, &mapping).empty()) {
+      return PlanFull(requests);
     }
-    PeriodicTask task = mapping->task;
-    int best = -1;
-    TimeNs best_load = 0;
-    for (int c = 0; c < config_.num_cpus; ++c) {
-      const TimeNs load = TotalDemand(core_tasks[static_cast<std::size_t>(c)], h);
-      if (load + task.DemandPerHyperperiod(h) > h) {
-        continue;
-      }
-      if (best == -1 || load < best_load) {
-        best = c;
-        best_load = load;
-      }
-    }
-    if (best == -1 && task.cost > 1) {
+    PeriodicTask task = mapping.task;
+    const int socket = RequiredSocket(added, config_);
+    int best = WorstFitCore(load, task.DemandPerHyperperiod(h), socket, cores_per_socket, h,
+                            pool_.get());
+    if (best == -1 && task.cost > 1 && RoundedUp(task, added.utilization)) {
       // Quantization retry: a 1 ns shave may make it fit (see PlanFull()).
-      const double exact =
-          request.utilization * static_cast<double>(task.period);
-      if (static_cast<double>(task.cost) > exact) {
-        task.cost -= 1;
-        for (int c = 0; c < config_.num_cpus; ++c) {
-          const TimeNs load = TotalDemand(core_tasks[static_cast<std::size_t>(c)], h);
-          if (load + task.DemandPerHyperperiod(h) <= h &&
-              (best == -1 || load < best_load)) {
-            best = c;
-            best_load = load;
-          }
-        }
-      }
+      task.cost -= 1;
+      best = WorstFitCore(load, task.DemandPerHyperperiod(h), socket, cores_per_socket, h,
+                          pool_.get());
     }
     if (best == -1) {
       return PlanFull(requests);  // Needs rebalancing or splitting: full replan.
@@ -598,105 +673,16 @@ PlanResult Planner::PlanDelta(const PlanResult& previous,
     // Worst-fit placement admits the task by per-core demand alone: one
     // utilization-rung decision (the fallback paths re-decide in PlanFull).
     admission_tally.Record(AdmissionRung::kUtilization);
-    core_tasks[static_cast<std::size_t>(best)].push_back(task);
-    dirty.insert(best);
-
-    VcpuPlan plan;
-    plan.vcpu = request.vcpu;
-    plan.requested_utilization = request.utilization;
-    plan.latency_goal = request.latency_goal;
-    plan.cost = task.cost;
-    plan.period = task.period;
-    plan.effective_utilization = task.Utilization();
-    plan.blackout_bound = 2 * (task.period - task.cost);
-    plan.latency_goal_met =
-        mapping->latency_goal_met && plan.blackout_bound <= request.latency_goal;
-    added_plans.push_back(plan);
+    const auto core = static_cast<std::size_t>(best);
+    result.core_tasks[core].push_back(task);
+    load[core] += task.DemandPerHyperperiod(h);
+    fresh[core] = true;
+    result.vcpus.push_back(SharedPlan(added, mapping, task));
   }
 
-  // Rebuild only the dirty cores; untouched cores keep their previous
-  // (already coalesced) allocations verbatim.
-  PlanResult result;
-  std::vector<std::vector<Allocation>> per_core(
-      static_cast<std::size_t>(config_.num_cpus));
-  std::vector<std::vector<Allocation>> dirty_alloc(
-      static_cast<std::size_t>(config_.num_cpus));
-  ParallelFor(pool_.get(), static_cast<std::size_t>(config_.num_cpus),
-              [&](std::size_t core) {
-                const int c = static_cast<int>(core);
-                if (dirty.find(c) == dirty.end()) {
-                  per_core[core] = previous.table.cpu(c).allocations;
-                  return;
-                }
-                if (core_tasks[core].empty()) {
-                  return;
-                }
-                // Dirty-core re-admission: record the deciding ladder rung.
-                TallyCoreAdmission(core_tasks[core], h, admission_tally);
-                EdfSimResult sim;
-                {
-                  PhaseTimer timer(pm.edf_core_sim);
-                  sim = SimulateEdf(core_tasks[core], h);
-                }
-                TABLEAU_CHECK_MSG(sim.schedulable, "incremental EDF failed on core %d", c);
-                dirty_alloc[core] = std::move(sim.allocations);
-              });
-  if (config_.peephole_pass) {
-    PeepholeOptimize(dirty_alloc, core_tasks);
-  }
-  std::vector<std::pair<VcpuId, TimeNs>> donated;
-  {
-    PhaseTimer timer(pm.coalesce);
-    dirty_alloc = CoalesceAllocations(std::move(dirty_alloc), config_.coalesce_threshold,
-                                      &donated);
-  }
-  for (int c = 0; c < config_.num_cpus; ++c) {
-    const auto core = static_cast<std::size_t>(c);
-    if (dirty.find(c) != dirty.end()) {
-      per_core[core] = std::move(dirty_alloc[core]);
-    }
-  }
-
-  result.method = PlanMethod::kPartitioned;
-  result.table = SchedulingTable::Build(h, std::move(per_core));
-  const std::string violation = result.table.Validate();
-  TABLEAU_CHECK_MSG(violation.empty(), "incremental plan invalid: %s", violation.c_str());
-
-  // Carry forward unchanged vCPU plans; append the new ones.
-  std::map<VcpuId, TimeNs> donated_by_vcpu;
-  for (const auto& [vcpu, amount] : donated) {
-    donated_by_vcpu[vcpu] += amount;
-  }
-  for (const VcpuPlan& plan : previous.vcpus) {
-    if (departing.find(plan.vcpu) == departing.end()) {
-      result.vcpus.push_back(plan);
-    }
-  }
-  result.vcpus.insert(result.vcpus.end(), added_plans.begin(), added_plans.end());
-  std::map<VcpuId, int> home_core;
-  for (int c = 0; c < config_.num_cpus; ++c) {
-    for (const PeriodicTask& task : core_tasks[static_cast<std::size_t>(c)]) {
-      home_core[task.vcpu] = c;
-    }
-  }
-  for (VcpuPlan& plan : result.vcpus) {
-    const auto core_it = home_core.find(plan.vcpu);
-    if (core_it != home_core.end() && dirty.find(core_it->second) != dirty.end()) {
-      // Re-coalesced core: replace the donation accounting wholesale.
-      const auto it = donated_by_vcpu.find(plan.vcpu);
-      plan.donated_ns = it == donated_by_vcpu.end() ? 0 : it->second;
-    }
-  }
-
-  result.core_tasks = std::move(core_tasks);
   result.requests = std::move(requests);
-  result.dirty_cores.assign(dirty.begin(), dirty.end());
-  result.success = true;
-  result.admission = TallyToBreakdown(admission_tally);
-  ExportAdmissionMetrics(pm, result.admission);
-  if (config_.wall_timings) {
-    ExportPoolStats(config_.metrics, pool_.get());
-  }
+  FinishPlan(config_, pool_.get(), pm, fresh, &previous.table,
+             std::vector<std::vector<Allocation>>(num_cpus), admission_tally, result);
   return result;
 }
 
@@ -737,9 +723,8 @@ PlanResult Planner::SolveImpl(const PlanRequest& request) const {
     }
   }
 
-  PlanResult result = request.previous != nullptr
-                          ? PlanDelta(*request.previous, request.added, request.departed)
-                          : PlanFull(request.requests);
+  PlanResult result =
+      request.previous != nullptr ? PlanDelta(request) : PlanFull(request.requests);
   if (result.success || result.failure != PlanFailure::kAdmission ||
       config_.max_latency_degradations <= 0) {
     return result;
@@ -750,26 +735,14 @@ PlanResult Planner::SolveImpl(const PlanRequest& request) const {
   // ceil-rounding over-reservation (and make tight reservations mappable at
   // all), so relax every goal stepwise before giving up. The result's
   // degradation_steps tells the caller how far its goals were stretched.
-  std::vector<VcpuRequest> relaxed;
-  if (request.previous != nullptr) {
-    std::set<VcpuId> departing(request.departed.begin(), request.departed.end());
-    for (const VcpuRequest& r : request.previous->requests) {
-      if (departing.find(r.vcpu) == departing.end()) {
-        relaxed.push_back(r);
-      }
-    }
-    relaxed.insert(relaxed.end(), request.added.begin(), request.added.end());
-  } else {
-    relaxed = request.requests;
-  }
+  std::vector<VcpuRequest> relaxed = MergedRequests(request);
   obs::Counter* degradations =
       config_.metrics != nullptr ? config_.metrics->GetCounter("planner.latency_degradations")
                                  : nullptr;
-  const double factor = std::max(config_.latency_degradation_factor, 1.0 + 1e-9);
   for (int step = 1; step <= config_.max_latency_degradations; ++step) {
     for (VcpuRequest& r : relaxed) {
-      r.latency_goal =
-          static_cast<TimeNs>(std::ceil(static_cast<double>(r.latency_goal) * factor));
+      r.latency_goal = static_cast<TimeNs>(
+          std::ceil(static_cast<double>(r.latency_goal) * kLatencyDegradationFactor));
     }
     if (degradations != nullptr) {
       degradations->Increment();

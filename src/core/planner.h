@@ -38,11 +38,9 @@ namespace tableau {
 struct PlannerConfig {
   int num_cpus = 16;
   // Allocations shorter than this are coalesced away (Sec. 5 post-processing;
-  // determined by context-switch overheads).
+  // determined by context-switch overheads). Tables span kHyperperiodNs, and
+  // C=D pieces are at least kMinPeriodNs long.
   TimeNs coalesce_threshold = 30 * kMicrosecond;
-  // Minimum C=D piece size (the 100 us enforceability threshold).
-  TimeNs split_granularity = kMinPeriodNs;
-  TimeNs hyperperiod = kHyperperiodNs;
   // Enables the peephole reordering pass (src/core/peephole.h), which
   // reduces preemptions by defragmenting jobs within their period windows.
   bool peephole_pass = false;
@@ -68,12 +66,11 @@ struct PlannerConfig {
   // as PlanFailure::kInjected results for the caller's degradation policy.
   faults::FaultInjector* fault_injector = nullptr;
   // Graceful degradation on admission-control rejection: Solve() retries the
-  // full plan with every latency goal multiplied by
-  // latency_degradation_factor, stepwise, up to max_latency_degradations
-  // times before giving up (0 disables; failures then surface directly).
-  // Each retry increments planner.latency_degradations.
+  // full plan with every latency goal doubled, stepwise, up to
+  // max_latency_degradations times before giving up (0 disables; failures
+  // then surface directly). Each retry increments
+  // planner.latency_degradations.
   int max_latency_degradations = 0;
-  double latency_degradation_factor = 2.0;
 };
 
 enum class PlanMethod { kPartitioned, kSemiPartitioned, kClustered };
@@ -222,20 +219,19 @@ class Planner {
   // degradation loop. Split out so the hook observes exactly one final
   // result per Solve (degradation retries are internal).
   PlanResult SolveImpl(const PlanRequest& request) const;
-  // The actual pipelines, free of injection and degradation (Solve() owns
+  // The Sec. 5 pipeline, free of injection and degradation (Solve() owns
   // both). PlanDelta's fallbacks call PlanFull directly, so a single Solve
   // draws at most one injected outcome and degrades at most once.
   PlanResult PlanFull(const std::vector<VcpuRequest>& requests) const;
-  // Incremental replanning (the Sec. 7.1 optimization: "tables can be
-  // incrementally re-computed on a per-core basis"): starting from a previous
-  // successful plan, removes `departed` vCPUs and places `added` ones,
-  // re-simulating only the cores whose assignments changed; untouched cores
-  // keep their previous allocations verbatim. Falls back to a full plan when
-  // the previous plan used splitting/clustering, when a new vCPU does not fit
-  // on any single core, or when rebalancing is needed.
-  PlanResult PlanDelta(const PlanResult& previous,
-                       const std::vector<VcpuRequest>& added,
-                       const std::vector<VcpuId>& departed) const;
+  // The same pipeline with the previous assignment reused (the Sec. 7.1
+  // optimization: "tables can be incrementally re-computed on a per-core
+  // basis"): departed vCPUs leave their cores, added ones are placed by the
+  // worst-fit scan, and only the touched cores are re-simulated; untouched
+  // cores keep their previous allocations verbatim. Anything else runs
+  // PlanFull over the merged request set: a previous plan that is not fully
+  // partitioned onto shared cores, an added dedicated vCPU, a merged set
+  // PlanFull would reject, or an added vCPU that fits on no single core.
+  PlanResult PlanDelta(const PlanRequest& request) const;
 
   PlannerConfig config_;
   // Shared by copies of the planner; null when config_.num_threads <= 1.

@@ -12,7 +12,7 @@ const std::vector<TimeNs>& CandidatePeriods() {
 }
 
 std::optional<TaskMapping> MapRequestToTask(const VcpuRequest& request) {
-  if (request.utilization <= 0.0 || request.utilization >= 1.0 ||
+  if (!(request.utilization > 0.0 && request.utilization < 1.0) ||
       request.latency_goal <= 0) {
     return std::nullopt;
   }

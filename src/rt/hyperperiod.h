@@ -40,7 +40,8 @@ struct TaskMapping {
 // Maps a vCPU request to a periodic task: the largest candidate period T with
 // 2*(1-U)*T <= L, and budget C = ceil(U*T) (so the effective utilization is
 // >= U). Requests with U >= 1 must be handled by the caller (dedicated core)
-// and are rejected here. Returns std::nullopt for non-positive U or L.
+// and are rejected here. Returns std::nullopt for a non-positive or NaN U, or
+// a non-positive L.
 std::optional<TaskMapping> MapRequestToTask(const VcpuRequest& request);
 
 }  // namespace tableau

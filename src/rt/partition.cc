@@ -39,6 +39,42 @@ TimeNs SpareCapacity(const std::vector<PeriodicTask>& core_tasks, TimeNs hyperpe
   return hyperperiod - TotalDemand(core_tasks, hyperperiod);
 }
 
+int WorstFitCore(const std::vector<TimeNs>& load, TimeNs demand, int socket,
+                 int cores_per_socket, TimeNs hyperperiod, ThreadPool* pool) {
+  const int num_cores = static_cast<int>(load.size());
+  // A socket-constrained task only ever considers its socket's core range;
+  // off-socket cores are excluded up front rather than scanned and skipped.
+  const int scan_begin = socket >= 0 ? std::min(socket * cores_per_socket, num_cores) : 0;
+  const int scan_end =
+      socket >= 0 ? std::min((socket + 1) * cores_per_socket, num_cores) : num_cores;
+  const int scan_width = scan_end - scan_begin;
+  const int max_chunks =
+      pool != nullptr && pool->num_threads() > 1 ? pool->num_threads() : 1;
+  if (scan_width < kMinCoresForParallelScan || max_chunks <= 1) {
+    return BestCoreInRange(load, demand, hyperperiod, scan_begin, scan_end);
+  }
+  // Each chunk evaluates a contiguous sub-range; the in-order reduction
+  // reproduces the serial min-load / lowest-index choice exactly.
+  const int num_chunks = std::min(max_chunks, scan_width);
+  std::vector<int> chunk_best(static_cast<std::size_t>(num_chunks));
+  ParallelFor(pool, static_cast<std::size_t>(num_chunks),
+              [&](std::size_t chunk) {
+                const int begin = scan_begin + static_cast<int>(chunk) * scan_width / num_chunks;
+                const int end =
+                    scan_begin + static_cast<int>(chunk + 1) * scan_width / num_chunks;
+                chunk_best[chunk] = BestCoreInRange(load, demand, hyperperiod, begin, end);
+              },
+              /*grain=*/1);
+  int best = -1;
+  for (const int candidate : chunk_best) {
+    if (candidate != -1 && (best == -1 || load[static_cast<std::size_t>(candidate)] <
+                                              load[static_cast<std::size_t>(best)])) {
+      best = candidate;
+    }
+  }
+  return best;
+}
+
 PartitionResult WorstFitDecreasing(const std::vector<PeriodicTask>& tasks, int num_cores,
                                    TimeNs hyperperiod, ThreadPool* pool) {
   return WorstFitDecreasingNuma(tasks, {}, num_cores, /*cores_per_socket=*/num_cores,
@@ -50,7 +86,6 @@ PartitionResult WorstFitDecreasingNuma(const std::vector<PeriodicTask>& tasks,
                                        int num_cores, int cores_per_socket,
                                        TimeNs hyperperiod, ThreadPool* pool) {
   TABLEAU_CHECK(num_cores >= 0);
-  TABLEAU_CHECK(cores_per_socket > 0);
   PartitionResult result;
   result.core_tasks.resize(static_cast<std::size_t>(num_cores));
   if (tasks.empty()) {
@@ -60,6 +95,7 @@ PartitionResult WorstFitDecreasingNuma(const std::vector<PeriodicTask>& tasks,
     return result;
   }
   TABLEAU_CHECK(num_cores > 0);
+  TABLEAU_CHECK(cores_per_socket > 0);
 
   std::vector<PeriodicTask> sorted = tasks;
   std::sort(sorted.begin(), sorted.end(), [&](const PeriodicTask& a, const PeriodicTask& b) {
@@ -69,51 +105,12 @@ PartitionResult WorstFitDecreasingNuma(const std::vector<PeriodicTask>& tasks,
     return a.vcpu < b.vcpu;  // Deterministic order for equal demands.
   });
 
-  const int max_chunks =
-      pool != nullptr && pool->num_threads() > 1 ? pool->num_threads() : 1;
-  std::vector<int> chunk_best(static_cast<std::size_t>(max_chunks));
-
   std::vector<TimeNs> load(static_cast<std::size_t>(num_cores), 0);
   for (const PeriodicTask& task : sorted) {
     const TimeNs demand = task.DemandPerHyperperiod(hyperperiod);
-    int socket = -1;
-    if (const auto it = socket_of.find(task.vcpu); it != socket_of.end()) {
-      socket = it->second;
-    }
-    // A socket-constrained task only ever considers its socket's core range;
-    // off-socket cores are excluded up front rather than scanned and skipped.
-    const int scan_begin = socket >= 0 ? std::min(socket * cores_per_socket, num_cores) : 0;
-    const int scan_end =
-        socket >= 0 ? std::min((socket + 1) * cores_per_socket, num_cores) : num_cores;
-    const int scan_width = scan_end - scan_begin;
-    int best = -1;
-    if (scan_width < kMinCoresForParallelScan || max_chunks <= 1) {
-      best = BestCoreInRange(load, demand, hyperperiod, scan_begin, scan_end);
-    } else {
-      // Each chunk evaluates a contiguous sub-range; the in-order reduction
-      // reproduces the serial min-load / lowest-index choice exactly.
-      const int num_chunks = std::min(max_chunks, scan_width);
-      ParallelFor(pool, static_cast<std::size_t>(num_chunks),
-                  [&](std::size_t chunk) {
-                    const int begin =
-                        scan_begin + static_cast<int>(chunk) * scan_width / num_chunks;
-                    const int end = scan_begin +
-                                    static_cast<int>(chunk + 1) * scan_width / num_chunks;
-                    chunk_best[chunk] =
-                        BestCoreInRange(load, demand, hyperperiod, begin, end);
-                  },
-                  /*grain=*/1);
-      for (int k = 0; k < num_chunks; ++k) {
-        const int candidate = chunk_best[static_cast<std::size_t>(k)];
-        if (candidate == -1) {
-          continue;
-        }
-        if (best == -1 || load[static_cast<std::size_t>(candidate)] <
-                              load[static_cast<std::size_t>(best)]) {
-          best = candidate;
-        }
-      }
-    }
+    const auto it = socket_of.find(task.vcpu);
+    const int socket = it != socket_of.end() ? it->second : -1;
+    const int best = WorstFitCore(load, demand, socket, cores_per_socket, hyperperiod, pool);
     if (best == -1) {
       result.unassigned.push_back(task);
     } else {

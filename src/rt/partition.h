@@ -46,6 +46,16 @@ PartitionResult WorstFitDecreasingNuma(const std::vector<PeriodicTask>& tasks,
                                        int num_cores, int cores_per_socket,
                                        TimeNs hyperperiod, ThreadPool* pool = nullptr);
 
+// One worst-fit placement decision, the per-task step of
+// WorstFitDecreasingNuma (delta solves call it directly): the core with the
+// least `load` (ns per hyperperiod) that can take `demand` more, lowest index
+// on ties, or -1 if none fits. `socket` >= 0 restricts the scan to cores
+// [socket*cores_per_socket, (socket+1)*cores_per_socket), clamped to the
+// machine; -1 scans every core. A non-null `pool` chunks scans of hundreds
+// of cores across workers with the same result.
+int WorstFitCore(const std::vector<TimeNs>& load, TimeNs demand, int socket,
+                 int cores_per_socket, TimeNs hyperperiod, ThreadPool* pool = nullptr);
+
 // Remaining capacity (ns per hyperperiod) of a core's current assignment.
 TimeNs SpareCapacity(const std::vector<PeriodicTask>& core_tasks, TimeNs hyperperiod);
 

@@ -465,42 +465,138 @@ LatencyProfile AnalyzeWakeupLatency(const SchedulingTable& table, VcpuId vcpu) {
   return profile;
 }
 
+namespace {
+
+// True if `vcpu` holds time within [start, end) on a core other than
+// `except`. Each core's list is sorted by start and free of overlap.
+bool HeldElsewhere(const std::vector<std::vector<Allocation>>& per_cpu, std::size_t except,
+                   VcpuId vcpu, TimeNs start, TimeNs end) {
+  for (std::size_t c = 0; c < per_cpu.size(); ++c) {
+    if (c == except) {
+      continue;
+    }
+    const std::vector<Allocation>& cpu = per_cpu[c];
+    auto it = std::partition_point(cpu.begin(), cpu.end(),
+                                   [&](const Allocation& a) { return a.end <= start; });
+    for (; it != cpu.end() && it->start < end; ++it) {
+      if (it->vcpu == vcpu) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// A sliver [start, end) absorbed by the preceding allocation of `holder`.
+struct Extension {
+  VcpuId holder;
+  TimeNs start;
+  TimeNs end;
+};
+
+// Coalesces one core's sorted allocations. Slivers starting at a time in
+// `kept_idle` stay idle instead of extending their predecessor. Extensions of
+// the vCPUs in `spread` (sorted) are reported for the cross-core check.
+std::vector<Allocation> CoalesceCore(const std::vector<Allocation>& cpu, TimeNs threshold,
+                                     const std::vector<TimeNs>& kept_idle,
+                                     const std::vector<VcpuId>& spread,
+                                     std::vector<std::pair<VcpuId, TimeNs>>& donated,
+                                     std::vector<Extension>& extensions) {
+  std::vector<Allocation> result;
+  for (const Allocation& alloc : cpu) {
+    // Merge contiguous same-vCPU allocations first.
+    if (!result.empty() && result.back().vcpu == alloc.vcpu &&
+        result.back().end == alloc.start) {
+      result.back().end = alloc.end;
+      continue;
+    }
+    if (alloc.Length() >= threshold) {
+      result.push_back(alloc);
+      continue;
+    }
+    // Sub-threshold sliver, donated either way: it extends the time-adjacent
+    // predecessor if contiguous; otherwise it becomes idle time (recoverable
+    // via second-level scheduling at runtime).
+    donated.emplace_back(alloc.vcpu, alloc.Length());
+    if (!result.empty() && result.back().end == alloc.start &&
+        std::find(kept_idle.begin(), kept_idle.end(), alloc.start) == kept_idle.end()) {
+      const VcpuId holder = result.back().vcpu;
+      if (std::binary_search(spread.begin(), spread.end(), holder)) {
+        extensions.push_back(Extension{holder, alloc.start, alloc.end});
+      }
+      result.back().end = alloc.end;
+    }
+  }
+  return result;
+}
+
+}  // namespace
+
 std::vector<std::vector<Allocation>> CoalesceAllocations(
     std::vector<std::vector<Allocation>> per_cpu, TimeNs threshold,
     std::vector<std::pair<VcpuId, TimeNs>>* donated_out) {
+  // vCPUs holding time on more than one core (clustered or split plans):
+  // each core lists its distinct vCPUs, so a vCPU listed twice is spread.
+  // Only extending one of those can overlap its own time elsewhere, so
+  // partitioned tables never pay for the cross-core check below.
+  std::vector<VcpuId> holders;
   for (auto& cpu : per_cpu) {
     std::sort(cpu.begin(), cpu.end(),
               [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
-    std::vector<Allocation> result;
+    const std::size_t first = holders.size();
     for (const Allocation& alloc : cpu) {
-      // Merge contiguous same-vCPU allocations first.
-      if (!result.empty() && result.back().vcpu == alloc.vcpu &&
-          result.back().end == alloc.start) {
-        result.back().end = alloc.end;
-        continue;
-      }
-      if (alloc.Length() >= threshold) {
-        result.push_back(alloc);
-        continue;
-      }
-      // Sub-threshold sliver: donate to the time-adjacent predecessor if
-      // contiguous; otherwise it becomes idle time.
-      if (!result.empty() && result.back().end == alloc.start) {
-        if (donated_out != nullptr) {
-          donated_out->emplace_back(alloc.vcpu, alloc.Length());
-        }
-        result.back().end = alloc.end;
-      } else {
-        if (donated_out != nullptr) {
-          donated_out->emplace_back(alloc.vcpu, alloc.Length());
-        }
-        // Dropped: interval stays idle (recoverable via second-level
-        // scheduling at runtime).
+      if (std::find(holders.begin() + static_cast<std::ptrdiff_t>(first), holders.end(),
+                    alloc.vcpu) == holders.end()) {
+        holders.push_back(alloc.vcpu);
       }
     }
-    cpu = std::move(result);
   }
-  return per_cpu;
+  std::sort(holders.begin(), holders.end());
+  std::vector<VcpuId> spread;
+  for (std::size_t i = 1; i < holders.size(); ++i) {
+    if (holders[i] == holders[i - 1] && (spread.empty() || spread.back() != holders[i])) {
+      spread.push_back(holders[i]);
+    }
+  }
+
+  // Every core is coalesced on its own. An extension that puts its vCPU on
+  // two cores at once (McNaughton wrap-around places a task's two pieces on
+  // adjacent cores) is undone by redoing that core with the sliver kept
+  // idle. Redoing only removes time, so the loop ends, and a table whose
+  // extensions all fit is coalesced in a single pass.
+  const std::size_t n = per_cpu.size();
+  std::vector<std::vector<Allocation>> out(n);
+  std::vector<std::vector<std::pair<VcpuId, TimeNs>>> donated(n);
+  std::vector<std::vector<Extension>> extensions(n);
+  std::vector<std::vector<TimeNs>> kept_idle(n);
+  std::vector<bool> redo(n, true);
+  for (bool again = true; again;) {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (redo[c]) {
+        donated[c].clear();
+        extensions[c].clear();
+        out[c] = CoalesceCore(per_cpu[c], threshold, kept_idle[c], spread, donated[c],
+                              extensions[c]);
+        redo[c] = false;
+      }
+    }
+    again = false;
+    for (std::size_t c = 0; c < n; ++c) {
+      for (const Extension& e : extensions[c]) {
+        if (HeldElsewhere(out, c, e.holder, e.start, e.end)) {
+          kept_idle[c].push_back(e.start);
+          redo[c] = true;
+          again = true;
+        }
+      }
+    }
+  }
+  if (donated_out != nullptr) {
+    for (const auto& core : donated) {
+      donated_out->insert(donated_out->end(), core.begin(), core.end());
+    }
+  }
+  return out;
 }
 
 }  // namespace tableau

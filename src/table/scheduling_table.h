@@ -133,7 +133,9 @@ LatencyProfile AnalyzeWakeupLatency(const SchedulingTable& table, VcpuId vcpu);
 // Post-processing pass: absorbs allocations shorter than `threshold` into a
 // time-adjacent neighbouring allocation (Sec. 5, "Post-processing"), since
 // sub-threshold slivers cannot be enforced given context-switch overheads.
-// Isolated sub-threshold slivers (idle on both sides) become idle time.
+// Isolated sub-threshold slivers (idle on both sides) become idle time, and
+// so does a sliver whose neighbour's vCPU runs on another core meanwhile:
+// coalescing never puts a vCPU on two cores at once.
 // Returns the total time donated away from each affected vCPU via
 // `donated_out` (indexed by vCPU id) for accounting.
 std::vector<std::vector<Allocation>> CoalesceAllocations(

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -205,6 +208,211 @@ TEST(IncrementalPlan, QuantizationShaveOnInsert) {
       PlanRequest::Delta(plan, UniformRequests(1, 0.25, kMillisecond, 3)));
   ASSERT_TRUE(plan.success) << plan.error;
   EXPECT_EQ(plan.method, PlanMethod::kPartitioned);
+}
+
+TEST(IncrementalPlan, DeltaMatchesFullOnRejectedAndConstrainedInputs) {
+  // Each input, added to an 8-core two-socket host, must get exactly the
+  // outcome a full solve of the merged request set gets.
+  PlannerConfig config;
+  config.num_cpus = 8;
+  config.cores_per_socket = 4;
+  const Planner planner(config);
+  const PlanResult base =
+      planner.Solve(PlanRequest::Full(UniformRequests(8, 0.25, 20 * kMillisecond)));
+  ASSERT_TRUE(base.success) << base.error;
+
+  VcpuRequest tiny_budget{8, 0.0004, 100 * kMillisecond};
+  VcpuRequest duplicate_id{3, 0.25, 20 * kMillisecond};
+  VcpuRequest socket_one{8, 0.25, 20 * kMillisecond};
+  socket_one.socket_affinity = 1;
+  VcpuRequest socket_seven{8, 0.25, 20 * kMillisecond};
+  socket_seven.socket_affinity = 7;
+  VcpuRequest nan_utilization{8, std::numeric_limits<double>::quiet_NaN(),
+                              20 * kMillisecond};
+  const struct {
+    const char* name;
+    VcpuRequest request;
+    PlanFailure failure;
+  } cases[] = {
+      {"tiny budget", tiny_budget, PlanFailure::kAdmission},
+      {"duplicate id", duplicate_id, PlanFailure::kInvalidRequest},
+      {"socket 1", socket_one, PlanFailure::kNone},
+      {"socket 7", socket_seven, PlanFailure::kInvalidRequest},
+      {"NaN utilization", nan_utilization, PlanFailure::kInvalidRequest},
+  };
+  for (const auto& c : cases) {
+    std::vector<VcpuRequest> merged = base.requests;
+    merged.push_back(c.request);
+    const PlanResult full = planner.Solve(PlanRequest::Full(merged));
+    const PlanResult delta = planner.Solve(PlanRequest::Delta(base, {c.request}));
+    EXPECT_EQ(full.failure, c.failure) << c.name << ": " << full.error;
+    EXPECT_EQ(delta.failure, full.failure) << c.name << ": " << delta.error;
+    EXPECT_EQ(delta.error, full.error) << c.name;
+    EXPECT_EQ(delta.success, full.success) << c.name;
+  }
+
+  const PlanResult pinned = planner.Solve(PlanRequest::Delta(base, {socket_one}));
+  ASSERT_TRUE(pinned.success) << pinned.error;
+  EXPECT_EQ(pinned.dirty_cores.size(), 1u);  // Still an incremental solve.
+  const std::vector<int> cpus = pinned.table.CpusOf(8);
+  ASSERT_EQ(cpus.size(), 1u);
+  EXPECT_EQ(cpus[0] / config.cores_per_socket, 1);
+}
+
+// FNV-1a over everything a solve returns that a caller can observe: the
+// outcome, the method, the dirty cores, the serialized table and every
+// VcpuPlan field.
+class OutputHash {
+ public:
+  void Add(const PlanResult& plan) {
+    Value(plan.success);
+    Value(plan.failure);
+    if (!plan.success) {
+      return;
+    }
+    Value(plan.method);
+    for (const int core : plan.dirty_cores) {
+      Value(core);
+    }
+    for (const std::uint8_t byte : plan.table.Serialize()) {
+      Value(byte);
+    }
+    for (const VcpuPlan& vcpu : plan.vcpus) {
+      Value(vcpu.vcpu);
+      Value(vcpu.requested_utilization);
+      Value(vcpu.latency_goal);
+      Value(vcpu.cost);
+      Value(vcpu.period);
+      Value(vcpu.effective_utilization);
+      Value(vcpu.blackout_bound);
+      Value(vcpu.latency_goal_met);
+      Value(vcpu.dedicated);
+      Value(vcpu.split);
+      Value(vcpu.donated_ns);
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  template <typename T>
+  void Value(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char byte : bytes) {
+      hash_ = (hash_ ^ byte) * 1099511628211ull;
+    }
+  }
+
+  std::uint64_t hash_ = 1469598103934665603ull;
+};
+
+struct StreamSummary {
+  std::uint64_t hash = 0;
+  int solves = 0;
+  int delta_steps = 0;  // Steps solved without a full fallback.
+};
+
+// A seeded arrive / depart / resize stream, each step solved as a delta of
+// the last successful plan. Resizes come in batches of up to four vCPUs that
+// depart and re-enter with a new utilization, the way Host::ResizeVms sends
+// them. Utilizations stay in [0.08, 0.55) and goals in [4, 60] ms, so every
+// budget clears the coalesce threshold; arrivals turn into departures once
+// `max_committed` cores are reserved, so full fallbacks stay partitioned.
+StreamSummary RunDeltaStream(const PlannerConfig& config, int initial_vms, int steps,
+                             double max_committed, std::uint64_t seed) {
+  const Planner planner(config);
+  Rng rng(seed);
+  VcpuId next_id = 0;
+  const auto fresh_request = [&]() {
+    return VcpuRequest{next_id++, rng.UniformDouble(0.08, 0.45),
+                       rng.UniformInt(4, 60) * kMillisecond};
+  };
+  std::vector<VcpuRequest> initial;
+  for (int i = 0; i < initial_vms; ++i) {
+    initial.push_back(fresh_request());
+  }
+  StreamSummary summary;
+  OutputHash hash;
+  PlanResult plan = planner.Solve(PlanRequest::Full(initial));
+  hash.Add(plan);
+  ++summary.solves;
+  EXPECT_TRUE(plan.success) << plan.error;
+  for (int step = 0; step < steps && plan.success; ++step) {
+    std::vector<VcpuRequest> added;
+    std::vector<VcpuId> departed;
+    std::vector<VcpuRequest> live = plan.requests;
+    double committed = 0;
+    for (const VcpuRequest& request : live) {
+      committed += request.utilization;
+    }
+    std::int64_t op = rng.UniformInt(0, 9);
+    if (op <= 3 && committed > max_committed) {
+      op = 4;  // Depart instead of arriving on a nearly full host.
+    }
+    if (op <= 3) {
+      const std::int64_t count = rng.UniformInt(1, 2);
+      for (std::int64_t i = 0; i < count; ++i) {
+        added.push_back(fresh_request());
+      }
+    } else if (op <= 5 && live.size() > 2) {
+      const std::int64_t count = rng.UniformInt(1, 2);
+      for (std::int64_t i = 0; i < count; ++i) {
+        const auto victim = static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+        departed.push_back(live[victim].vcpu);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+    } else {
+      const std::int64_t count =
+          std::min<std::int64_t>(rng.UniformInt(1, 4), static_cast<std::int64_t>(live.size()));
+      for (std::int64_t i = 0; i < count; ++i) {
+        const auto victim = static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+        VcpuRequest resized = live[victim];
+        resized.utilization = rng.UniformDouble(0.08, 0.55);
+        departed.push_back(resized.vcpu);
+        added.push_back(resized);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+    }
+    PlanResult next = planner.Solve(PlanRequest::Delta(plan, added, departed));
+    hash.Add(next);
+    ++summary.solves;
+    if (!next.success) {
+      continue;  // The stream goes on from the last successful plan.
+    }
+    if (static_cast<int>(next.dirty_cores.size()) < config.num_cpus) {
+      ++summary.delta_steps;
+    }
+    plan = std::move(next);
+  }
+  summary.hash = hash.value();
+  return summary;
+}
+
+// Pins the delta path's outputs: a refactor of the planner must reproduce
+// every step of these streams byte for byte.
+TEST(IncrementalPlan, DeltaStreamGolden) {
+  PlannerConfig wide;
+  wide.num_cpus = 44;
+  const StreamSummary wide_run = RunDeltaStream(wide, 120, 60, 38.0, 2018);
+  EXPECT_EQ(wide_run.solves, 61);
+  EXPECT_GT(wide_run.delta_steps, 30);
+  EXPECT_EQ(wide_run.hash, 0xa37d8d13020a59bfull) << std::hex << wide_run.hash;
+
+  PlannerConfig numa;
+  numa.num_cpus = 8;
+  numa.cores_per_socket = 4;
+  const StreamSummary numa_run = RunDeltaStream(numa, 22, 80, 6.5, 7);
+  EXPECT_EQ(numa_run.solves, 81);
+  EXPECT_GT(numa_run.delta_steps, 30);
+  EXPECT_EQ(numa_run.hash, 0x958974df0faf45ecull) << std::hex << numa_run.hash;
+
+  PlannerConfig peephole = numa;
+  peephole.peephole_pass = true;
+  const StreamSummary peephole_run = RunDeltaStream(peephole, 22, 80, 6.5, 7);
+  EXPECT_EQ(peephole_run.solves, 81);
+  EXPECT_EQ(peephole_run.hash, 0x9211457810aecdbeull) << std::hex << peephole_run.hash;
 }
 
 }  // namespace

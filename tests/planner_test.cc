@@ -109,6 +109,17 @@ TEST(Planner, DedicatedCoreForFullUtilization) {
   EXPECT_TRUE(it->dedicated);
 }
 
+TEST(Planner, AllDedicatedLeavesNoSharedCore) {
+  PlannerConfig config;
+  config.num_cpus = 2;
+  const Planner planner(config);
+  const PlanResult plan = planner.Solve(
+      PlanRequest::Full({{0, 1.0, kMillisecond}, {1, 1.0, kMillisecond}}));
+  ASSERT_TRUE(plan.success) << plan.error;
+  EXPECT_EQ(plan.table.TotalService(0), plan.table.length());
+  EXPECT_EQ(plan.table.TotalService(1), plan.table.length());
+}
+
 TEST(Planner, TooManyDedicatedVcpusRejected) {
   PlannerConfig config;
   config.num_cpus = 2;
@@ -152,6 +163,29 @@ TEST(Planner, QuantizationShaveKeepsQuarterSharesPartitioned) {
     EXPECT_GE(vcpu.effective_utilization,
               0.25 - 1.0 / static_cast<double>(vcpu.period) - 1e-12);
     EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), kMillisecond);
+  }
+}
+
+TEST(Planner, CoalescingNeverOverlapsClusteredPieces) {
+  // Fair-share loads (U = m/n) that end in DP-Fair clusters: McNaughton
+  // wrap-around puts a task's two pieces on adjacent cores, and coalescing
+  // used to extend one piece over a sliver while the other still ran,
+  // placing the vCPU on two cores at once (the planner aborted in Validate).
+  struct Case {
+    int cores;
+    int vms;
+    TimeNs latency;
+  };
+  for (const Case& c : {Case{4, 18, 2'219'340}, Case{6, 32, 5 * kMillisecond},
+                        Case{5, 28, kMillisecond}}) {
+    PlannerConfig config;
+    config.num_cpus = c.cores;
+    const Planner planner(config);
+    const PlanResult plan = planner.Solve(PlanRequest::Full(UniformRequests(
+        c.vms, static_cast<double>(c.cores) / c.vms, c.latency)));
+    ASSERT_TRUE(plan.success) << plan.error;
+    EXPECT_EQ(plan.method, PlanMethod::kClustered) << c.cores << " x " << c.vms;
+    EXPECT_EQ(plan.table.Validate(), "");
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "src/common/rng.h"
@@ -61,6 +62,9 @@ TEST(TaskMapping, RejectsDegenerateRequests) {
   EXPECT_FALSE(MapRequestToTask({0, 1.0, kMillisecond}).has_value());  // Dedicated.
   EXPECT_FALSE(MapRequestToTask({0, 0.5, 0}).has_value());
   EXPECT_FALSE(MapRequestToTask({0, 0.5, -5}).has_value());
+  EXPECT_FALSE(
+      MapRequestToTask({0, std::numeric_limits<double>::quiet_NaN(), kMillisecond})
+          .has_value());
 }
 
 TEST(TaskMapping, BestEffortWhenLatencyGoalTooTight) {
