@@ -153,8 +153,8 @@ int main() {
   }
   json.Add("parallel.hardware_threads", static_cast<double>(hw));
   json.Add("parallel.effective_threads", static_cast<double>(parallel_threads));
-  std::printf("\nparallel stages: per-core EDF simulation, worst-fit candidate scan,\n");
-  std::printf("C=D split-point probes; merge is per-core-indexed, so byte-identical.\n");
+  std::printf("\nparallel stages: per-core EDF simulation and C=D split-point probes;\n");
+  std::printf("merge is per-core-indexed, so byte-identical.\n");
   std::printf("analytic%%: admission decisions resolved without an EDF simulation.\n");
 
   // CI smoke gate (TABLEAU_BENCH_GATE=1): with real parallelism available,

@@ -476,8 +476,7 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
       config_.cores_per_socket > 0 ? config_.cores_per_socket : shared_cores;
   const auto Partition = [&](const std::vector<PeriodicTask>& task_set) {
     PhaseTimer timer(pm.partition);
-    return WorstFitDecreasingNuma(task_set, socket_of, shared_cores, cores_per_socket,
-                                  h, pool_.get());
+    return WorstFitDecreasingNuma(task_set, socket_of, shared_cores, cores_per_socket, h);
   };
 
   PartitionResult partition = Partition(tasks);
@@ -659,13 +658,11 @@ PlanResult Planner::PlanDelta(const PlanRequest& request) const {
     }
     PeriodicTask task = mapping.task;
     const int socket = RequiredSocket(added, config_);
-    int best = WorstFitCore(load, task.DemandPerHyperperiod(h), socket, cores_per_socket, h,
-                            pool_.get());
+    int best = WorstFitCore(load, task.DemandPerHyperperiod(h), socket, cores_per_socket, h);
     if (best == -1 && task.cost > 1 && RoundedUp(task, added.utilization)) {
       // Quantization retry: a 1 ns shave may make it fit (see PlanFull()).
       task.cost -= 1;
-      best = WorstFitCore(load, task.DemandPerHyperperiod(h), socket, cores_per_socket, h,
-                          pool_.get());
+      best = WorstFitCore(load, task.DemandPerHyperperiod(h), socket, cores_per_socket, h);
     }
     if (best == -1) {
       return PlanFull(requests);  // Needs rebalancing or splitting: full replan.

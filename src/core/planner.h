@@ -48,9 +48,9 @@ struct PlannerConfig {
   // 0 disables affinity handling (the machine is treated as flat).
   int cores_per_socket = 0;
   // Worker threads for table generation (<= 1: fully serial). The parallel
-  // pipeline runs the per-core EDF simulations, the worst-fit candidate
-  // scans, and the C=D split-point probes concurrently, with deterministic
-  // merges: the produced table is byte-identical to the serial one.
+  // pipeline runs the per-core EDF simulations and the C=D split-point
+  // probes concurrently, with deterministic merges: the produced table is
+  // byte-identical to the serial one.
   int num_threads = 1;
   // Optional phase-timing sink (planner.* metrics: wall-clock histograms per
   // pipeline stage, plus per-worker pool gauges). Not owned; must outlive the

@@ -26,9 +26,7 @@ ShardedSimulation::Options SimOptions(const ClusterConfig& config) {
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config), sim_(SimOptions(config)) {
   TABLEAU_CHECK(config_.num_hosts >= 1);
-  TABLEAU_CHECK_MSG(config_.control_period > 0 &&
-                        config_.control_period % sim_.epoch_ns() == 0,
-                    "control_period must be a positive multiple of epoch_ns");
+  TABLEAU_CHECK(config_.control_period > 0);
   if (config_.host.attach_telemetry && config_.host.slots_per_core > 0) {
     TABLEAU_CHECK_MSG(config_.host.telemetry.window_ns == config_.control_period,
                       "telemetry window must equal the control period so "
@@ -122,17 +120,6 @@ double Cluster::AvgCommittedFraction() const {
              : committed_fraction_sum_ / static_cast<double>(committed_samples_);
 }
 
-void Cluster::PostToHost(int from_host, int to_host, TimeNs delay,
-                         std::function<void()> fn) {
-  ShardedSimulation::PostResult posted = sim_.Post(from_host, to_host, delay, fn);
-  if (!posted.ok()) {
-    // The control plane's RPC latencies may undershoot the epoch; the typed
-    // result carries the minimum the sharding contract accepts.
-    posted = sim_.Post(from_host, to_host, posted.required_delay, std::move(fn));
-  }
-  TABLEAU_CHECK(posted.ok());
-}
-
 void Cluster::ActivateOn(int vm, int host, int slot, TimeNs at) {
   Host* target = hosts_[static_cast<std::size_t>(host)].get();
   streams_[static_cast<std::size_t>(vm)]->Activate(
@@ -180,11 +167,11 @@ void Cluster::CompleteDrains(TimeNs now) {
     migrations_.push_back(migration);
     const int vm = migration.vm;
     const int dest = destination;
-    PostToHost(migration.from, destination, config_.transfer_ns,
-               [this, vm, dest, slot] {
-                 ActivateOn(vm, dest, slot,
-                            hosts_[static_cast<std::size_t>(dest)]->machine().Now());
-               });
+    sim_.Post(migration.from, destination, config_.transfer_ns,
+              [this, vm, dest, slot] {
+                ActivateOn(vm, dest, slot,
+                           hosts_[static_cast<std::size_t>(dest)]->machine().Now());
+              });
   }
   draining_ = std::move(still_draining);
 }
@@ -251,7 +238,7 @@ void Cluster::AdmitArrivals(TimeNs now) {
     state.host = host;
     state.slot = slot;
     const int vm_id = vm;
-    PostToHost(host, host, config_.admission_latency, [this, vm_id] {
+    sim_.Post(host, host, config_.admission_latency, [this, vm_id] {
       const VmState& placed = vm_state_[static_cast<std::size_t>(vm_id)];
       ActivateOn(vm_id, placed.host, placed.slot,
                  hosts_[static_cast<std::size_t>(placed.host)]->machine().Now());

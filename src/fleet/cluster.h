@@ -3,12 +3,14 @@
 // "from one box to a datacenter").
 //
 // Execution model: every host is one ShardedSimulation shard — its Machine,
-// planner, and telemetry all live on the shard's engine. Cross-host events
-// (VM arrival activations, live-migration transfers) travel through
-// ShardedSimulation::Post and are merged at epoch barriers, so the run is
-// byte-reproducible in serial, sharded, and parallel execution alike (the
-// sharded determinism argument in src/sim/sharded_sim.h; asserted by
-// tests/fleet_test.cc and bench_fleet --check-determinism).
+// planner, and telemetry all live on the shard's engine. Hosts meet only at
+// control ticks: RunUntil runs every host to the next tick (one
+// ShardedSimulation barrier), and the tick posts the cross-host events (VM
+// arrival activations, live-migration transfers) through
+// ShardedSimulation::Post for the next barrier to inject. The run is
+// therefore byte-reproducible in serial, sharded, and parallel execution
+// alike (the sharded determinism argument in src/sim/sharded_sim.h; asserted
+// by tests/fleet_test.cc and bench_fleet --check-determinism).
 //
 // Control plane: at every control tick (a barrier whose period equals the
 // telemetry window), the cluster — in deterministic host/VM order —
@@ -44,15 +46,15 @@ struct ClusterConfig {
   HostConfig host;
   // Execution mode knobs (num_shards is overwritten with num_hosts).
   ShardedSimulation::Options sim;
-  // Control tick period. Must be a multiple of sim.epoch_ns and equal to
-  // the hosts' telemetry window (cadence samples land on tick barriers).
+  // Control tick period. Must equal the hosts' telemetry window (cadence
+  // samples land on tick barriers).
   TimeNs control_period = 10 * kMillisecond;
   PlacementPolicy placement = PlacementPolicy::kWorstFit;
   // Admission cap: a host's committed utilization may not exceed this
   // fraction of its core count.
   double max_committed = 0.9;
   // Placement-RPC latency from admission decision to stream activation on
-  // the target host (clamped up to one epoch by the Post contract).
+  // the target host.
   TimeNs admission_latency = 200 * kMicrosecond;
   // Live-migration transfer time (drain-complete to activation on the
   // destination; models the memory-copy phase).
@@ -146,9 +148,6 @@ class Cluster {
   // Best host for `utilization` under the placement policy, or -1.
   // `exclude` skips one host (migration source).
   int PickHost(double utilization, int exclude) const;
-  // Posts `fn` to `to_host`'s shard `delay` ns out, honoring the Post
-  // contract (a too-early delay is re-posted at the advertised minimum).
-  void PostToHost(int from_host, int to_host, TimeNs delay, std::function<void()> fn);
   void ActivateOn(int vm, int host, int slot, TimeNs at);
 
   ClusterConfig config_;

@@ -23,7 +23,6 @@ struct FleetScenarioConfig {
   bool sharded = false;
   bool parallel = false;
   int num_threads = 0;
-  TimeNs epoch_ns = 50'000;
   // --- Control plane ---
   TimeNs control_period = 10 * kMillisecond;
   fleet::PlacementPolicy placement = fleet::PlacementPolicy::kWorstFit;

@@ -219,7 +219,7 @@ SemiPartitionResult SemiPartition(const std::vector<PeriodicTask>& tasks, int nu
                                   TimeNs hyperperiod, TimeNs granularity,
                                   ThreadPool* pool, AdmissionTally* tally) {
   SemiPartitionResult result;
-  PartitionResult partition = WorstFitDecreasing(tasks, num_cores, hyperperiod, pool);
+  PartitionResult partition = WorstFitDecreasing(tasks, num_cores, hyperperiod);
   result.core_tasks = std::move(partition.core_tasks);
   for (const PeriodicTask& task : partition.unassigned) {
     if (CdSplitTask(task, result.core_tasks, hyperperiod, granularity, pool, tally)) {

@@ -18,8 +18,6 @@
 
 namespace tableau {
 
-class ThreadPool;
-
 struct PartitionResult {
   // True if every task was assigned (unassigned is empty).
   bool complete = false;
@@ -30,13 +28,9 @@ struct PartitionResult {
 };
 
 // Partitions implicit-deadline tasks onto `num_cores` cores using worst-fit
-// decreasing. All task periods must divide `hyperperiod`. A non-null `pool`
-// chunks the per-task candidate-core scan across workers, but only once the
-// scanned range is large enough (hundreds of cores) for the fan-out to beat
-// a serial linear pass; the assignment is always identical to the serial one
-// (the reduction preserves the serial min-load / lowest-index tie-break).
+// decreasing. All task periods must divide `hyperperiod`.
 PartitionResult WorstFitDecreasing(const std::vector<PeriodicTask>& tasks, int num_cores,
-                                   TimeNs hyperperiod, ThreadPool* pool = nullptr);
+                                   TimeNs hyperperiod);
 
 // NUMA-aware variant: `socket_of` maps a vCPU id to its required socket (-1
 // or absent = anywhere), and cores [s*cores_per_socket, (s+1)*cores_per_socket)
@@ -44,17 +38,16 @@ PartitionResult WorstFitDecreasing(const std::vector<PeriodicTask>& tasks, int n
 PartitionResult WorstFitDecreasingNuma(const std::vector<PeriodicTask>& tasks,
                                        const std::map<VcpuId, int>& socket_of,
                                        int num_cores, int cores_per_socket,
-                                       TimeNs hyperperiod, ThreadPool* pool = nullptr);
+                                       TimeNs hyperperiod);
 
 // One worst-fit placement decision, the per-task step of
 // WorstFitDecreasingNuma (delta solves call it directly): the core with the
 // least `load` (ns per hyperperiod) that can take `demand` more, lowest index
 // on ties, or -1 if none fits. `socket` >= 0 restricts the scan to cores
 // [socket*cores_per_socket, (socket+1)*cores_per_socket), clamped to the
-// machine; -1 scans every core. A non-null `pool` chunks scans of hundreds
-// of cores across workers with the same result.
+// machine; -1 scans every core.
 int WorstFitCore(const std::vector<TimeNs>& load, TimeNs demand, int socket,
-                 int cores_per_socket, TimeNs hyperperiod, ThreadPool* pool = nullptr);
+                 int cores_per_socket, TimeNs hyperperiod);
 
 // Remaining capacity (ns per hyperperiod) of a core's current assignment.
 TimeNs SpareCapacity(const std::vector<PeriodicTask>& core_tasks, TimeNs hyperperiod);

@@ -1,15 +1,16 @@
 #include "src/sim/sharded_sim.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
+
+#include "src/common/check.h"
+#include "src/common/thread_pool.h"
 
 namespace tableau {
 
 ShardedSimulation::ShardedSimulation(const Options& options)
     : options_(options) {
   TABLEAU_CHECK(options_.num_shards >= 1);
-  TABLEAU_CHECK(options_.epoch_ns > 0);
   TABLEAU_CHECK(!options_.parallel || options_.sharded);
   const std::size_t engines =
       options_.sharded ? static_cast<std::size_t>(options_.num_shards) : 1;
@@ -17,102 +18,62 @@ ShardedSimulation::ShardedSimulation(const Options& options)
   for (std::size_t i = 0; i < engines; ++i) {
     engines_.push_back(std::make_unique<Simulation>());
   }
-  outbox_.resize(static_cast<std::size_t>(options_.num_shards));
-  next_seq_.assign(static_cast<std::size_t>(options_.num_shards), 1);
+  if (options_.parallel) {
+    pool_ = std::make_unique<ThreadPool>(
+        options_.num_threads > 0 ? std::min(options_.num_threads, options_.num_shards)
+                                 : options_.num_shards);
+  }
 }
 
-ShardedSimulation::PostResult ShardedSimulation::Post(
-    int from_shard, int to_shard, TimeNs delay, std::function<void()> fn) {
+ShardedSimulation::~ShardedSimulation() = default;
+
+void ShardedSimulation::Post(int from_shard, int to_shard, TimeNs delay,
+                             std::function<void()> fn) {
   TABLEAU_CHECK(from_shard >= 0 && from_shard < options_.num_shards);
   TABLEAU_CHECK(to_shard >= 0 && to_shard < options_.num_shards);
-  if (delay < options_.epoch_ns) {
-    return PostResult{PostResult::Status::kTooEarly, options_.epoch_ns};
-  }
-  const auto sender = static_cast<std::size_t>(from_shard);
-  outbox_[sender].push_back(Message{shard(from_shard).Now() + delay,
-                                    from_shard, next_seq_[sender]++, to_shard,
-                                    std::move(fn)});
-  return PostResult{};
-}
-
-void ShardedSimulation::DeliverPending() {
-  // Merge all outboxes into (due, sender, seq) order, then inject. The
-  // injection order fixes the target engines' arm-seq order among
-  // same-instant messages, so delivery is deterministic regardless of which
-  // shard (or thread) produced which message first in wall-clock terms.
-  std::vector<Message> merged;
-  std::size_t total = 0;
-  for (const auto& box : outbox_) {
-    total += box.size();
-  }
-  if (total == 0) {
-    return;
-  }
-  merged.reserve(total);
-  for (auto& box : outbox_) {
-    for (Message& message : box) {
-      merged.push_back(std::move(message));
-    }
-    box.clear();
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Message& a, const Message& b) {
-              if (a.due != b.due) return a.due < b.due;
-              if (a.from != b.from) return a.from < b.from;
-              return a.seq < b.seq;
-            });
-  for (Message& message : merged) {
-    TABLEAU_CHECK(message.due >= barrier_);
-    shard(message.to).ScheduleAt(message.due, std::move(message.fn));
-  }
-}
-
-void ShardedSimulation::RunEpoch(TimeNs epoch_end) {
-  if (!options_.parallel || engines_.size() == 1) {
-    for (auto& engine : engines_) {
-      engine->RunUntil(epoch_end);
-    }
-    return;
-  }
-  // Shards are causally independent within an epoch (see header), so the
-  // engines may run concurrently; the barrier is the join. With a bounded
-  // worker count the engines are split into contiguous ranges, one per
-  // worker, each range run serially — the partition only changes which
-  // thread hosts which engine, never the per-engine event order.
-  std::size_t workers_wanted = options_.num_threads > 0
-                                   ? static_cast<std::size_t>(options_.num_threads)
-                                   : engines_.size();
-  workers_wanted = std::min(workers_wanted, engines_.size());
-  const std::size_t per_worker =
-      (engines_.size() + workers_wanted - 1) / workers_wanted;
-  std::vector<std::thread> workers;
-  workers.reserve(workers_wanted - 1);
-  const auto run_range = [this, epoch_end](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end && i < engines_.size(); ++i) {
-      engines_[i]->RunUntil(epoch_end);
-    }
-  };
-  for (std::size_t w = 1; w < workers_wanted; ++w) {
-    workers.emplace_back(run_range, w * per_worker, (w + 1) * per_worker);
-  }
-  run_range(0, per_worker);
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
+  TABLEAU_CHECK(delay >= 0);
+  TABLEAU_CHECK_MSG(!running_, "Post is legal only between RunUntil calls");
+  pending_.push_back(Message{barrier_ + delay, from_shard, to_shard, std::move(fn)});
 }
 
 void ShardedSimulation::RunUntil(TimeNs until) {
   TABLEAU_CHECK(until >= barrier_);
-  // Messages posted before the first epoch (setup code) are injected up
-  // front so the opening epoch sees them.
-  DeliverPending();
-  while (barrier_ < until) {
-    const TimeNs epoch_end = std::min(until, barrier_ + options_.epoch_ns);
-    RunEpoch(epoch_end);
-    barrier_ = epoch_end;
-    ++epochs_;
-    DeliverPending();
+  // Every message was posted by this thread, so post order is deterministic
+  // and a stable sort by (due, sender) fixes the target engines' arm order
+  // among same-instant messages in every execution mode.
+  std::stable_sort(pending_.begin(), pending_.end(),
+                   [](const Message& a, const Message& b) {
+                     if (a.due != b.due) return a.due < b.due;
+                     return a.from < b.from;
+                   });
+  for (Message& message : pending_) {
+    shard(message.to).ScheduleAt(message.due, std::move(message.fn));
   }
+  pending_.clear();
+  if (until == barrier_) {
+    // Not a new barrier: events scheduled at `until` since the last one
+    // (e.g. by a control tick) run in the next.
+    return;
+  }
+  // Shards are causally independent until the barrier (see header), so the
+  // engines may run concurrently. Each worker runs one contiguous range of
+  // engines serially; the partition only changes which thread hosts which
+  // engine, never the per-engine event order.
+  running_ = true;
+  const std::size_t n = engines_.size();
+  const std::size_t ranges =
+      pool_ != nullptr ? static_cast<std::size_t>(pool_->num_threads()) : 1;
+  ParallelFor(
+      pool_.get(), ranges,
+      [this, n, ranges, until](std::size_t r) {
+        for (std::size_t i = r * n / ranges; i < (r + 1) * n / ranges; ++i) {
+          engines_[i]->RunUntil(until);
+        }
+      },
+      /*grain=*/1);
+  running_ = false;
+  barrier_ = until;
+  ++num_barriers_;
 }
 
 std::uint64_t ShardedSimulation::events_executed() const {

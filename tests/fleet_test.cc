@@ -91,6 +91,27 @@ TEST(FleetDeterminismTest, IdenticalAcrossExecutionModes) {
   EXPECT_EQ(repeat.metrics_json, serial.metrics_json);
 }
 
+TEST(FleetDeterminismTest, OddControlPeriodIdenticalAcrossExecutionModes) {
+  // Hosts meet only at control ticks, so any period works as the barrier
+  // spacing; 10,030 us is a multiple of no round simulator quantum.
+  FleetScenarioConfig base = SmallFleet();
+  base.control_period = 10'030 * kMicrosecond;
+  const TimeNs duration = 200 * kMillisecond;
+
+  const FleetRun serial = RunFleet(base, duration);
+  EXPECT_GT(serial.slo.requests, 0u);
+  FleetScenarioConfig sharded = base;
+  sharded.sharded = true;
+  FleetScenarioConfig parallel = sharded;
+  parallel.parallel = true;
+  parallel.num_threads = 3;
+  for (const FleetScenarioConfig& mode : {sharded, parallel}) {
+    const FleetRun run = RunFleet(mode, duration);
+    EXPECT_EQ(run.fingerprint, serial.fingerprint) << "parallel=" << mode.parallel;
+    EXPECT_EQ(run.metrics_json, serial.metrics_json) << "parallel=" << mode.parallel;
+  }
+}
+
 TEST(FleetDeterminismTest, AdaptiveLoopIdenticalAcrossExecutionModes) {
   // Closed-loop adaptive reservations under diurnal per-VM demand: the
   // controller ticks at cluster barriers only, so the resize sequence — and

@@ -5,7 +5,6 @@
 #include <map>
 #include <set>
 
-#include "src/common/thread_pool.h"
 #include "src/core/planner.h"
 #include "src/rt/hyperperiod.h"
 #include "src/rt/partition.h"
@@ -69,36 +68,6 @@ TEST(NumaPartition, PartialTailSocketClampedToMachine) {
     EXPECT_TRUE(result.core_tasks[static_cast<std::size_t>(c)].empty()) << "core " << c;
   }
   EXPECT_EQ(result.core_tasks[4].size(), 2u);
-}
-
-TEST(NumaPartition, ParallelScanMatchesSerialOnWideMachine) {
-  const TimeNs h = 1000;
-  // 512 cores crosses the parallel-scan threshold; the chunked scan must
-  // reproduce the serial min-load / lowest-index placement exactly, both for
-  // unconstrained tasks (full-range scan) and socket-pinned ones.
-  const int num_cores = 512;
-  const int cores_per_socket = 128;
-  std::vector<PeriodicTask> tasks;
-  std::map<VcpuId, int> socket_of;
-  for (int i = 0; i < 300; ++i) {
-    tasks.push_back(PeriodicTask::Implicit(i, 100 + (i * 37) % 400, 1000));
-    if (i % 3 == 0) {
-      socket_of[i] = (i / 3) % 4;
-    }
-  }
-  const PartitionResult serial =
-      WorstFitDecreasingNuma(tasks, socket_of, num_cores, cores_per_socket, h);
-  ThreadPool pool(4);
-  const PartitionResult parallel =
-      WorstFitDecreasingNuma(tasks, socket_of, num_cores, cores_per_socket, h, &pool);
-  ASSERT_EQ(serial.complete, parallel.complete);
-  ASSERT_EQ(serial.core_tasks.size(), parallel.core_tasks.size());
-  for (std::size_t c = 0; c < serial.core_tasks.size(); ++c) {
-    ASSERT_EQ(serial.core_tasks[c].size(), parallel.core_tasks[c].size()) << "core " << c;
-    for (std::size_t i = 0; i < serial.core_tasks[c].size(); ++i) {
-      EXPECT_EQ(serial.core_tasks[c][i].vcpu, parallel.core_tasks[c][i].vcpu);
-    }
-  }
 }
 
 TEST(NumaPlanner, AffinityReflectedInTable) {

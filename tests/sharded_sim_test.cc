@@ -1,10 +1,10 @@
-// ShardedSimulation: epoch-barrier semantics and the serial-equivalence
-// guarantee — per-shard event streams (and hence fingerprints over
-// (time, payload) sequences) are bit-identical whether the shards share one
-// serial engine, run on per-shard engines, or run on per-shard engines
-// concurrently.
+// ShardedSimulation: barrier semantics and the serial-equivalence guarantee —
+// per-shard event streams (and hence fingerprints over (time, payload)
+// sequences) are bit-identical whether the shards share one serial engine,
+// run on per-shard engines, or run on per-shard engines concurrently.
 #include "src/sim/sharded_sim.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -25,9 +25,15 @@ std::uint64_t Lcg(std::uint64_t& state) {
 
 // A multi-core scenario: per-shard self-rearming timers with deterministic
 // pseudo-random periods, and a ring of cross-shard "IPIs" (every 8th fire
-// posts to the next shard with latency epoch + jitter). Each shard folds
-// its observed event sequence into an FNV fingerprint.
+// queues one for the next shard with a pseudo-random latency). Shard events
+// only queue their IPIs; the driver posts them between barriers, the way the
+// fleet's control tick does. Each shard folds its observed event sequence
+// into an FNV fingerprint.
 struct Scenario {
+  struct Ipi {
+    int to = 0;
+    TimeNs delay = 0;
+  };
   struct Ctx {
     Scenario* scenario = nullptr;
     int shard = 0;
@@ -36,6 +42,7 @@ struct Scenario {
     std::uint64_t fires = 0;
     std::uint64_t ipis = 0;
     EventId timer = kInvalidEvent;
+    std::vector<Ipi> outbox;  // Written only by this shard's events.
   };
 
   explicit Scenario(const ShardedSimulation::Options& options) : sim(options) {
@@ -52,29 +59,37 @@ struct Scenario {
   }
 
   static void Tick(Ctx* c) {
-    ShardedSimulation& sim = c->scenario->sim;
-    Simulation& engine = sim.shard(c->shard);
+    Simulation& engine = c->scenario->sim.shard(c->shard);
     ++c->fires;
     Mix(c->fp, static_cast<std::uint64_t>(engine.Now()));
     Mix(c->fp, c->fires);
     if (c->fires % 8 == 0) {
-      const int from = c->shard;
-      const int to = (c->shard + 1) % sim.num_shards();
-      Ctx* target = &c->scenario->ctxs[static_cast<std::size_t>(to)];
-      const ShardedSimulation::PostResult posted = sim.Post(
-          from, to, sim.epoch_ns() + static_cast<TimeNs>(Lcg(c->rng) % 40000),
-          [target, from] {
-            ++target->ipis;
-            Mix(target->fp,
-                static_cast<std::uint64_t>(
-                    target->scenario->sim.shard(target->shard).Now()));
-            Mix(target->fp,
-                0x9e3779b97f4a7c15ull ^ static_cast<std::uint64_t>(from));
-          });
-      TABLEAU_CHECK(posted.ok());
+      c->outbox.push_back(Ipi{(c->shard + 1) % c->scenario->sim.num_shards(),
+                              static_cast<TimeNs>(Lcg(c->rng) % 40000)});
     }
     engine.Arm(c->timer,
                engine.Now() + 1 + static_cast<TimeNs>(Lcg(c->rng) % 20000));
+  }
+
+  // Runs to `horizon` in barriers `step` apart, posting each barrier's
+  // queued IPIs before the next one.
+  void Run(TimeNs horizon, TimeNs step) {
+    while (sim.Now() < horizon) {
+      sim.RunUntil(std::min(horizon, sim.Now() + step));
+      for (Ctx& ctx : ctxs) {
+        for (const Ipi& ipi : ctx.outbox) {
+          Ctx* target = &ctxs[static_cast<std::size_t>(ipi.to)];
+          const int from = ctx.shard;
+          sim.Post(from, ipi.to, ipi.delay, [target, from] {
+            ++target->ipis;
+            Mix(target->fp, static_cast<std::uint64_t>(
+                                target->scenario->sim.shard(target->shard).Now()));
+            Mix(target->fp, 0x9e3779b97f4a7c15ull ^ static_cast<std::uint64_t>(from));
+          });
+        }
+        ctx.outbox.clear();
+      }
+    }
   }
 
   std::vector<std::uint64_t> Fingerprints() const {
@@ -98,7 +113,8 @@ struct Scenario {
   std::vector<Ctx> ctxs;
 };
 
-constexpr TimeNs kHorizon = 20'000'000;  // 20 ms, 400 epochs of 50 us.
+constexpr TimeNs kHorizon = 20'000'000;  // 20 ms.
+constexpr TimeNs kStep = 250'000;        // 80 barriers.
 
 ShardedSimulation::Options MakeOptions(bool sharded, bool parallel) {
   ShardedSimulation::Options options;
@@ -111,8 +127,8 @@ ShardedSimulation::Options MakeOptions(bool sharded, bool parallel) {
 TEST(ShardedSim, SerialAndShardedFingerprintsMatch) {
   Scenario serial(MakeOptions(/*sharded=*/false, /*parallel=*/false));
   Scenario sharded(MakeOptions(/*sharded=*/true, /*parallel=*/false));
-  serial.sim.RunUntil(kHorizon);
-  sharded.sim.RunUntil(kHorizon);
+  serial.Run(kHorizon, kStep);
+  sharded.Run(kHorizon, kStep);
 
   EXPECT_GT(serial.TotalIpis(), 100u) << "scenario must exercise cross-shard traffic";
   EXPECT_EQ(serial.TotalIpis(), sharded.TotalIpis());
@@ -122,19 +138,24 @@ TEST(ShardedSim, SerialAndShardedFingerprintsMatch) {
 
 TEST(ShardedSim, ParallelShardedMatchesSerial) {
   Scenario serial(MakeOptions(/*sharded=*/false, /*parallel=*/false));
-  Scenario parallel(MakeOptions(/*sharded=*/true, /*parallel=*/true));
-  serial.sim.RunUntil(kHorizon);
-  parallel.sim.RunUntil(kHorizon);
-
-  EXPECT_EQ(serial.sim.events_executed(), parallel.sim.events_executed());
-  EXPECT_EQ(serial.Fingerprints(), parallel.Fingerprints());
+  serial.Run(kHorizon, kStep);
+  // One worker per shard, and fewer workers than shards (uneven ranges).
+  for (const int threads : {0, 3}) {
+    ShardedSimulation::Options options = MakeOptions(/*sharded=*/true, /*parallel=*/true);
+    options.num_threads = threads;
+    Scenario parallel(options);
+    parallel.Run(kHorizon, kStep);
+    EXPECT_EQ(serial.sim.events_executed(), parallel.sim.events_executed())
+        << "threads=" << threads;
+    EXPECT_EQ(serial.Fingerprints(), parallel.Fingerprints()) << "threads=" << threads;
+  }
 }
 
 TEST(ShardedSim, ShardedRunsAreReproducible) {
   Scenario a(MakeOptions(/*sharded=*/true, /*parallel=*/false));
   Scenario b(MakeOptions(/*sharded=*/true, /*parallel=*/false));
-  a.sim.RunUntil(kHorizon);
-  b.sim.RunUntil(kHorizon);
+  a.Run(kHorizon, kStep);
+  b.Run(kHorizon, kStep);
   EXPECT_EQ(a.Fingerprints(), b.Fingerprints());
 }
 
@@ -147,55 +168,52 @@ TEST(ShardedSim, SerialModeMultiplexesOntoOneEngine) {
 
 TEST(ShardedSim, MessagePostedAtSetupArrivesAtExactDueTime) {
   for (const bool sharded : {false, true}) {
-    ShardedSimulation::Options options = MakeOptions(sharded, false);
-    ShardedSimulation sim(options);
+    ShardedSimulation sim(MakeOptions(sharded, false));
     TimeNs arrived_at = -1;
-    ASSERT_TRUE(sim.Post(0, 1, options.epoch_ns, [&sim, &arrived_at] {
-                     arrived_at = sim.shard(1).Now();
-                   }).ok());
-    sim.RunUntil(4 * options.epoch_ns);
-    EXPECT_EQ(arrived_at, options.epoch_ns) << "sharded=" << sharded;
+    sim.Post(0, 1, 50'000, [&sim, &arrived_at] { arrived_at = sim.shard(1).Now(); });
+    sim.RunUntil(200'000);
+    EXPECT_EQ(arrived_at, 50'000) << "sharded=" << sharded;
+    // A zero delay is legal: the message runs at the barrier it was posted at.
+    sim.Post(1, 0, 0, [&sim, &arrived_at] { arrived_at = sim.shard(0).Now(); });
+    sim.RunUntil(300'000);
+    EXPECT_EQ(arrived_at, 200'000) << "sharded=" << sharded;
   }
 }
 
 TEST(ShardedSim, EpochBarriersAdvanceTheAgreedClock) {
   ShardedSimulation sim(MakeOptions(true, false));
   EXPECT_EQ(sim.Now(), 0);
-  sim.RunUntil(10 * sim.epoch_ns());
-  EXPECT_EQ(sim.Now(), 10 * sim.epoch_ns());
-  EXPECT_EQ(sim.epochs(), 10u);
-  // A partial epoch still completes at the requested horizon.
-  sim.RunUntil(10 * sim.epoch_ns() + sim.epoch_ns() / 2);
-  EXPECT_EQ(sim.Now(), 10 * sim.epoch_ns() + sim.epoch_ns() / 2);
-}
-
-TEST(ShardedSim, PostBelowEpochIsRejectedWithRequiredDelay) {
-  ShardedSimulation::Options options = MakeOptions(true, false);
-  ShardedSimulation sim(options);
-  int delivered = 0;
-  const ShardedSimulation::PostResult rejected =
-      sim.Post(0, 1, options.epoch_ns - 1, [&delivered] { ++delivered; });
-  EXPECT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status, ShardedSimulation::PostResult::Status::kTooEarly);
-  EXPECT_EQ(rejected.required_delay, options.epoch_ns);
-  // The rejected message was dropped, not deferred: nothing fires, and a
-  // re-post at the advertised minimum delay is accepted and delivered.
-  ASSERT_TRUE(
-      sim.Post(0, 1, rejected.required_delay, [&delivered] { ++delivered; })
-          .ok());
-  sim.RunUntil(4 * options.epoch_ns);
-  EXPECT_EQ(delivered, 1);
+  // Each RunUntil is exactly one barrier, however far it advances.
+  sim.RunUntil(500'000);
+  EXPECT_EQ(sim.Now(), 500'000);
+  EXPECT_EQ(sim.epochs(), 1u);
+  sim.RunUntil(525'000);
+  EXPECT_EQ(sim.Now(), 525'000);
+  EXPECT_EQ(sim.epochs(), 2u);
+  // Running to the current barrier is not a new one.
+  sim.RunUntil(525'000);
+  EXPECT_EQ(sim.epochs(), 2u);
 }
 
 TEST(ShardedSim, MessageDueSeveralEpochsOutIsDeliveredOnce) {
-  ShardedSimulation::Options options = MakeOptions(true, false);
-  ShardedSimulation sim(options);
+  ShardedSimulation sim(MakeOptions(true, false));
   int delivered = 0;
-  ASSERT_TRUE(
-      sim.Post(2, 0, 5 * options.epoch_ns + 123, [&delivered] { ++delivered; })
-          .ok());
-  sim.RunUntil(20 * options.epoch_ns);
+  TimeNs arrived_at = -1;
+  sim.Post(2, 0, 5 * kStep + 123, [&] {
+    ++delivered;
+    arrived_at = sim.shard(0).Now();
+  });
+  for (int barrier = 1; barrier <= 20; ++barrier) {
+    sim.RunUntil(barrier * kStep);
+  }
   EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(arrived_at, 5 * kStep + 123);
+}
+
+TEST(ShardedSimDeathTest, PostFromInsideAShardEventAborts) {
+  ShardedSimulation sim(MakeOptions(/*sharded=*/true, /*parallel=*/false));
+  sim.shard(0).ScheduleAt(10, [&sim] { sim.Post(0, 1, 0, [] {}); });
+  EXPECT_DEATH(sim.RunUntil(100), "between RunUntil calls");
 }
 
 }  // namespace

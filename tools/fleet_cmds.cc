@@ -259,7 +259,17 @@ int FleetMain(int argc, char** argv, bool adapt) {
   flags.Value("--json", &json_out);
   flags.Switch("--check-determinism", [&check_determinism] { check_determinism = true; });
   const std::string mode = flags.Parse(argc, argv, 1)[0];
-  if (mode != "run" && mode != "describe") {
+  // Values that parse but are out of range would abort in a library check;
+  // the negated comparisons also reject NaN.
+  const adapt::PolicyConfig& policy = config.adapt_policy;
+  const bool in_range =
+      config.num_hosts >= 1 && config.num_vms >= 0 && config.cpus_per_host >= 1 &&
+      config.cores_per_socket >= 1 && config.slots_per_core >= 1 &&
+      config.requests_per_sec > 0 && config.service_ns > 0 && config.control_period > 0 &&
+      policy.cooldown_windows >= 0 && policy.quantize > 0 &&
+      config.adapt_min_utilization > 0 &&
+      config.adapt_min_utilization <= config.adapt_max_utilization && policy.headroom >= 1;
+  if ((mode != "run" && mode != "describe") || !in_range) {
     flags.Usage();
   }
 
