@@ -49,9 +49,9 @@ Row Measure(SchedKind kind, const OverheadCosts& costs, TimeNs duration) {
   AttachBackground(scenario, Background::kIo, 0, background);
   scenario.machine->Start();
   scenario.machine->RunFor(duration);
-  const OpStats& stats = scenario.machine->op_stats();
-  return Row{ToUs(static_cast<TimeNs>(stats.Of(SchedOp::kSchedule).Mean())),
-             ToUs(static_cast<TimeNs>(stats.Of(SchedOp::kMigrate).Mean()))};
+  const obs::MetricsSnapshot metrics = scenario.machine->metrics().Snapshot();
+  return Row{MeanOpCostUs(metrics, SchedOp::kSchedule),
+             MeanOpCostUs(metrics, SchedOp::kMigrate)};
 }
 
 }  // namespace

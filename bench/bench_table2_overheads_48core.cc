@@ -38,10 +38,10 @@ Row MeasureScheduler(SchedKind kind, TimeNs duration) {
   scenario.machine->Start();
   scenario.machine->RunFor(duration);
   RecordScenarioMetrics(scenario);
-  const OpStats& stats = scenario.machine->op_stats();
-  return Row{ToUs(static_cast<TimeNs>(stats.Of(SchedOp::kSchedule).Mean())),
-             ToUs(static_cast<TimeNs>(stats.Of(SchedOp::kWakeup).Mean())),
-             ToUs(static_cast<TimeNs>(stats.Of(SchedOp::kMigrate).Mean()))};
+  const obs::MetricsSnapshot metrics = scenario.machine->metrics().Snapshot();
+  return Row{MeanOpCostUs(metrics, SchedOp::kSchedule),
+             MeanOpCostUs(metrics, SchedOp::kWakeup),
+             MeanOpCostUs(metrics, SchedOp::kMigrate)};
 }
 
 }  // namespace

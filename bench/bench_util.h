@@ -18,6 +18,7 @@
 #include "src/common/thread_pool.h"
 #include "src/harness/scenario.h"
 #include "src/harness/workloads.h"
+#include "src/hypervisor/overhead.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeseries.h"
 #include "src/workloads/guest.h"
@@ -79,11 +80,9 @@ template <typename Result>
 std::vector<Result> RunSimulations(const std::vector<std::function<Result()>>& tasks) {
   std::vector<Result> results(tasks.size());
   ThreadPool pool(BenchThreads());
-  // Grain 1: cells are heavy and heterogeneous (scheduler x load grid), so
-  // per-cell stealing balances load better than coarse grains.
-  pool.ParallelFor(tasks.size(),
-                   [&](std::size_t i) { results[i] = tasks[i](); },
-                   /*grain=*/1);
+  // Cells are heavy and heterogeneous (scheduler x load grid); the pool hands
+  // them out one at a time, which balances the load.
+  pool.ParallelFor(tasks.size(), [&](std::size_t i) { results[i] = tasks[i](); });
   return results;
 }
 
@@ -117,6 +116,12 @@ inline void RecordScenarioMetrics(Scenario& scenario) {
   if (scenario.machine != nullptr) {
     AccumulatedMetrics::Instance().Record(scenario.machine->SnapshotMetrics());
   }
+}
+
+// Mean cost of a traced scheduler op (the machine.sched_op.* histogram of a
+// machine's metrics snapshot), in us: one cell of Tables 1-2.
+inline double MeanOpCostUs(const obs::MetricsSnapshot& metrics, SchedOp op) {
+  return ToUs(static_cast<TimeNs>(metrics.values.at(SchedOpMetric(op)).hist.Mean()));
 }
 
 // For planner-only benches (no machine): fold a registry's snapshot directly.

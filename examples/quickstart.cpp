@@ -66,8 +66,10 @@ int main() {
               static_cast<unsigned long long>(gaps.Count()));
   std::printf("second-level share of vantage dispatches: %.1f%%\n",
               100.0 * machine.SecondLevelFraction(scenario.vantage->id()));
+  const obs::MetricsSnapshot metrics = machine.metrics().Snapshot();
   std::printf("mean schedule overhead: %.2fus over %llu invocations\n",
-              ToUs(static_cast<TimeNs>(machine.op_stats().Of(SchedOp::kSchedule).Mean())),
+              ToUs(static_cast<TimeNs>(
+                  metrics.values.at(SchedOpMetric(SchedOp::kSchedule)).hist.Mean())),
               static_cast<unsigned long long>(machine.schedule_invocations()));
   return 0;
 }

@@ -1,36 +1,13 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace tableau {
 
-namespace {
-
-std::int64_t MonotonicNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Worker identity for nested-call accounting: which pool (if any) owns the
-// current thread, and its execution slot there. Plain thread_local (not a
-// member) so non-worker threads cost nothing.
-struct ThreadSlot {
-  const void* pool = nullptr;
-  int slot = 0;
-};
-thread_local ThreadSlot t_slot;
-
-}  // namespace
-
-ThreadPool::ThreadPool(int num_threads)
-    : num_threads_(std::max(1, num_threads)),
-      slot_indices_(static_cast<std::size_t>(num_threads_)),
-      slot_busy_ns_(static_cast<std::size_t>(num_threads_)) {
+ThreadPool::ThreadPool(int num_threads) : num_threads_(std::max(1, num_threads)) {
   workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
   for (int t = 0; t < num_threads_ - 1; ++t) {
-    workers_.emplace_back([this, t] { WorkerLoop(t + 1); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -45,27 +22,14 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-int ThreadPool::CurrentSlot() const {
-  return t_slot.pool == this ? t_slot.slot : 0;
-}
-
-void ThreadPool::RunJob(Job& job, int slot) {
-  const auto s = static_cast<std::size_t>(slot);
+void ThreadPool::RunJob(Job& job) {
   for (;;) {
-    const std::size_t g = job.next_grain.fetch_add(1, std::memory_order_relaxed);
-    if (g >= job.num_grains) {
+    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) {
       return;
     }
-    const std::size_t begin = g * job.grain;
-    const std::size_t end = std::min(begin + job.grain, job.n);
-    const std::size_t count = end - begin;
-    const std::int64_t start = MonotonicNowNs();
-    for (std::size_t i = begin; i < end; ++i) {
-      (*job.fn)(i);
-    }
-    slot_busy_ns_[s].fetch_add(MonotonicNowNs() - start, std::memory_order_relaxed);
-    slot_indices_[s].fetch_add(count, std::memory_order_relaxed);
-    if (job.done.fetch_add(count, std::memory_order_acq_rel) + count == job.n) {
+    (*job.fn)(i);
+    if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.n) {
       // Lock-then-notify pairs with the caller's predicate re-check, so the
       // final wakeup cannot be lost between its check and its wait.
       std::lock_guard<std::mutex> lock(job.mu);
@@ -74,9 +38,7 @@ void ThreadPool::RunJob(Job& job, int slot) {
   }
 }
 
-void ThreadPool::WorkerLoop(int slot) {
-  t_slot.pool = this;
-  t_slot.slot = slot;
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::shared_ptr<Job> job;
     {
@@ -86,57 +48,37 @@ void ThreadPool::WorkerLoop(int slot) {
         return;  // Callers block until their jobs finish, so none are live.
       }
       job = jobs_.front();
-      if (job->next_grain.load(std::memory_order_relaxed) >= job->num_grains) {
+      if (job->next.load(std::memory_order_relaxed) >= job->n) {
         // Fully claimed: retire it so later jobs become visible.
         jobs_.pop_front();
         continue;
       }
     }
-    RunJob(*job, slot);
+    RunJob(*job);
   }
 }
 
-void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
-                             std::size_t grain) {
-  if (n == 0) {
-    return;
-  }
-  if (grain == 0) {
-    // Coarse default: ~4 grains per executor amortizes claim/accounting
-    // costs while leaving enough grains for stealing to balance load.
-    grain = std::max<std::size_t>(
-        1, (n + static_cast<std::size_t>(num_threads_) * 4 - 1) /
-               (static_cast<std::size_t>(num_threads_) * 4));
-  }
-  const std::size_t num_grains = (n + grain - 1) / grain;
-  const int slot = CurrentSlot();
-  if (num_threads_ <= 1 || num_grains == 1) {
-    // Single grain: run inline with no queue, lock, or wakeup. Billed to the
-    // caller's own slot, so nested calls from a worker attribute correctly.
-    const auto s = static_cast<std::size_t>(slot);
-    const std::int64_t start = MonotonicNowNs();
+void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  if (num_threads_ <= 1 || n <= 1) {
+    // Run inline with no queue, lock, or wakeup.
     for (std::size_t i = 0; i < n; ++i) {
       fn(i);
     }
-    slot_busy_ns_[s].fetch_add(MonotonicNowNs() - start, std::memory_order_relaxed);
-    slot_indices_[s].fetch_add(n, std::memory_order_relaxed);
     return;
   }
 
   auto job = std::make_shared<Job>();
   job->fn = &fn;
   job->n = n;
-  job->grain = grain;
-  job->num_grains = num_grains;
   {
     std::lock_guard<std::mutex> lock(mu_);
     jobs_.push_back(job);
   }
-  // The caller immediately claims one grain itself, so at most num_grains - 1
-  // are available for workers: wake exactly that many (saturated at the
-  // worker count). A two-grain loop wakes one worker, not the whole pool.
+  // The caller immediately claims one index itself, so at most n - 1 are
+  // available for workers: wake exactly that many (saturated at the worker
+  // count). A two-index loop wakes one worker, not the whole pool.
   const std::size_t idle_capacity = workers_.size();
-  const std::size_t wakeups = std::min(idle_capacity, num_grains - 1);
+  const std::size_t wakeups = std::min(idle_capacity, n - 1);
   if (wakeups >= idle_capacity) {
     work_cv_.notify_all();
   } else {
@@ -147,7 +89,7 @@ void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t
 
   // The caller is an executor too: the loop always completes even if every
   // worker is busy with other jobs.
-  RunJob(*job, slot);
+  RunJob(*job);
   {
     std::unique_lock<std::mutex> lock(job->mu);
     job->cv.wait(lock, [&] { return job->done.load(std::memory_order_acquire) == n; });
@@ -161,28 +103,15 @@ void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t
   }
 }
 
-ThreadPool::Stats ThreadPool::GetStats() const {
-  Stats stats;
-  stats.indices.reserve(slot_indices_.size());
-  stats.busy_ns.reserve(slot_busy_ns_.size());
-  for (const auto& v : slot_indices_) {
-    stats.indices.push_back(v.load(std::memory_order_relaxed));
-  }
-  for (const auto& v : slot_busy_ns_) {
-    stats.busy_ns.push_back(v.load(std::memory_order_relaxed));
-  }
-  return stats;
-}
-
 void ParallelFor(ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn, std::size_t grain) {
-  if (pool == nullptr || pool->num_threads() <= 1) {
+                 const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
       fn(i);
     }
     return;
   }
-  pool->ParallelFor(n, fn, grain);
+  pool->ParallelFor(n, fn);
 }
 
 }  // namespace tableau

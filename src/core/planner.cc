@@ -10,7 +10,6 @@
 #include <string>
 
 #include "src/common/check.h"
-#include "src/common/thread_pool.h"
 #include "src/rt/admission.h"
 #include "src/rt/cd_split.h"
 #include "src/rt/dpfair.h"
@@ -127,22 +126,6 @@ void TallyCoreAdmission(const std::vector<PeriodicTask>& tasks, TimeNs hyperperi
     tally.Record(analytic->rung);
   } else {
     tally.Record(AdmissionRung::kSimulation);
-  }
-}
-
-// Publishes per-execution-slot pool accounting as gauges: slot 0 is the
-// calling thread(s), slots 1.. are pool workers. Gauges (not counters) so a
-// re-export overwrites rather than double-counts.
-void ExportPoolStats(obs::MetricsRegistry* registry, const ThreadPool* pool) {
-  if (registry == nullptr || pool == nullptr) {
-    return;
-  }
-  const ThreadPool::Stats stats = pool->GetStats();
-  for (std::size_t k = 0; k < stats.indices.size(); ++k) {
-    const std::string prefix = "planner.pool.w" + std::to_string(k);
-    registry->GetGauge(prefix + ".indices")
-        ->Set(static_cast<std::int64_t>(stats.indices[k]));
-    registry->GetGauge(prefix + ".busy_ns")->Set(stats.busy_ns[k]);
   }
 }
 
@@ -267,18 +250,15 @@ VcpuPlan SharedPlan(const VcpuRequest& request, const TaskMapping& mapping,
 // `previous`, and the plans of their vCPUs are kept as they are: a carried
 // core is a whole core of a partitioned plan, so no vCPU straddles a fresh
 // and a carried core.
-void FinishPlan(const PlannerConfig& config, ThreadPool* pool, const PhaseMetrics& pm,
+void FinishPlan(const PlannerConfig& config, const PhaseMetrics& pm,
                 const std::vector<bool>& fresh, const SchedulingTable* previous,
                 std::vector<std::vector<Allocation>> per_core, AdmissionTally& tally,
                 PlanResult& result) {
   const TimeNs h = kHyperperiodNs;
   const std::vector<std::vector<PeriodicTask>>& core_tasks = result.core_tasks;
-  // Each core's simulation is independent and writes only its own slot of
-  // per_core, so the fan-out is deterministic: the merged table does not
-  // depend on completion order.
-  ParallelFor(pool, core_tasks.size(), [&](std::size_t core) {
+  for (std::size_t core = 0; core < core_tasks.size(); ++core) {
     if (!fresh[core] || core_tasks[core].empty()) {
-      return;
+      continue;
     }
     // On the partitioned path this is the core's admission decision; record
     // which ladder rung could already settle it (semi-partitioned sets were
@@ -286,8 +266,6 @@ void FinishPlan(const PlannerConfig& config, ThreadPool* pool, const PhaseMetric
     if (result.method == PlanMethod::kPartitioned) {
       TallyCoreAdmission(core_tasks[core], h, tally);
     }
-    // Recorded from whichever pool worker ran this core; the histogram is
-    // thread-safe by construction.
     EdfSimResult sim;
     {
       PhaseTimer timer(pm.edf_core_sim);
@@ -296,7 +274,7 @@ void FinishPlan(const PlannerConfig& config, ThreadPool* pool, const PhaseMetric
     TABLEAU_CHECK_MSG(sim.schedulable, "EDF simulation failed on core %d for vCPU %d",
                       static_cast<int>(core), sim.missed_vcpu);
     per_core[core] = std::move(sim.allocations);
-  });
+  }
 
   // --- Post-processing: peephole, coalescing and table construction ---
   // Carried cores are still empty here, so both passes skip them.
@@ -351,18 +329,12 @@ void FinishPlan(const PlannerConfig& config, ThreadPool* pool, const PhaseMetric
   result.success = true;
   result.admission = TallyToBreakdown(tally);
   ExportAdmissionMetrics(pm, result.admission);
-  if (config.wall_timings) {
-    ExportPoolStats(config.metrics, pool);
-  }
 }
 
 }  // namespace
 
 Planner::Planner(PlannerConfig config) : config_(config) {
   TABLEAU_CHECK(config_.num_cpus > 0);
-  if (config_.num_threads > 1) {
-    pool_ = std::make_shared<ThreadPool>(config_.num_threads);
-  }
 }
 
 PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
@@ -512,8 +484,7 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
     SemiPartitionResult semi;
     {
       PhaseTimer timer(pm.cd_split);
-      semi = SemiPartition(tasks, shared_cores, h, kMinPeriodNs, pool_.get(),
-                           &admission_tally);
+      semi = SemiPartition(tasks, shared_cores, h, kMinPeriodNs, &admission_tally);
     }
     if (semi.complete) {
       result.method = PlanMethod::kSemiPartitioned;
@@ -597,7 +568,7 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
 
   result.core_tasks = std::move(core_tasks);
   result.requests = requests;
-  FinishPlan(config_, pool_.get(), pm,
+  FinishPlan(config_, pm,
              std::vector<bool>(static_cast<std::size_t>(config_.num_cpus), true),
              /*previous=*/nullptr, std::move(per_core), admission_tally, result);
   return result;
@@ -678,7 +649,7 @@ PlanResult Planner::PlanDelta(const PlanRequest& request) const {
   }
 
   result.requests = std::move(requests);
-  FinishPlan(config_, pool_.get(), pm, fresh, &previous.table,
+  FinishPlan(config_, pm, fresh, &previous.table,
              std::vector<std::vector<Allocation>>(num_cpus), admission_tally, result);
   return result;
 }

@@ -21,11 +21,9 @@
 #define SRC_CORE_PLANNER_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/common/time.h"
 #include "src/faults/fault_injector.h"
 #include "src/obs/metrics.h"
@@ -47,19 +45,14 @@ struct PlannerConfig {
   // Socket width for NUMA-affine placement (VcpuRequest::socket_affinity).
   // 0 disables affinity handling (the machine is treated as flat).
   int cores_per_socket = 0;
-  // Worker threads for table generation (<= 1: fully serial). The parallel
-  // pipeline runs the per-core EDF simulations and the C=D split-point
-  // probes concurrently, with deterministic merges: the produced table is
-  // byte-identical to the serial one.
-  int num_threads = 1;
   // Optional phase-timing sink (planner.* metrics: wall-clock histograms per
-  // pipeline stage, plus per-worker pool gauges). Not owned; must outlive the
-  // planner. Null disables instrumentation entirely.
+  // pipeline stage). Not owned; must outlive the planner. Null disables
+  // instrumentation entirely.
   obs::MetricsRegistry* metrics = nullptr;
   // When false, the registry above receives only the deterministic planner
-  // counters (plans, admission ladder) — the wall-clock phase histograms and
-  // pool gauges are skipped. Fleet hosts use this so merged fleet metrics
-  // are byte-identical across runs and execution modes.
+  // counters (plans, admission ladder) — the wall-clock phase histograms are
+  // skipped. Fleet hosts use this so merged fleet metrics are byte-identical
+  // across runs and execution modes.
   bool wall_timings = true;
   // Optional fault injector (not owned; must outlive the planner). Solve()
   // draws one planner outcome per call; injected failures/timeouts surface
@@ -234,10 +227,6 @@ class Planner {
   PlanResult PlanDelta(const PlanRequest& request) const;
 
   PlannerConfig config_;
-  // Shared by copies of the planner; null when config_.num_threads <= 1.
-  // The pool accepts jobs from concurrent Solve() calls, so the planner stays
-  // reentrant.
-  std::shared_ptr<ThreadPool> pool_;
 };
 
 }  // namespace tableau

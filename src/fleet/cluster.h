@@ -19,8 +19,9 @@
 //     reservation through Planner::Solve's delta path, and the stream's
 //     activation is posted to the destination shard after the transfer
 //     delay;
-//  2. detects overloaded VMs from the per-host telemetry SLO gauges
-//     (burn-rate + burst streak, the slo.vm*.* signals) and starts a drain;
+//  2. detects overloaded VMs from each host's telemetry SLO tracker
+//     (SloTracker::VerdictFor: burn rate + over-budget streak) and starts a
+//     drain;
 //  3. admits newly arrived VM reservations onto hosts by worst-fit or
 //     first-fit bin packing over committed utilization.
 #ifndef SRC_FLEET_CLUSTER_H_

@@ -48,7 +48,7 @@ Host::Host(const HostConfig& config) : config_(config) {
       std::vector<int> vm_of;
       for (int s = 0; s < num_slots; ++s) {
         telemetry_->SetVcpuName(s, slots_[static_cast<std::size_t>(s)].vcpu->params().name);
-        vm_of.push_back(s);  // One slot = one VM for per-host SLO gauges.
+        vm_of.push_back(s);  // One slot = one VM for the per-host SLO tracker.
       }
       telemetry_->SetVmOf(std::move(vm_of));
       machine_->AttachTelemetry(telemetry_.get());

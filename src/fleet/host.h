@@ -56,7 +56,7 @@ struct HostConfig {
   // See MachineConfig::report_engine_stats. Fleet hosts sharing a serial
   // engine must turn this off so snapshots are execution-mode-independent.
   bool report_engine_stats = true;
-  // Windowed telemetry for the slot pool (SLO gauges drive the control
+  // Windowed telemetry for the slot pool (SLO verdicts drive the control
   // plane's overload detection). Off = the owner attaches telemetry itself.
   bool attach_telemetry = true;
   obs::Telemetry::Config telemetry;
@@ -139,7 +139,7 @@ class Host {
     return slots_[static_cast<std::size_t>(slot)].guest.get();
   }
 
-  // End-of-run metrics snapshot (telemetry SLO gauges included).
+  // End-of-run metrics snapshot (adaptive controller counters included).
   obs::MetricsSnapshot SnapshotMetrics();
 
  private:

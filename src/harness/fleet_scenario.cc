@@ -23,13 +23,13 @@ fleet::ClusterConfig BuildFleetConfig(const FleetScenarioConfig& config) {
   cluster.host.cores_per_socket = config.cores_per_socket;
   cluster.host.slots_per_core = config.slots_per_core;
   // SLO windows align with control ticks: the cadence sample at each
-  // barrier closes exactly one telemetry window, so the burn-rate gauges
+  // barrier closes exactly one telemetry window, so the burn-rate verdicts
   // the control plane reads are fresh and mode-independent.
   cluster.host.telemetry.window_ns = config.control_period;
   cluster.host.telemetry.slo.window_ns = config.control_period;
   cluster.host.telemetry.slo.target_latency_ns = config.latency_goal;
   // A fleet host has hundreds of slots; skip per-vCPU series (the per-VM
-  // SLO gauges and machine-wide series carry the signal; the adaptive
+  // SLO tracker and machine-wide series carry the signal; the adaptive
   // controller's window views come from the attributor, not the recorder).
   cluster.host.telemetry.max_vcpu_series = 0;
   cluster.host.max_latency_degradations = config.max_latency_degradations;

@@ -70,7 +70,7 @@ struct FleetScenarioConfig {
 };
 
 // Builds the full cluster configuration: per-host telemetry windows aligned
-// with the control period (SLO gauges sampled at tick barriers) and the VM
+// with the control period (SLO windows closed at tick barriers) and the VM
 // reservation list derived from the stream parameters above.
 fleet::ClusterConfig BuildFleetConfig(const FleetScenarioConfig& config);
 

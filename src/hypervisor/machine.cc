@@ -30,12 +30,9 @@ Machine::Machine(MachineConfig config, std::unique_ptr<VcpuScheduler> scheduler)
   m_schedule_invocations_ = metrics_.GetCounter("machine.schedule_invocations");
   m_overhead_ns_ = metrics_.GetCounter("machine.overhead_ns");
   m_dispatch_latency_ = metrics_.GetHistogram("machine.dispatch_latency_ns");
-  m_op_ns_[static_cast<int>(SchedOp::kSchedule)] =
-      metrics_.GetHistogram("machine.sched_op.schedule_ns");
-  m_op_ns_[static_cast<int>(SchedOp::kWakeup)] =
-      metrics_.GetHistogram("machine.sched_op.wakeup_ns");
-  m_op_ns_[static_cast<int>(SchedOp::kMigrate)] =
-      metrics_.GetHistogram("machine.sched_op.migrate_ns");
+  for (int op = 0; op < kNumSchedOps; ++op) {
+    m_op_ns_[op] = metrics_.GetHistogram(SchedOpMetric(static_cast<SchedOp>(op)));
+  }
   // Attach last: schedulers may register their own metrics from Attach().
   scheduler_->Attach(this);
 }
@@ -114,7 +111,6 @@ auto Machine::TraceOp(SchedOp op, CpuId cpu, Fn&& fn) {
   carryover_cost_ = 0;
   auto finish = [&]() {
     op_active_ = false;
-    op_stats_.Record(op, op_cost_);
     m_op_ns_[static_cast<int>(op)]->Record(op_cost_);
     CpuState& state = cpu_[static_cast<std::size_t>(cpu)];
     state.overhead_debt += op_cost_;
@@ -401,9 +397,6 @@ void Machine::OnCpuEvent(CpuId cpu) {
 }
 
 obs::MetricsSnapshot Machine::SnapshotMetrics() {
-  if (telemetry_ != nullptr) {
-    telemetry_->PublishMetrics(&metrics_);
-  }
   TimeNs busy = 0;
   TimeNs overhead = 0;
   for (const CpuState& state : cpu_) {

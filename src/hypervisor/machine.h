@@ -134,8 +134,6 @@ class Machine {
 
   // --- Statistics ---
 
-  OpStats& op_stats() { return op_stats_; }
-
   // Event trace (xentrace analog). Disabled by default; enable with
   // trace().set_enabled(true) before Start().
   TraceBuffer& trace() { return trace_; }
@@ -216,7 +214,6 @@ class Machine {
   TimeNs op_cost_ = 0;
   TimeNs carryover_cost_ = 0;
 
-  OpStats op_stats_;
   TraceBuffer trace_;
   obs::MetricsRegistry metrics_;
   // Hot-path metric handles, resolved once in the constructor (before the

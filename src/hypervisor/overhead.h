@@ -8,12 +8,11 @@
 // transfers, IPIs, timer reprogramming). Charged costs consume simulated CPU
 // time — they delay guest execution — so scheduler overhead degrades guest
 // throughput exactly as on real hardware, and Tables 1-2 fall out of the
-// simulated tracepoint samples.
+// simulated tracepoint samples (the machine.sched_op.* metrics).
 #ifndef SRC_HYPERVISOR_OVERHEAD_H_
 #define SRC_HYPERVISOR_OVERHEAD_H_
 
 #include "src/common/time.h"
-#include "src/stats/histogram.h"
 
 namespace tableau {
 
@@ -60,20 +59,19 @@ inline const char* SchedOpName(SchedOp op) {
   return "?";
 }
 
-// Per-operation overhead sample collection (the simulated tracepoints).
-class OpStats {
- public:
-  void Record(SchedOp op, TimeNs cost) { histograms_[static_cast<int>(op)].Record(cost); }
-  const Histogram& Of(SchedOp op) const { return histograms_[static_cast<int>(op)]; }
-  void Reset() {
-    for (Histogram& h : histograms_) {
-      h.Reset();
-    }
+// The machine metric (a LatencyHistogram of per-invocation cost in ns) that
+// records every `op`: the simulated tracepoint behind Tables 1-2.
+inline const char* SchedOpMetric(SchedOp op) {
+  switch (op) {
+    case SchedOp::kSchedule:
+      return "machine.sched_op.schedule_ns";
+    case SchedOp::kWakeup:
+      return "machine.sched_op.wakeup_ns";
+    case SchedOp::kMigrate:
+      return "machine.sched_op.migrate_ns";
   }
-
- private:
-  Histogram histograms_[kNumSchedOps];
-};
+  return "?";
+}
 
 // Exact serialization model of a contended lock inside the DES: each
 // acquisition waits for the previous holder's critical section to end. With

@@ -86,8 +86,7 @@ class Gauge {
 // Fixed-bucket latency histogram: 64 power-of-two buckets (bucket i counts
 // values whose bit width is i, i.e. [2^(i-1), 2^i - 1]; bucket 0 counts
 // zeros), exact count/sum/min/max on the side. Record is O(1): a bit-width
-// computation and relaxed atomic updates, safe for concurrent recorders
-// (planner worker threads).
+// computation and relaxed atomic updates, safe for concurrent recorders.
 class LatencyHistogram {
  public:
   static constexpr int kBuckets = 64;

@@ -322,21 +322,4 @@ std::string Telemetry::ToJson(int indent) const {
   return out;
 }
 
-void Telemetry::PublishMetrics(MetricsRegistry* registry) const {
-  for (int vm = 0; vm < num_vms_; ++vm) {
-    const SloVerdict v = slo_.VerdictFor(vm);
-    const std::string prefix = "slo.vm" + std::to_string(vm) + ".";
-    registry->GetGauge(prefix + "requests")
-        ->Set(static_cast<double>(v.requests));
-    registry->GetGauge(prefix + "misses")->Set(static_cast<double>(v.misses));
-    registry->GetGauge(prefix + "attainment")->Set(v.attainment);
-    registry->GetGauge(prefix + "slo_met")->Set(v.slo_met ? 1 : 0);
-    registry->GetGauge(prefix + "burn_rate")->Set(v.burn_rate);
-    registry->GetGauge(prefix + "longest_streak")
-        ->Set(static_cast<double>(v.longest_streak));
-    registry->GetGauge(prefix + "burst_detected")
-        ->Set(v.burst_detected ? 1 : 0);
-  }
-}
-
 }  // namespace tableau::obs

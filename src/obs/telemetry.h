@@ -9,8 +9,8 @@
 // Lifecycle: construct with a Config, optionally SetVcpuName/SetVmOf, then
 // Machine::Start calls Bind once vCPU/pCPU counts are known. Machine drives
 // the On* hooks from its trace points; workloads bracket each guest request
-// with BeginRequest/EndRequest. Export via TimeSeries(), VerdictFor-backed
-// JSON, or PublishMetrics into the machine's MetricsRegistry.
+// with BeginRequest/EndRequest. Export via TimeSeries() or the
+// VerdictFor-backed JSON.
 #ifndef SRC_OBS_TELEMETRY_H_
 #define SRC_OBS_TELEMETRY_H_
 
@@ -131,9 +131,6 @@ class Telemetry {
   // {"schema_version", "slo": {vm: verdict...}, "attribution": {vm:
   // {component: histogram summary...}}, "timeseries": {...}}.
   std::string ToJson(int indent = 0) const;
-  // Surfaces per-VM SLO verdicts as slo.vm<k>.* gauges in `registry`
-  // (snapshot-time only; allocates registry entries on first call).
-  void PublishMetrics(MetricsRegistry* registry) const;
 
  private:
   struct VcpuSeries {

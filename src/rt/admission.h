@@ -1,6 +1,6 @@
-// Analytic admission fast-path for uniprocessor EDF task sets (ROADMAP item
-// "make the parallel planner actually win": prune expensive EDF table
-// simulations with a schedcat-style ladder of cheap schedulability tests).
+// Analytic admission fast-path for uniprocessor EDF task sets: prunes
+// expensive EDF table simulations with a schedcat-style ladder of cheap
+// schedulability tests.
 //
 // The ladder runs cheapest-first and stops at the first rung that *decides*:
 //
@@ -26,7 +26,6 @@
 #ifndef SRC_RT_ADMISSION_H_
 #define SRC_RT_ADMISSION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -62,19 +61,14 @@ struct AdmissionDecision {
   AdmissionRung rung = AdmissionRung::kSimulation;  // The rung that decided.
 };
 
-// Thread-safe per-rung decision counters. The planner owns one per solve and
-// threads it through the pipeline (C=D probes run on pool workers), then
-// folds the totals into PlanResult::admission and the planner.admission.*
-// metrics.
+// Per-rung decision counters. The planner owns one per solve and threads it
+// through the pipeline (partition, C=D probes, per-core EDF), then folds the
+// totals into PlanResult::admission and the planner.admission.* metrics.
 struct AdmissionTally {
-  std::atomic<std::int64_t> by_rung[4] = {};
+  std::int64_t by_rung[4] = {};
 
-  void Record(AdmissionRung rung) {
-    by_rung[static_cast<int>(rung)].fetch_add(1, std::memory_order_relaxed);
-  }
-  std::int64_t Count(AdmissionRung rung) const {
-    return by_rung[static_cast<int>(rung)].load(std::memory_order_relaxed);
-  }
+  void Record(AdmissionRung rung) { ++by_rung[static_cast<int>(rung)]; }
+  std::int64_t Count(AdmissionRung rung) const { return by_rung[static_cast<int>(rung)]; }
 };
 
 // Analytic rungs only (1-3): returns the decision, or nullopt when every

@@ -28,8 +28,6 @@
 
 namespace tableau {
 
-class ThreadPool;
-
 struct SemiPartitionResult {
   // True if every task was placed (possibly split).
   bool complete = false;
@@ -43,20 +41,15 @@ struct SemiPartitionResult {
 // Attempts to place `task` (implicit-deadline, offset 0) into the per-core
 // assignment by C=D splitting, modifying `core_tasks` on success. Each core
 // hosts at most one piece of the task. `granularity` is the minimum piece
-// size (the paper's 100 us enforceability threshold). A non-null `pool`
-// runs the per-core schedulability probes and the split-point search
-// concurrently; the probes it consumes are the exact sequence the serial
-// search would evaluate, so the resulting split is identical. A non-null
-// `tally` counts which admission rung decided each probe.
+// size (the paper's 100 us enforceability threshold). A non-null `tally`
+// counts which admission rung decided each probe.
 bool CdSplitTask(const PeriodicTask& task, std::vector<std::vector<PeriodicTask>>& core_tasks,
-                 TimeNs hyperperiod, TimeNs granularity, ThreadPool* pool = nullptr,
-                 AdmissionTally* tally = nullptr);
+                 TimeNs hyperperiod, TimeNs granularity, AdmissionTally* tally = nullptr);
 
 // Full semi-partitioning pipeline: worst-fit-decreasing partitioning followed
 // by C=D splitting of the leftovers.
 SemiPartitionResult SemiPartition(const std::vector<PeriodicTask>& tasks, int num_cores,
                                   TimeNs hyperperiod, TimeNs granularity,
-                                  ThreadPool* pool = nullptr,
                                   AdmissionTally* tally = nullptr);
 
 }  // namespace tableau

@@ -63,14 +63,11 @@ void ShardedSimulation::RunUntil(TimeNs until) {
   const std::size_t n = engines_.size();
   const std::size_t ranges =
       pool_ != nullptr ? static_cast<std::size_t>(pool_->num_threads()) : 1;
-  ParallelFor(
-      pool_.get(), ranges,
-      [this, n, ranges, until](std::size_t r) {
-        for (std::size_t i = r * n / ranges; i < (r + 1) * n / ranges; ++i) {
-          engines_[i]->RunUntil(until);
-        }
-      },
-      /*grain=*/1);
+  ParallelFor(pool_.get(), ranges, [this, n, ranges, until](std::size_t r) {
+    for (std::size_t i = r * n / ranges; i < (r + 1) * n / ranges; ++i) {
+      engines_[i]->RunUntil(until);
+    }
+  });
   running_ = false;
   barrier_ = until;
   ++num_barriers_;

@@ -6,7 +6,11 @@
 
 namespace tableau {
 
-Histogram::Histogram() : buckets_(static_cast<std::size_t>(kOctaves) * kSubBuckets, 0) {}
+void Histogram::AllocateBuckets() {
+  if (buckets_.empty()) {
+    buckets_.assign(static_cast<std::size_t>(kOctaves) * kSubBuckets, 0);
+  }
+}
 
 int Histogram::BucketIndex(std::uint64_t value) {
   if (value < kSubBuckets) {
@@ -33,6 +37,7 @@ std::uint64_t Histogram::BucketUpperEdge(int index) {
 void Histogram::Record(TimeNs value) {
   const std::uint64_t v = value < 0 ? 0 : static_cast<std::uint64_t>(value);
   const int index = BucketIndex(v);
+  AllocateBuckets();
   TABLEAU_CHECK(index >= 0 && index < static_cast<int>(buckets_.size()));
   buckets_[static_cast<std::size_t>(index)]++;
   count_++;
@@ -46,19 +51,20 @@ void Histogram::Record(TimeNs value) {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  TABLEAU_CHECK(buckets_.size() == other.buckets_.size());
+  if (other.count_ == 0) {
+    return;  // Nothing recorded: a no-op that leaves the buckets unallocated.
+  }
+  AllocateBuckets();
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
   // Chan et al.'s pairwise combination of the Welford states: exact for the
   // concatenated sample stream.
-  if (other.count_ > 0) {
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * nb / (na + nb);
-    m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-  }
+  const double na = static_cast<double>(count_);
+  const double nb = static_cast<double>(other.count_);
+  const double delta = other.mean_ - mean_;
+  mean_ += delta * nb / (na + nb);
+  m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
   count_ += other.count_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);

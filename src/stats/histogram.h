@@ -3,7 +3,10 @@
 //
 // Values are bucketed with 64 sub-buckets per power of two, giving a worst-
 // case relative quantile error of ~1.6%. Exact minimum, maximum, count, and
-// sum are tracked on the side so Min()/Max()/Mean() are exact.
+// sum are tracked on the side so Min()/Max()/Mean() are exact. The 58 KB
+// bucket array is allocated on the first Record (or a Merge of recorded
+// data): every vCPU carries two histograms, and only instrumented ones
+// ever record.
 #ifndef SRC_STATS_HISTOGRAM_H_
 #define SRC_STATS_HISTOGRAM_H_
 
@@ -17,8 +20,6 @@ namespace tableau {
 
 class Histogram {
  public:
-  Histogram();
-
   // Records one sample. Negative samples are clamped to zero.
   void Record(TimeNs value);
 
@@ -51,6 +52,9 @@ class Histogram {
   // Representative (upper-edge) value of a bucket.
   static std::uint64_t BucketUpperEdge(int index);
 
+  void AllocateBuckets();
+
+  // Empty until the first sample arrives.
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;
   double sum_ = 0;

@@ -20,6 +20,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
 #include "src/sim/simulation.h"
+#include "src/stats/histogram.h"
 
 namespace {
 
@@ -174,6 +175,24 @@ TEST(AllocSteadyState, TraceRecordingIsAllocationFreeFromConstruction) {
   EXPECT_EQ(AllocationCount() - allocs_before, 0u);
   EXPECT_EQ(trace.size(), kCapacity);
   EXPECT_EQ(trace.total_recorded(), 3 * kCapacity);
+}
+
+TEST(AllocSteadyState, HistogramAllocatesOnFirstRecordOnly) {
+  // Every vCPU carries two HDR histograms and only instrumented vCPUs ever
+  // record into them: construction must not touch the 58 KB bucket array.
+  std::uint64_t allocs_before = AllocationCount();
+  Histogram histogram;
+  Histogram other;
+  histogram.Merge(other);
+  EXPECT_EQ(AllocationCount() - allocs_before, 0u);
+  histogram.Record(42);
+  EXPECT_EQ(AllocationCount() - allocs_before, 1u);
+  allocs_before = AllocationCount();
+  for (TimeNs v = 0; v < 1000; ++v) {
+    histogram.Record(v * 997);
+  }
+  EXPECT_EQ(AllocationCount() - allocs_before, 0u);
+  EXPECT_EQ(histogram.Count(), 1001u);
 }
 
 TEST(AllocSteadyState, MetricHandlesRecordAllocationFree) {

@@ -241,6 +241,63 @@ TEST(Histogram, Reset) {
   EXPECT_EQ(h.Max(), 0);
 }
 
+TEST(Histogram, NeverRecordedPercentileAndReset) {
+  // The bucket array is allocated on the first sample; a histogram that
+  // never saw one still answers every accessor.
+  Histogram h;
+  EXPECT_EQ(h.Percentile(0.0), 0);
+  EXPECT_EQ(h.Percentile(0.99), 0);
+  EXPECT_EQ(h.Percentile(1.0), 0);
+  h.Reset();
+  EXPECT_EQ(h.Count(), 0u);
+  EXPECT_EQ(h.Percentile(0.5), 0);
+  h.Record(7);
+  EXPECT_EQ(h.Percentile(0.5), 7);
+}
+
+TEST(Histogram, MergeEmptyAndNonEmptyInEveryCombination) {
+  const auto filled = [] {
+    Histogram h;
+    for (TimeNs v = 10; v <= 50; v += 10) {
+      h.Record(v);
+    }
+    return h;
+  };
+  {
+    Histogram empty;
+    empty.Merge(Histogram());
+    EXPECT_EQ(empty.Count(), 0u);
+    EXPECT_EQ(empty.Min(), 0);
+    EXPECT_EQ(empty.Percentile(0.5), 0);
+  }
+  {
+    Histogram empty;
+    empty.Merge(filled());
+    EXPECT_EQ(empty.Count(), 5u);
+    EXPECT_EQ(empty.Min(), 10);
+    EXPECT_EQ(empty.Max(), 50);
+    EXPECT_DOUBLE_EQ(empty.Mean(), 30.0);
+    EXPECT_DOUBLE_EQ(empty.Variance(), filled().Variance());
+    EXPECT_EQ(empty.Percentile(0.5), 30);
+  }
+  {
+    Histogram full = filled();
+    full.Merge(Histogram());
+    EXPECT_EQ(full.Count(), 5u);
+    EXPECT_EQ(full.Min(), 10);
+    EXPECT_DOUBLE_EQ(full.Mean(), 30.0);
+    EXPECT_EQ(full.Percentile(1.0), 50);
+  }
+  {
+    Histogram full = filled();
+    full.Merge(filled());
+    EXPECT_EQ(full.Count(), 10u);
+    EXPECT_DOUBLE_EQ(full.Mean(), 30.0);
+    EXPECT_EQ(full.Percentile(0.5), 30);
+    EXPECT_EQ(full.Percentile(0.7), 40);
+  }
+}
+
 TEST(Histogram, PercentileMonotone) {
   Histogram h;
   Rng rng(3);
@@ -323,77 +380,6 @@ TEST(ThreadPool, ConcurrentCallersShareOnePool) {
   for (const auto& c : counts) {
     EXPECT_EQ(c.load(), 1);
   }
-}
-
-TEST(ThreadPool, StatsAccountForEveryIndex) {
-  ThreadPool pool(4);
-  constexpr std::size_t kIndices = 5000;
-  std::atomic<std::size_t> ran{0};
-  pool.ParallelFor(kIndices, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), kIndices);
-  const ThreadPool::Stats stats = pool.GetStats();
-  ASSERT_EQ(stats.indices.size(), 4u);
-  std::uint64_t total = 0;
-  for (const std::uint64_t count : stats.indices) {
-    total += count;
-  }
-  // Every index is billed to exactly one slot, whoever ran it.
-  EXPECT_EQ(total, kIndices);
-}
-
-TEST(ThreadPool, ExplicitGrainStillCoversEveryIndexOnce) {
-  ThreadPool pool(3);
-  for (const std::size_t grain : {std::size_t{1}, std::size_t{7}, std::size_t{1000}}) {
-    std::vector<std::atomic<int>> counts(100);
-    pool.ParallelFor(counts.size(), [&](std::size_t i) { counts[i].fetch_add(1); },
-                     grain);
-    for (const auto& c : counts) {
-      ASSERT_EQ(c.load(), 1) << "grain " << grain;
-    }
-  }
-}
-
-TEST(ThreadPool, NestedWorkBilledToWorkerSlotNotSlotZero) {
-  // A nested ParallelFor issued from inside a worker used to bill its inline
-  // work to slot 0 (the "caller" slot) even though a pool worker ran it.
-  // Barrier all three participants on one outer grain each; the two bodies
-  // that land on workers run a single-grain (inline) nested loop, which must
-  // be billed to their own slots.
-  ThreadPool pool(3);
-  constexpr std::size_t kNested = 50;
-  std::atomic<int> arrived{0};
-  pool.ParallelFor(
-      3,
-      [&](std::size_t) {
-        arrived.fetch_add(1);
-        while (arrived.load() < 3) {
-          std::this_thread::yield();  // Holds this grain: one per participant.
-        }
-        if (pool.CurrentSlot() > 0) {
-          std::size_t sum = 0;
-          pool.ParallelFor(kNested, [&](std::size_t j) { sum += j; },
-                           /*grain=*/kNested);
-          ASSERT_EQ(sum, kNested * (kNested - 1) / 2);
-        }
-      },
-      /*grain=*/1);
-  const ThreadPool::Stats stats = pool.GetStats();
-  ASSERT_EQ(stats.indices.size(), 3u);
-  // Each participant ran exactly one outer index; the workers additionally
-  // ran their nested loops inline, billed to their own slots.
-  EXPECT_EQ(stats.indices[0], 1u);
-  EXPECT_EQ(stats.indices[1], 1u + kNested);
-  EXPECT_EQ(stats.indices[2], 1u + kNested);
-}
-
-TEST(ThreadPool, CurrentSlotIsZeroOffPool) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.CurrentSlot(), 0);
-  // Another pool's workers are "foreign" threads for this pool.
-  ThreadPool other(2);
-  int seen = -1;
-  other.ParallelFor(1, [&](std::size_t) { seen = pool.CurrentSlot(); }, 1);
-  EXPECT_EQ(seen, 0);
 }
 
 TEST(RunningStat, Basics) {

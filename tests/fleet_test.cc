@@ -273,6 +273,24 @@ TEST(FleetMigrationTest, OverloadDrainsMigratesAndVerifies) {
   EXPECT_LT(slo.worst_vm_attainment, 1.0);
 }
 
+TEST(FleetMigrationTest, MergedMetricsCarryNoPerSlotSloGauges) {
+  // The CI fleet smoke run: VM 0 surges 6x and is migrated. Per-VM verdicts
+  // live in each host's SLO tracker and in Cluster::Slo(), which follows a VM
+  // across hosts; merged metrics hold no per-slot slo.vm<k>.* gauges, whose
+  // max-merge would mix unrelated VMs that share a host-local slot index.
+  FleetScenarioConfig config;
+  config.num_hosts = 4;
+  config.cpus_per_host = 4;
+  config.slots_per_core = 2;
+  config.num_vms = 8;
+  config.surge_vms = 1;
+  config.surge_at = 100 * kMillisecond;
+  config.surge_factor = 6.0;
+  const FleetRun run = RunFleet(config, 500 * kMillisecond);
+  EXPECT_EQ(run.metrics_json.find("\"slo.vm"), std::string::npos);
+  EXPECT_LT(run.slo.worst_vm_attainment, 1.0);
+}
+
 TEST(FleetMigrationTest, MigrationIsDeterministicAcrossModes) {
   FleetScenarioConfig config = SmallFleet();
   config.arrival_spread = 0;

@@ -61,7 +61,8 @@ TEST_P(AllSchedulers, HighDensityStressRunsToCompletion) {
     EXPECT_LE(scenario.machine->cpu_busy_ns(cpu) + scenario.machine->cpu_overhead_ns(cpu),
               2 * kSecond + kMillisecond);
   }
-  EXPECT_GT(scenario.machine->op_stats().Of(SchedOp::kSchedule).Count(), 1000u);
+  const obs::MetricsSnapshot metrics = scenario.machine->metrics().Snapshot();
+  EXPECT_GT(metrics.values.at(SchedOpMetric(SchedOp::kSchedule)).hist.count, 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -144,7 +145,10 @@ TEST(Integration, TableauSchedulerOverheadLowestUnderIoStress) {
     AttachStress(scenario, stress, 0);
     scenario.machine->Start();
     scenario.machine->RunFor(2 * kSecond);
-    schedule_cost[index++] = scenario.machine->op_stats().Of(SchedOp::kSchedule).Mean();
+    schedule_cost[index++] = scenario.machine->metrics()
+                                 .Snapshot()
+                                 .values.at(SchedOpMetric(SchedOp::kSchedule))
+                                 .hist.Mean();
   }
   EXPECT_LT(schedule_cost[0], schedule_cost[1]);  // Tableau < RTDS.
   EXPECT_LT(schedule_cost[1], schedule_cost[2]);  // RTDS < Credit.

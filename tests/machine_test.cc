@@ -126,7 +126,9 @@ TEST(Machine, WakeOnRunnableVcpuIsNoOp) {
   });
   f.machine->Start();
   f.machine->RunFor(10 * kMillisecond);
-  EXPECT_EQ(f.machine->op_stats().Of(SchedOp::kWakeup).Count(), 1u);
+  EXPECT_EQ(
+      f.machine->metrics().Snapshot().values.at(SchedOpMetric(SchedOp::kWakeup)).hist.count,
+      1u);
 }
 
 TEST(Machine, TwoVcpusShareCpuRoundRobin) {
@@ -202,10 +204,11 @@ TEST(Machine, OpCostsRecordedAsTracepoints) {
   f.machine->sim().ScheduleAt(0, [&] { f.machine->Wake(vcpu->id()); });
   f.machine->Start();
   f.machine->RunFor(100 * kMillisecond);
-  const Histogram& schedule = f.machine->op_stats().Of(SchedOp::kSchedule);
-  EXPECT_GT(schedule.Count(), 5u);
+  const obs::HistogramValue schedule =
+      f.machine->metrics().Snapshot().values.at(SchedOpMetric(SchedOp::kSchedule)).hist;
+  EXPECT_GT(schedule.count, 5u);
   // Every schedule op includes the fixed entry cost plus the pick cost.
-  EXPECT_GE(schedule.Min(), 2 * kMicrosecond + OverheadCosts{}.sched_entry);
+  EXPECT_GE(schedule.min, 2 * kMicrosecond + OverheadCosts{}.sched_entry);
 }
 
 TEST(Machine, WallClockAccrualIncludesOverheadWindow) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <map>
 
 #include "src/common/rng.h"
@@ -267,6 +269,81 @@ TEST(Planner, MixedTiersPlan) {
     // Donations must stay small relative to the share (< 2% of it).
     EXPECT_LE(donated, 0.02 * vcpu.requested_utilization + 1e-9) << vcpu.vcpu;
   }
+}
+
+// FNV-1a over a solve's method, serialized table and admission breakdown.
+class PlanHash {
+ public:
+  void Add(const PlanResult& plan) {
+    EXPECT_TRUE(plan.success) << plan.error;
+    Value(plan.method);
+    for (const std::uint8_t byte : plan.table.Serialize()) {
+      Value(byte);
+    }
+    Value(plan.admission.utilization);
+    Value(plan.admission.density);
+    Value(plan.admission.qpa);
+    Value(plan.admission.simulation);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  template <typename T>
+  void Value(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char byte : bytes) {
+      hash_ = (hash_ ^ byte) * 1099511628211ull;
+    }
+  }
+
+  std::uint64_t hash_ = 1469598103934665603ull;
+};
+
+// Pins the planner's outputs on the Fig. 3 points, heterogeneous
+// reservations, a C=D split, a delta solve and a clustered fallback: a
+// refactor of the pipeline must reproduce every one byte for byte.
+TEST(Planner, SerialOutputsGolden) {
+  PlanHash hash;
+  const auto solve = [&](int cpus, int cores_per_socket,
+                         const std::vector<VcpuRequest>& requests) {
+    PlannerConfig config;
+    config.num_cpus = cpus;
+    config.cores_per_socket = cores_per_socket;
+    const PlanResult plan = Planner(config).Solve(PlanRequest::Full(requests));
+    hash.Add(plan);
+    return plan.method;
+  };
+  solve(12, 6, UniformRequests(48, 0.25, 20 * kMillisecond));
+  solve(44, 22, UniformRequests(176, 0.25, 20 * kMillisecond));
+  solve(44, 0, UniformRequests(176, 0.25, kMillisecond));
+
+  std::vector<VcpuRequest> mixed;
+  const double utilizations[] = {0.1, 0.25, 0.4, 0.55};
+  const TimeNs goals[] = {5 * kMillisecond, 20 * kMillisecond, 60 * kMillisecond};
+  for (int i = 0; i < 60; ++i) {
+    mixed.push_back(VcpuRequest{i, utilizations[i % 4], goals[i % 3]});
+  }
+  solve(44, 0, mixed);
+
+  EXPECT_EQ(solve(4, 0, UniformRequests(6, 0.6, 40 * kMillisecond)),
+            PlanMethod::kSemiPartitioned);
+
+  PlannerConfig config;
+  config.num_cpus = 12;
+  const Planner planner(config);
+  const PlanResult first =
+      planner.Solve(PlanRequest::Full(UniformRequests(40, 0.25, 20 * kMillisecond)));
+  hash.Add(first);
+  const PlanResult delta = planner.Solve(PlanRequest::Delta(
+      first, {{100, 0.25, 20 * kMillisecond}, {101, 0.5, 10 * kMillisecond}}, {3, 17}));
+  hash.Add(delta);
+
+  std::vector<VcpuRequest> clustered = UniformRequests(4, 0.9, 2 * kMillisecond);
+  clustered.push_back(VcpuRequest{4, 0.35, 3 * kMillisecond});
+  EXPECT_EQ(solve(4, 0, clustered), PlanMethod::kClustered);
+
+  EXPECT_EQ(hash.value(), 0xdd5319685de4b94cull) << std::hex << hash.value();
 }
 
 class PlannerPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -320,7 +320,10 @@ TEST(Rtds, GlobalLockCostGrowsWithCoreCount) {
     }
     tm.machine->Start();
     tm.machine->RunFor(kSecond);
-    migrate_cost[index++] = tm.machine->op_stats().Of(SchedOp::kMigrate).Mean();
+    migrate_cost[index++] = tm.machine->metrics()
+                                .Snapshot()
+                                .values.at(SchedOpMetric(SchedOp::kMigrate))
+                                .hist.Mean();
   }
   EXPECT_GT(migrate_cost[1], 2.0 * migrate_cost[0]);
 }

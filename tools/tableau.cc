@@ -3,8 +3,8 @@
 // verification and observability layers built on it. One binary, one
 // subcommand per job:
 //
-//   tableau plan --cpus N [--cores-per-socket K] [--peephole] [--threads T]
-//                [--out FILE] U:L_ms[:SOCKET] ...
+//   tableau plan --cpus N [--cores-per-socket K] [--peephole] [--out FILE]
+//                U:L_ms[:SOCKET] ...
 //       Plans the reservations through Planner::Solve(PlanRequest) and
 //       prints the per-vCPU report; --out writes the table in the binary
 //       "hypercall" format the dispatcher consumes.
@@ -139,7 +139,6 @@ int PlanMain(int argc, char** argv) {
   flags.Value("--cpus", &config.num_cpus);
   flags.Value("--cores-per-socket", &config.cores_per_socket);
   flags.Switch("--peephole", [&config] { config.peephole_pass = true; });
-  flags.Value("--threads", &config.num_threads);
   flags.Value("--out", &out_path);
   const std::vector<std::string> specs = flags.Parse(argc, argv, 1, SIZE_MAX);
   std::vector<VcpuRequest> requests(specs.size());
