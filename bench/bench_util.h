@@ -181,7 +181,7 @@ class BenchJson {
       return;
     }
     std::fprintf(file, "{\n  \"schema_version\": \"%s\",\n  \"name\": \"%s\"",
-                 obs::MetricsSnapshot::SchemaVersion(), name_.c_str());
+                 obs::kSchemaVersion, name_.c_str());
     for (const auto& [key, value] : entries_) {
       std::fprintf(file, ",\n  \"%s\": %.6g", key.c_str(), value);
     }

@@ -54,9 +54,6 @@ class Rng {
   // Uniform double in [lo, hi).
   double UniformDouble(double lo, double hi) { return lo + UniformDouble() * (hi - lo); }
 
-  // Exponentially distributed value with the given mean (for Poisson arrivals).
-  double Exponential(double mean);
-
  private:
   static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -9,7 +9,6 @@ namespace tableau {
 TableauDispatcher::TableauDispatcher(int num_cpus, Config config)
     : num_cpus_(num_cpus), config_(config) {
   TABLEAU_CHECK(num_cpus_ > 0);
-  TABLEAU_CHECK(config_.second_level_epoch > 0);
   second_level_.resize(static_cast<std::size_t>(num_cpus_));
 }
 
@@ -159,7 +158,7 @@ TableauDispatcher::SecondLevelPick TableauDispatcher::PickSecondLevel(
     if (count == 0) {
       return pick;  // Nothing runnable: idle.
     }
-    const TimeNs share = config_.second_level_epoch / count;
+    const TimeNs share = kSecondLevelEpochNs / count;
     for (const VcpuId vcpu : locals) {
       if (SecondLevelLocal(vcpu, cpu, now) && eligible(vcpu)) {
         state.budgets[vcpu] = std::max<TimeNs>(share, 1);

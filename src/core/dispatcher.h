@@ -23,6 +23,9 @@ namespace tableau {
 
 // Minimum second-level grant (matches the 100 us enforceability threshold).
 inline constexpr TimeNs kMinGrantNs = 100 * kMicrosecond;
+// Epoch length of the second-level fair-share scheduler: the epoch is
+// divided evenly among runnable core-local vCPUs.
+inline constexpr TimeNs kSecondLevelEpochNs = 10 * kMillisecond;
 
 class TableauDispatcher {
  public:
@@ -30,9 +33,6 @@ class TableauDispatcher {
     // Enables the second-level scheduler (the "uncapped" scenario). When
     // false, idle or blocked table slots stay idle (the "capped" scenario).
     bool work_conserving = true;
-    // Epoch length of the second-level fair-share scheduler: the epoch is
-    // divided evenly among runnable core-local vCPUs.
-    TimeNs second_level_epoch = 10 * kMillisecond;
     // Second-level participation of split (migrating) vCPUs via the
     // "trailing core" policy (Sec. 5): the vCPU takes part only on the pCPU
     // where it last received a guaranteed allocation. The paper's prototype

@@ -11,6 +11,10 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+// Live-migration transfer time (drain-complete to activation on the
+// destination; models the memory-copy phase).
+constexpr TimeNs kTransferNs = 10 * kMillisecond;
+
 inline void Mix(std::uint64_t& fp, std::uint64_t value) {
   fp = (fp ^ value) * kFnvPrime;
 }
@@ -167,7 +171,7 @@ void Cluster::CompleteDrains(TimeNs now) {
     migrations_.push_back(migration);
     const int vm = migration.vm;
     const int dest = destination;
-    sim_.Post(migration.from, destination, config_.transfer_ns,
+    sim_.Post(migration.from, destination, kTransferNs,
               [this, vm, dest, slot] {
                 ActivateOn(vm, dest, slot,
                            hosts_[static_cast<std::size_t>(dest)]->machine().Now());

@@ -57,9 +57,6 @@ struct ClusterConfig {
   // Placement-RPC latency from admission decision to stream activation on
   // the target host.
   TimeNs admission_latency = 200 * kMicrosecond;
-  // Live-migration transfer time (drain-complete to activation on the
-  // destination; models the memory-copy phase).
-  TimeNs transfer_ns = 10 * kMillisecond;
   // Overload detection thresholds: migrate when a VM's SLO burn rate is at
   // or above the threshold with a detected burst streak, after at least
   // min_requests completions. Each VM migrates at most once.

@@ -1,5 +1,7 @@
 #include "src/obs/attribution.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 
 namespace tableau::obs {
@@ -22,25 +24,6 @@ const char* LatencyComponentName(LatencyComponent component) {
       return "network";
   }
   return "?";
-}
-
-HistogramValue CompactHistogram::ToValue() const {
-  HistogramValue value;
-  value.count = count_;
-  value.sum = sum_;
-  value.min = count_ == 0 ? 0 : min_;
-  value.max = count_ == 0 ? 0 : max_;
-  int occupied = 0;
-  for (const std::uint64_t n : buckets_) {
-    occupied += n > 0 ? 1 : 0;
-  }
-  value.buckets.reserve(static_cast<std::size_t>(occupied));
-  for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (buckets_[i] > 0) {
-      value.buckets.emplace_back(i, buckets_[i]);
-    }
-  }
-  return value;
 }
 
 void LatencyAttributor::Bind(int num_vcpus, bool table_driven, TimeNs start) {

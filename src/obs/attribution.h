@@ -15,15 +15,10 @@
 #ifndef SRC_OBS_ATTRIBUTION_H_
 #define SRC_OBS_ATTRIBUTION_H_
 
-#include <algorithm>
 #include <array>
-#include <bit>
-#include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "src/common/time.h"
-#include "src/obs/metrics.h"
 
 namespace tableau::obs {
 
@@ -79,34 +74,6 @@ struct LatencyBreakdown {
   }
 
   bool operator==(const LatencyBreakdown&) const = default;
-};
-
-// Single-writer log2 histogram with the same bucket layout as
-// LatencyHistogram but no atomics and no enable flag — cheap enough to keep
-// one per (VM, component) and hit several times per request on the
-// telemetry hot path. Zero-allocation; ToValue() exports the standard
-// sparse HistogramValue.
-class CompactHistogram {
- public:
-  void Record(TimeNs value) {
-    const std::uint64_t v = value < 0 ? 0 : static_cast<std::uint64_t>(value);
-    buckets_[std::bit_width(v)] += 1;
-    count_ += 1;
-    sum_ += static_cast<std::int64_t>(v);
-    min_ = std::min(min_, static_cast<std::int64_t>(v));
-    max_ = std::max(max_, static_cast<std::int64_t>(v));
-  }
-
-  std::uint64_t count() const { return count_; }
-
-  HistogramValue ToValue() const;
-
- private:
-  std::uint64_t buckets_[LatencyHistogram::kBuckets] = {};
-  std::uint64_t count_ = 0;
-  std::int64_t sum_ = 0;
-  std::int64_t min_ = std::numeric_limits<std::int64_t>::max();
-  std::int64_t max_ = 0;
 };
 
 // One settled interval, reported back to the caller so windowed series can

@@ -144,12 +144,10 @@ class JsonParser {
     }
     if (c == 't') {
       value.type_ = JsonValue::Type::kBool;
-      value.bool_ = true;
       return ConsumeLiteral("true");
     }
     if (c == 'f') {
       value.type_ = JsonValue::Type::kBool;
-      value.bool_ = false;
       return ConsumeLiteral("false");
     }
     if (c == 'n') {

@@ -1,6 +1,6 @@
 // Minimal JSON document model + recursive-descent parser, used by the
-// observability layer for its own artifacts: parsing metric snapshots back
-// (round-trip tests, tooling) and schema-checking emitted Perfetto traces.
+// observability layer to schema-check the Perfetto traces it emits
+// (ValidatePerfettoJson).
 // Not a general-purpose JSON library — no streaming, no \uXXXX surrogate
 // pairs — but strict enough to reject malformed output.
 #ifndef SRC_OBS_JSON_H_
@@ -20,17 +20,14 @@ class JsonValue {
 
   JsonValue() = default;
 
-  Type type() const { return type_; }
   bool is_object() const { return type_ == Type::kObject; }
   bool is_array() const { return type_ == Type::kArray; }
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
 
   double number() const { return number_; }
-  bool boolean() const { return bool_; }
   const std::string& str() const { return string_; }
   const std::vector<JsonValue>& array() const { return array_; }
-  const std::map<std::string, JsonValue>& object() const { return object_; }
 
   // Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;
@@ -39,7 +36,6 @@ class JsonValue {
   friend class JsonParser;
 
   Type type_ = Type::kNull;
-  bool bool_ = false;
   double number_ = 0;
   std::string string_;
   std::vector<JsonValue> array_;

@@ -32,6 +32,27 @@ std::int64_t LatencyHistogram::BucketUpperEdge(int index) {
   return (std::int64_t{1} << index) - 1;
 }
 
+HistogramValue LatencyHistogram::ToValue() const {
+  HistogramValue value;
+  value.count = count_;
+  value.sum = sum_;
+  value.min = count_ == 0 ? 0 : min_;
+  value.max = count_ == 0 ? 0 : max_;
+  // Two passes: count occupied buckets, reserve exactly, then fill — one
+  // allocation per histogram instead of push_back growth.
+  int occupied = 0;
+  for (const std::uint64_t n : buckets_) {
+    occupied += n > 0 ? 1 : 0;
+  }
+  value.buckets.reserve(static_cast<std::size_t>(occupied));
+  for (int i = 0; i < kBuckets; ++i) {
+    if (buckets_[i] > 0) {
+      value.buckets.emplace_back(i, buckets_[i]);
+    }
+  }
+  return value;
+}
+
 std::int64_t HistogramValue::Percentile(double q) const {
   if (count == 0) {
     return 0;
@@ -86,36 +107,6 @@ std::string CsvEscapeField(const std::string& field) {
   return out;
 }
 
-std::vector<std::string> SplitCsvRow(const std::string& row) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool quoted = false;
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    const char c = row[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < row.size() && row[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"' && field.empty()) {
-      quoted = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else {
-      field += c;
-    }
-  }
-  fields.push_back(std::move(field));
-  return fields;
-}
-
 MetricsRegistry::Entry& MetricsRegistry::FindOrCreate(const std::string& name,
                                                       MetricKind kind) {
   const auto it = entries_.find(name);
@@ -142,22 +133,18 @@ MetricsRegistry::Entry& MetricsRegistry::FindOrCreate(const std::string& name,
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   return FindOrCreate(name, MetricKind::kCounter).counter.get();
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   return FindOrCreate(name, MetricKind::kGauge).gauge.get();
 }
 
 LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   return FindOrCreate(name, MetricKind::kHistogram).hist.get();
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snapshot;
   for (const auto& [name, entry] : entries_) {
     MetricValue value;
@@ -169,28 +156,9 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       case MetricKind::kGauge:
         value.gauge = entry.gauge->value();
         break;
-      case MetricKind::kHistogram: {
-        const LatencyHistogram& hist = *entry.hist;
-        value.hist.count = hist.Count();
-        value.hist.sum = hist.Sum();
-        value.hist.min = hist.Min();
-        value.hist.max = hist.Max();
-        // Two passes: count occupied buckets, reserve exactly, then fill —
-        // one allocation per histogram instead of push_back growth.
-        int occupied = 0;
-        std::uint64_t counts[LatencyHistogram::kBuckets];
-        for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-          counts[i] = hist.buckets_[i].load(std::memory_order_relaxed);
-          occupied += counts[i] > 0 ? 1 : 0;
-        }
-        value.hist.buckets.reserve(static_cast<std::size_t>(occupied));
-        for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-          if (counts[i] > 0) {
-            value.hist.buckets.emplace_back(i, counts[i]);
-          }
-        }
+      case MetricKind::kHistogram:
+        value.hist = entry.hist->ToValue();
         break;
-      }
     }
     snapshot.values.emplace(name, std::move(value));
   }
@@ -270,18 +238,12 @@ std::string FormatDouble(double value) {
 
 }  // namespace
 
-const char* MetricsSnapshot::SchemaVersion() {
-  static_assert(MetricsSnapshot::kSchemaVersionMajor == 1 &&
-                MetricsSnapshot::kSchemaVersionMinor == 0);
-  return "1.0";
-}
-
 std::string MetricsSnapshot::ToJson(int indent) const {
   const std::string p0 = Pad(indent);
   const std::string p1 = Pad(indent + 2);
   const std::string p2 = Pad(indent + 4);
   std::string out = "{\n";
-  out += p1 + "\"schema_version\": \"" + SchemaVersion() + "\",\n";
+  out += p1 + "\"schema_version\": \"" + kSchemaVersion + "\",\n";
 
   const auto EmitSection = [&](MetricKind kind, const char* title,
                                const auto& emit_value, bool last) {
@@ -357,125 +319,6 @@ std::string MetricsSnapshot::ToCsv() const {
     out += "\n";
   }
   return out;
-}
-
-std::optional<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json) {
-  const std::optional<JsonValue> doc = ParseJson(json);
-  if (!doc.has_value() || !doc->is_object()) {
-    return std::nullopt;
-  }
-  // Version gate: an absent schema_version is the pre-versioned format and
-  // parses as major 1; a present one must be a "major.minor" string whose
-  // major we know. Unknown minors are fine (additive changes only).
-  const JsonValue* version = doc->Find("schema_version");
-  if (version != nullptr) {
-    if (!version->is_string()) {
-      return std::nullopt;
-    }
-    const std::string& text = version->str();
-    const std::size_t dot = text.find('.');
-    if (dot == std::string::npos || dot == 0 || dot + 1 >= text.size()) {
-      return std::nullopt;
-    }
-    int major = 0;
-    for (std::size_t i = 0; i < dot; ++i) {
-      if (text[i] < '0' || text[i] > '9') {
-        return std::nullopt;
-      }
-      major = major * 10 + (text[i] - '0');
-    }
-    if (major != kSchemaVersionMajor) {
-      return std::nullopt;
-    }
-  }
-  MetricsSnapshot snapshot;
-
-  const JsonValue* counters = doc->Find("counters");
-  if (counters != nullptr) {
-    if (!counters->is_object()) {
-      return std::nullopt;
-    }
-    for (const auto& [name, v] : counters->object()) {
-      if (!v.is_number()) {
-        return std::nullopt;
-      }
-      MetricValue value;
-      value.kind = MetricKind::kCounter;
-      value.counter = static_cast<std::int64_t>(v.number());
-      snapshot.values.emplace(name, value);
-    }
-  }
-
-  const JsonValue* gauges = doc->Find("gauges");
-  if (gauges != nullptr) {
-    if (!gauges->is_object()) {
-      return std::nullopt;
-    }
-    for (const auto& [name, v] : gauges->object()) {
-      if (!v.is_number()) {
-        return std::nullopt;
-      }
-      MetricValue value;
-      value.kind = MetricKind::kGauge;
-      value.gauge = v.number();
-      snapshot.values.emplace(name, value);
-    }
-  }
-
-  const JsonValue* histograms = doc->Find("histograms");
-  if (histograms != nullptr) {
-    if (!histograms->is_object()) {
-      return std::nullopt;
-    }
-    for (const auto& [name, v] : histograms->object()) {
-      const JsonValue* count = v.Find("count");
-      const JsonValue* sum = v.Find("sum");
-      const JsonValue* min = v.Find("min");
-      const JsonValue* max = v.Find("max");
-      const JsonValue* buckets = v.Find("buckets");
-      if (count == nullptr || !count->is_number() || sum == nullptr ||
-          !sum->is_number() || min == nullptr || !min->is_number() ||
-          max == nullptr || !max->is_number() || buckets == nullptr ||
-          !buckets->is_array()) {
-        return std::nullopt;
-      }
-      MetricValue value;
-      value.kind = MetricKind::kHistogram;
-      value.hist.count = static_cast<std::uint64_t>(count->number());
-      value.hist.sum = static_cast<std::int64_t>(sum->number());
-      value.hist.min = static_cast<std::int64_t>(min->number());
-      value.hist.max = static_cast<std::int64_t>(max->number());
-      for (const JsonValue& pair : buckets->array()) {
-        if (!pair.is_array() || pair.array().size() != 2 ||
-            !pair.array()[0].is_number() || !pair.array()[1].is_number()) {
-          return std::nullopt;
-        }
-        const auto edge = static_cast<std::int64_t>(pair.array()[0].number());
-        if (edge < 0) {
-          return std::nullopt;
-        }
-        // Recover the bucket index from the upper edge. Edges small enough to
-        // be exact in a double must be of the 2^i - 1 form; larger ones lose
-        // low bits in transit, so only the bit width can be checked.
-        if (edge < (std::int64_t{1} << 53) &&
-            (static_cast<std::uint64_t>(edge) &
-             (static_cast<std::uint64_t>(edge) + 1)) != 0) {
-          return std::nullopt;
-        }
-        const int index =
-            edge == 0 ? 0
-                      : std::bit_width(static_cast<std::uint64_t>(edge));
-        if (index >= LatencyHistogram::kBuckets) {
-          return std::nullopt;
-        }
-        value.hist.buckets.emplace_back(
-            index, static_cast<std::uint64_t>(pair.array()[1].number()));
-      }
-      snapshot.values.emplace(name, std::move(value));
-    }
-  }
-
-  return snapshot;
 }
 
 }  // namespace tableau::obs

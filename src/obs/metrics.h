@@ -1,12 +1,18 @@
 // Unified metrics registry: named counters, gauges, and fixed-bucket latency
 // histograms shared by the simulator, the schedulers, and the planner.
 //
-// Hot-path cost budget (see DESIGN.md "Observability"): a Record/Increment is
-// one relaxed atomic load (the enabled flag) plus one or a few relaxed
-// atomic read-modify-writes — no locks, no allocation, no branches on the
-// metric name. Callers obtain a handle (a stable pointer) once, at setup
-// time, and use the handle on the hot path; handle lookup takes the registry
-// mutex and is O(log #metrics).
+// One writer at a time. A registry belongs to one simulated host (or one
+// planner-only bench), and only one thread writes it at any moment:
+//  - its host's worker thread, while a ShardedSimulation barrier runs;
+//  - the thread that calls RunUntil, between barriers (ControlTick, the
+//    planner, snapshots). The thread pool's job hand-off orders the two.
+//  - bench::RunSimulations cells each own their machine's registry and merge
+//    plain snapshots under AccumulatedMetrics' mutex.
+// So nothing here is atomic or locked. Hot-path cost budget (see DESIGN.md
+// "Observability"): a Record/Increment is a check of the enable flag plus
+// plain adds — no allocation, no branches on the metric name. Callers obtain
+// a handle (a stable pointer) once, at setup time, and use the handle on the
+// hot path; handle lookup is O(log #metrics).
 //
 // Metrics are pure observers: recording never feeds back into simulated
 // behaviour, so a run with metrics enabled is bit-identical to one with them
@@ -15,24 +21,26 @@
 //
 // Snapshot semantics: Snapshot() captures every metric's current value into
 // a plain-data MetricsSnapshot. Snapshots merge (for aggregating across
-// machines), serialize to JSON/CSV, and parse back from their own JSON.
+// machines) and serialize to JSON/CSV.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
-#include <atomic>
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/time.h"
 
 namespace tableau::obs {
+
+// Version of every JSON document the repo writes (see DESIGN.md "Versioned
+// JSON schema").
+inline constexpr char kSchemaVersion[] = "1.0";
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
@@ -43,98 +51,40 @@ const char* MetricKindName(MetricKind kind);
 // other field passes through unchanged.
 std::string CsvEscapeField(const std::string& field);
 
-// Splits one CSV row (without its trailing newline) back into fields,
-// undoing CsvEscapeField — the round-trip inverse used by the CSV tests.
-std::vector<std::string> SplitCsvRow(const std::string& row);
-
 // Monotonic integer counter.
 class Counter {
  public:
   void Increment(std::int64_t delta = 1) {
-    if (enabled_->load(std::memory_order_relaxed)) {
-      value_.fetch_add(delta, std::memory_order_relaxed);
+    if (*enabled_) {
+      value_ += delta;
     }
   }
-  std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  std::int64_t value() const { return value_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
+  explicit Counter(const bool* enabled) : enabled_(enabled) {}
 
-  const std::atomic<bool>* enabled_;
-  std::atomic<std::int64_t> value_{0};
+  const bool* enabled_;
+  std::int64_t value_ = 0;
 };
 
 // Last-write-wins scalar (end-of-run totals, configuration echoes).
 class Gauge {
  public:
   void Set(double value) {
-    if (enabled_->load(std::memory_order_relaxed)) {
-      value_.store(value, std::memory_order_relaxed);
+    if (*enabled_) {
+      value_ = value;
     }
   }
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  double value() const { return value_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(const std::atomic<bool>* enabled) : enabled_(enabled) {}
+  explicit Gauge(const bool* enabled) : enabled_(enabled) {}
 
-  const std::atomic<bool>* enabled_;
-  std::atomic<double> value_{0};
-};
-
-// Fixed-bucket latency histogram: 64 power-of-two buckets (bucket i counts
-// values whose bit width is i, i.e. [2^(i-1), 2^i - 1]; bucket 0 counts
-// zeros), exact count/sum/min/max on the side. Record is O(1): a bit-width
-// computation and relaxed atomic updates, safe for concurrent recorders.
-class LatencyHistogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  void Record(TimeNs value) {
-    if (!enabled_->load(std::memory_order_relaxed)) {
-      return;
-    }
-    const std::uint64_t v =
-        value < 0 ? 0 : static_cast<std::uint64_t>(value);
-    buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(static_cast<std::int64_t>(v), std::memory_order_relaxed);
-    AtomicMin(min_, static_cast<std::int64_t>(v));
-    AtomicMax(max_, static_cast<std::int64_t>(v));
-  }
-
-  std::uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  std::int64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
-  std::int64_t Min() const { return Count() == 0 ? 0 : min_.load(std::memory_order_relaxed); }
-  std::int64_t Max() const { return Count() == 0 ? 0 : max_.load(std::memory_order_relaxed); }
-
-  // Inclusive upper edge of bucket `index` (2^index - 1; bucket 0 -> 0).
-  static std::int64_t BucketUpperEdge(int index);
-
- private:
-  friend class MetricsRegistry;
-  explicit LatencyHistogram(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-
-  static void AtomicMin(std::atomic<std::int64_t>& slot, std::int64_t v) {
-    std::int64_t cur = slot.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  static void AtomicMax(std::atomic<std::int64_t>& slot, std::int64_t v) {
-    std::int64_t cur = slot.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  const std::atomic<bool>* enabled_;
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::int64_t> sum_{0};
-  std::atomic<std::int64_t> min_{std::numeric_limits<std::int64_t>::max()};
-  std::atomic<std::int64_t> max_{0};
+  const bool* enabled_;
+  double value_ = 0;
 };
 
 // Plain-data capture of one histogram (sparse: only occupied buckets).
@@ -161,6 +111,51 @@ struct HistogramValue {
   bool operator==(const HistogramValue&) const = default;
 };
 
+// Fixed-bucket latency histogram: 64 power-of-two buckets (bucket i counts
+// values whose bit width is i, i.e. [2^(i-1), 2^i - 1]; bucket 0 counts
+// zeros), exact count/sum/min/max on the side. Record is O(1): a bit-width
+// computation and plain adds. A default-constructed histogram stands alone
+// and always records (telemetry keeps one per VM and latency component); a
+// registry handle records while its registry is enabled.
+class LatencyHistogram {
+ public:
+  static constexpr int kBuckets = 64;
+
+  LatencyHistogram() = default;
+
+  void Record(TimeNs value) {
+    if (!*enabled_) {
+      return;
+    }
+    const std::uint64_t v =
+        value < 0 ? 0 : static_cast<std::uint64_t>(value);
+    buckets_[std::bit_width(v)] += 1;
+    count_ += 1;
+    sum_ += static_cast<std::int64_t>(v);
+    min_ = std::min(min_, static_cast<std::int64_t>(v));
+    max_ = std::max(max_, static_cast<std::int64_t>(v));
+  }
+
+  // Sparse export; min and max read 0 while the histogram is empty.
+  HistogramValue ToValue() const;
+
+  // Inclusive upper edge of bucket `index` (2^index - 1; bucket 0 -> 0).
+  static std::int64_t BucketUpperEdge(int index);
+
+ private:
+  friend class MetricsRegistry;
+  explicit LatencyHistogram(const bool* enabled) : enabled_(enabled) {}
+
+  static constexpr bool kAlwaysOn = true;
+
+  const bool* enabled_ = &kAlwaysOn;
+  std::uint64_t buckets_[kBuckets] = {};
+  std::uint64_t count_ = 0;
+  std::int64_t sum_ = 0;
+  std::int64_t min_ = std::numeric_limits<std::int64_t>::max();
+  std::int64_t max_ = 0;
+};
+
 struct MetricValue {
   MetricKind kind = MetricKind::kCounter;
   std::int64_t counter = 0;
@@ -171,14 +166,6 @@ struct MetricValue {
 };
 
 struct MetricsSnapshot {
-  // JSON schema version, "major.minor" (see DESIGN.md "Versioned JSON
-  // schema"). Major bumps on breaking layout changes; FromJson rejects
-  // documents whose major it does not know. Minor bumps on additive changes
-  // and is accepted regardless.
-  static constexpr int kSchemaVersionMajor = 1;
-  static constexpr int kSchemaVersionMinor = 0;
-  static const char* SchemaVersion();  // "1.0"
-
   std::map<std::string, MetricValue> values;
 
   bool empty() const { return values.empty(); }
@@ -188,7 +175,7 @@ struct MetricsSnapshot {
   // order-independent and thus deterministic under parallel collection.
   void Merge(const MetricsSnapshot& other);
 
-  // JSON document: {"schema_version": "1.0", "counters": {...}, "gauges":
+  // JSON document: {"schema_version": kSchemaVersion, "counters": {...}, "gauges":
   // {...}, "histograms": {name: {count, sum, min, max, buckets:
   // [[upper_edge, count], ...]}}}.
   // `indent` shifts every line right (for embedding in a larger document).
@@ -197,18 +184,12 @@ struct MetricsSnapshot {
   // metrics fill only the columns that apply).
   std::string ToCsv() const;
 
-  // Parses a document produced by ToJson. Returns nullopt on malformed input
-  // (including bucket edges that are not of the 2^i - 1 form) and on an
-  // unknown schema_version major. Documents without a schema_version (the
-  // pre-versioned format) are accepted.
-  static std::optional<MetricsSnapshot> FromJson(const std::string& json);
-
   bool operator==(const MetricsSnapshot&) const = default;
 };
 
-// Thread-safe named-metric registry. Handle getters find-or-create; asking
-// for an existing name with a different kind aborts (names are global within
-// a registry).
+// Named-metric registry with one writer at a time (see the top of this
+// file). Handle getters find-or-create; asking for an existing name with a
+// different kind aborts (names are global within a registry).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -216,9 +197,9 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // Disabling stops all recording through previously returned handles (one
-  // relaxed load on the hot path); values retained so far stay readable.
-  void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  // flag check on the hot path); values retained so far stay readable.
+  void set_enabled(bool enabled) { enabled_ = enabled; }
+  bool enabled() const { return enabled_; }
 
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
@@ -236,8 +217,7 @@ class MetricsRegistry {
 
   Entry& FindOrCreate(const std::string& name, MetricKind kind);
 
-  std::atomic<bool> enabled_{true};
-  mutable std::mutex mu_;
+  bool enabled_ = true;
   std::map<std::string, Entry> entries_;
 };
 

@@ -281,7 +281,7 @@ std::string Telemetry::ToJson(int indent) const {
   const std::string p2 = Pad(indent + 4);
   const std::string p3 = Pad(indent + 6);
   std::string out = "{\n";
-  out += p1 + "\"schema_version\": \"1.0\",\n";
+  out += p1 + "\"schema_version\": \"" + kSchemaVersion + "\",\n";
 
   out += p1 + "\"slo\": {";
   for (int vm = 0; vm < num_vms_; ++vm) {

@@ -175,9 +175,9 @@ class Telemetry {
       TimeSeriesRecorder::kNoSeries;
 
   // Indexed [vm][component]; plus one end-to-end latency histogram per VM.
-  std::vector<std::array<CompactHistogram, kNumLatencyComponents>>
+  std::vector<std::array<LatencyHistogram, kNumLatencyComponents>>
       attribution_hists_;
-  std::vector<CompactHistogram> latency_hists_;
+  std::vector<LatencyHistogram> latency_hists_;
 
   SpanObserver span_observer_;
 };

@@ -9,8 +9,6 @@
 
 namespace tableau::obs {
 
-const char* TimeSeriesSnapshot::SchemaVersion() { return "1.0"; }
-
 TimeSeriesRecorder::TimeSeriesRecorder(Options options) : options_(options) {
   TABLEAU_CHECK(options_.window_ns > 0);
   TABLEAU_CHECK(options_.window_capacity > 0);
@@ -61,7 +59,7 @@ TimeSeriesWindow* TimeSeriesRecorder::SlotFor(Series& series, std::int64_t w) {
 }
 
 void TimeSeriesRecorder::Observe(SeriesId series, TimeNs at, std::int64_t value) {
-  if (!enabled_ || series == kNoSeries) {
+  if (series == kNoSeries) {
     return;
   }
   Series& s = series_[static_cast<std::size_t>(series)];
@@ -76,7 +74,7 @@ void TimeSeriesRecorder::Observe(SeriesId series, TimeNs at, std::int64_t value)
 }
 
 void TimeSeriesRecorder::AddRange(SeriesId series, TimeNs from, TimeNs to) {
-  if (!enabled_ || series == kNoSeries || to <= from) {
+  if (series == kNoSeries || to <= from) {
     return;
   }
   Series& s = series_[static_cast<std::size_t>(series)];
@@ -205,7 +203,7 @@ std::string TimeSeriesSnapshot::ToJson(int indent) const {
   const std::string p1 = Pad(indent + 2);
   const std::string p2 = Pad(indent + 4);
   std::string out = "{\n";
-  out += p1 + "\"schema_version\": \"" + SchemaVersion() + "\",\n";
+  out += p1 + "\"schema_version\": \"" + kSchemaVersion + "\",\n";
   out += p1 + "\"window_ns\": " + std::to_string(window_ns) + ",\n";
   out += p1 + "\"series\": {";
   bool first = true;

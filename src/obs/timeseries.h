@@ -50,9 +50,6 @@ struct TimeSeriesData {
 };
 
 struct TimeSeriesSnapshot {
-  // Versioned like MetricsSnapshot (see DESIGN.md "Versioned JSON schema").
-  static const char* SchemaVersion();  // "1.0"
-
   TimeNs window_ns = 0;
   std::map<std::string, TimeSeriesData> series;
 
@@ -63,7 +60,7 @@ struct TimeSeriesSnapshot {
   // snapshots must agree on window_ns (empty snapshots adopt the other's).
   void Merge(const TimeSeriesSnapshot& other);
 
-  // {"schema_version": "1.0", "window_ns": N, "series": {name:
+  // {"schema_version": kSchemaVersion, "window_ns": N, "series": {name:
   // {"dropped_windows": N, "late_samples": N, "windows":
   // [[start, count, sum, min, max], ...]}}}.
   std::string ToJson(int indent = 0) const;
@@ -89,11 +86,6 @@ class TimeSeriesRecorder {
   TimeNs window_ns() const { return options_.window_ns; }
   int window_capacity() const { return options_.window_capacity; }
   int num_series() const { return static_cast<int>(series_.size()); }
-
-  // Recording is on by default; disabling turns the hot paths into cheap
-  // no-ops (retained windows stay readable).
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
 
   // Registers a series and sizes its ring. Setup-time only (allocates);
   // returns a dense id for the hot-path calls below.
@@ -127,7 +119,6 @@ class TimeSeriesRecorder {
   TimeSeriesWindow* SlotFor(Series& series, std::int64_t w);
 
   Options options_;
-  bool enabled_ = true;
   std::vector<Series> series_;
 };
 

@@ -34,7 +34,6 @@ MadeScheduler BuildRtds(const SchedulerSpec& spec) {
 MadeScheduler BuildTableau(const SchedulerSpec& spec) {
   TableauDispatcher::Config dispatcher;
   dispatcher.work_conserving = !spec.capped;
-  dispatcher.second_level_epoch = spec.second_level_epoch;
   dispatcher.switch_slip_tolerance = spec.switch_slip_tolerance;
   auto owned = std::make_unique<TableauScheduler>(dispatcher);
   TableauScheduler* view = owned.get();

@@ -44,8 +44,7 @@ struct SchedulerSpec {
   // second-level scheduler, RTDS requires it, Credit2 refuses it (Sec. 7.2).
   bool capped = false;
   TimeNs credit_timeslice = 5 * kMillisecond;
-  // Tableau-only dispatcher knobs (defaults match TableauDispatcher::Config).
-  TimeNs second_level_epoch = 10 * kMillisecond;
+  // Tableau-only dispatcher knob (default matches TableauDispatcher::Config).
   TimeNs switch_slip_tolerance = kTimeNever;
 };
 

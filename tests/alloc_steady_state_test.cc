@@ -210,7 +210,7 @@ TEST(AllocSteadyState, MetricHandlesRecordAllocationFree) {
   }
   EXPECT_EQ(AllocationCount() - allocs_before, 0u);
   EXPECT_EQ(counter->value(), 100000);
-  EXPECT_EQ(hist->Count(), 100000u);
+  EXPECT_EQ(hist->ToValue().count, 100000u);
 }
 
 TEST(AllocSteadyState, InstrumentedChurnIsAllocationFreePerEvent) {

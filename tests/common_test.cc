@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <set>
 #include <thread>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "src/common/thread_pool.h"
 #include "src/common/time.h"
 #include "src/stats/histogram.h"
-#include "src/stats/summary.h"
 
 namespace tableau {
 namespace {
@@ -146,18 +144,6 @@ TEST(Rng, UniformDoubleInUnitInterval) {
     sum += v;
   }
   EXPECT_NEAR(sum / 10000, 0.5, 0.02);
-}
-
-TEST(Rng, ExponentialMean) {
-  Rng rng(11);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.Exponential(3.0);
-    EXPECT_GE(v, 0.0);
-    sum += v;
-  }
-  EXPECT_NEAR(sum / n, 3.0, 0.1);
 }
 
 TEST(Histogram, EmptyIsZero) {
@@ -380,20 +366,6 @@ TEST(ThreadPool, ConcurrentCallersShareOnePool) {
   for (const auto& c : counts) {
     EXPECT_EQ(c.load(), 1);
   }
-}
-
-TEST(RunningStat, Basics) {
-  RunningStat s;
-  s.Record(1.0);
-  s.Record(2.0);
-  s.Record(3.0);
-  EXPECT_EQ(s.Count(), 3u);
-  EXPECT_DOUBLE_EQ(s.Mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 3.0);
-  s.Reset();
-  EXPECT_EQ(s.Count(), 0u);
-  EXPECT_DOUBLE_EQ(s.Mean(), 0.0);
 }
 
 }  // namespace

@@ -206,7 +206,6 @@ TEST(Dispatcher, SecondLevelEpochFairShare) {
   // highest-remaining-budget as budget is accrued.
   TableauDispatcher::Config config;
   config.work_conserving = true;
-  config.second_level_epoch = 10 * kMillisecond;
   TableauDispatcher dispatcher(1, config);
   dispatcher.InstallTable(
       MakeTable(100 * kMillisecond,
