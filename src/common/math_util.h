@@ -1,6 +1,6 @@
-// Small integer-math helpers used by the planner: gcd/lcm with overflow
-// saturation, divisor enumeration for hyperperiod selection, and ceiling
-// division for budget computation.
+// Small integer-math helpers used by the planner: ceiling division for
+// budget computation, saturating and overflow-free arithmetic for demand
+// bounds, and divisor enumeration for hyperperiod selection.
 #ifndef SRC_COMMON_MATH_UTIL_H_
 #define SRC_COMMON_MATH_UTIL_H_
 
@@ -11,41 +11,9 @@
 
 namespace tableau {
 
-// Greatest common divisor; Gcd(0, 0) == 0.
-constexpr std::int64_t Gcd(std::int64_t a, std::int64_t b) {
-  if (a < 0) a = -a;
-  if (b < 0) b = -b;
-  while (b != 0) {
-    const std::int64_t t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
-// Least common multiple, saturating at INT64_MAX on overflow.
-constexpr std::int64_t LcmSaturating(std::int64_t a, std::int64_t b) {
-  if (a == 0 || b == 0) return 0;
-  const std::int64_t g = Gcd(a, b);
-  const std::int64_t a_red = a / g;
-  // Check a_red * b for overflow.
-  if (a_red > INT64_MAX / b) return INT64_MAX;
-  return a_red * b;
-}
-
 // Ceiling division for non-negative operands.
 constexpr std::int64_t CeilDiv(std::int64_t num, std::int64_t den) {
   return (num + den - 1) / den;
-}
-
-// Rounds `value` up to the next multiple of `step` (step > 0).
-constexpr std::int64_t RoundUp(std::int64_t value, std::int64_t step) {
-  return CeilDiv(value, step) * step;
-}
-
-// Rounds `value` down to a multiple of `step` (step > 0).
-constexpr std::int64_t RoundDown(std::int64_t value, std::int64_t step) {
-  return (value / step) * step;
 }
 
 // Saturating addition for non-negative operands: a + b, capped at INT64_MAX.

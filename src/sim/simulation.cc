@@ -456,23 +456,6 @@ __attribute__((flatten)) bool Simulation::PopAndRunNext(TimeNs limit) {
   EventNode& ref = NodeRef(node);
   now_ = ref.time;
   ref.where = Where::kActive;
-  // A callback running a nested RunUntil would clobber the activation
-  // scratch, so save the enclosing activation's copy — but only when one
-  // exists (active_node_ != kNil). The top-level dispatch loop, which is
-  // all of the hot path, skips the five saves and five restores.
-  const bool nested = active_node_ != kNil;
-  std::int32_t saved_node = kNil;
-  bool saved_kill = false;
-  bool saved_no_rearm = false;
-  TimeNs saved_rearm_at = kTimeNever;
-  std::uint64_t saved_rearm_seq = 0;
-  if (nested) {
-    saved_node = active_node_;
-    saved_kill = active_kill_;
-    saved_no_rearm = active_no_rearm_;
-    saved_rearm_at = active_rearm_at_;
-    saved_rearm_seq = active_rearm_seq_;
-  }
   active_node_ = node;
   active_kill_ = false;
   active_no_rearm_ = false;
@@ -483,13 +466,7 @@ __attribute__((flatten)) bool Simulation::PopAndRunNext(TimeNs limit) {
   const bool no_rearm = active_no_rearm_;
   const TimeNs rearm_at = active_rearm_at_;
   const std::uint64_t rearm_seq = active_rearm_seq_;
-  active_node_ = saved_node;
-  if (nested) {
-    active_kill_ = saved_kill;
-    active_no_rearm_ = saved_no_rearm;
-    active_rearm_at_ = saved_rearm_at;
-    active_rearm_seq_ = saved_rearm_seq;
-  }
+  active_node_ = kNil;
   // Disposition, in priority order: Cancel() from inside the callback wins;
   // then an explicit Arm() (seq was assigned at the Arm call, preserving
   // FIFO order relative to events scheduled after it); then Disarm(); then
@@ -688,12 +665,14 @@ void Simulation::CheckInvariantsForTest() const {
 }
 
 void Simulation::RunUntil(TimeNs until) {
+  TABLEAU_CHECK_MSG(active_node_ == kNil, "RunUntil called from inside an event");
   while (PopAndRunNext(until)) {
   }
   now_ = until;
 }
 
 void Simulation::RunAll() {
+  TABLEAU_CHECK_MSG(active_node_ == kNil, "RunAll called from inside an event");
   while (PopAndRunNext(kTimeNever)) {
   }
 }

@@ -109,10 +109,12 @@ class Simulation {
   void Cancel(EventId id);
 
   // Runs events until the queue is empty or the next event is after
-  // `until`; the clock ends at exactly `until`.
+  // `until`; the clock ends at exactly `until`. Aborts when called from
+  // inside an event callback.
   void RunUntil(TimeNs until);
 
-  // Runs until no pending events remain (dormant timers don't count).
+  // Runs until no pending events remain (dormant timers don't count). Aborts
+  // when called from inside an event callback.
   void RunAll();
 
   std::uint64_t events_executed() const { return events_executed_; }
@@ -257,9 +259,10 @@ class Simulation {
   TimeNs base_ = 0;  // Level-0-aligned; wheel/overflow events are >= base_.
   TimeNs flushed_base_ = 0;  // base_ value at the last cursor-slot flush.
   std::uint64_t next_seq_ = 1;
-  // Scratch for the one currently-executing event (saved/restored around
-  // nested runs): a mid-callback Arm/Disarm/Cancel records its outcome here
-  // and PopAndRunNext applies it after the callback returns.
+  // Scratch for the currently executing event; there is at most one, since
+  // RunUntil and RunAll abort when called from a callback. A mid-callback
+  // Arm/Disarm/Cancel records its outcome here and PopAndRunNext applies it
+  // after the callback returns.
   std::int32_t active_node_ = kNil;
   bool active_kill_ = false;       // Cancel() during own callback.
   bool active_no_rearm_ = false;   // Disarm() during own callback.

@@ -1,12 +1,12 @@
 #include "src/table/scheduling_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <map>
 #include <set>
 
 #include "src/common/check.h"
-#include "src/common/math_util.h"
 
 namespace tableau {
 namespace {
@@ -14,36 +14,54 @@ namespace {
 constexpr std::uint32_t kMagic = 0x53'4c'42'54;  // "TBLS" little-endian.
 constexpr std::uint32_t kVersion = 1;
 
+// Wire-format v1 record sizes: a pCPU header {allocations, slice length,
+// slices, locals}, an allocation {vcpu, start, end}, a per-slice pair.
+constexpr std::size_t kCpuHeaderBytes = 3 * sizeof(std::uint32_t) + sizeof(TimeNs);
+constexpr std::size_t kAllocationBytes = sizeof(VcpuId) + 2 * sizeof(TimeNs);
+constexpr std::size_t kSlicePairBytes = 2 * sizeof(std::int32_t);
+
 template <typename T>
 void Append(std::vector<std::uint8_t>& out, const T& value) {
   const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
   out.insert(out.end(), p, p + sizeof(T));
 }
 
-template <typename T>
-T ReadAt(const std::vector<std::uint8_t>& in, std::size_t& pos) {
-  TABLEAU_CHECK(pos + sizeof(T) <= in.size());
-  T value;
-  std::memcpy(&value, in.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return value;
+// Bounds-checked reader over a serialized table. Past the end, `ok` turns
+// false and reads yield zero.
+struct Reader {
+  const std::vector<std::uint8_t>& in;
+  std::size_t pos = 0;
+  bool ok = true;
+
+  std::size_t Remaining() const { return in.size() - pos; }
+
+  // Consumes `count` records of `size` bytes each.
+  bool Skip(std::uint64_t count, std::size_t size) {
+    ok = ok && count <= Remaining() / size;
+    pos = ok ? pos + count * size : in.size();
+    return ok;
+  }
+
+  template <typename T>
+  T Read() {
+    T value{};
+    if (Skip(1, sizeof(T))) {
+      std::memcpy(&value, in.data() + pos - sizeof(T), sizeof(T));
+    }
+    return value;
+  }
+};
+
+// ceil(length / slice_length) for positive operands, without the overflow
+// CeilDiv would hit for a length near INT64_MAX (a blob may state one).
+std::size_t SliceCount(TimeNs length, TimeNs slice_length) {
+  return static_cast<std::size_t>((length - 1) / slice_length + 1);
 }
 
 }  // namespace
 
 SchedulingTable SchedulingTable::Build(TimeNs length,
                                        std::vector<std::vector<Allocation>> per_cpu) {
-  return BuildImpl(length, std::move(per_cpu), /*pow2_slices=*/true);
-}
-
-SchedulingTable SchedulingTable::BuildWithExactSlices(
-    TimeNs length, std::vector<std::vector<Allocation>> per_cpu) {
-  return BuildImpl(length, std::move(per_cpu), /*pow2_slices=*/false);
-}
-
-SchedulingTable SchedulingTable::BuildImpl(TimeNs length,
-                                           std::vector<std::vector<Allocation>> per_cpu,
-                                           bool pow2_slices) {
   TABLEAU_CHECK(length > 0);
   SchedulingTable table;
   table.length_ = length;
@@ -73,84 +91,49 @@ SchedulingTable SchedulingTable::BuildImpl(TimeNs length,
     // most two allocations; rounding down to a power of two preserves that
     // (slices only shrink) and turns the lookup division into a shift, for
     // at most 2x the slice count.
-    cpu.slice_length = cpu.allocations.empty() ? length : min_len;
-    if (pow2_slices) {
-      cpu.slice_length =
-          TimeNs{1} << (63 - __builtin_clzll(static_cast<std::uint64_t>(cpu.slice_length)));
+    cpu.slice_length =
+        static_cast<TimeNs>(std::bit_floor(static_cast<std::uint64_t>(min_len)));
+
+    // slice_floor[s] = first allocation whose end is past the slice's start
+    // (the slice's first overlapping allocation when one exists, else the
+    // next allocation after the slice, else n).
+    const std::size_t n = cpu.allocations.size();
+    cpu.slice_floor.resize(SliceCount(length, cpu.slice_length));
+    std::size_t k = 0;
+    for (std::size_t s = 0; s < cpu.slice_floor.size(); ++s) {
+      const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
+      const TimeNs slice_end = slice_start + std::min(cpu.slice_length, length - slice_start);
+      while (k < n && cpu.allocations[k].end <= slice_start) {
+        ++k;
+      }
+      cpu.slice_floor[s] = static_cast<std::int32_t>(k);
+      // Lookup's invariant, from the slice-length choice: the floor
+      // allocation's successor lasts to the slice end, so no third overlap.
+      TABLEAU_CHECK(k + 1 >= n || cpu.allocations[k + 1].end >= slice_end);
     }
-    table.FinalizeCpu(cpu);
   }
   return table;
-}
-
-void SchedulingTable::FinalizeCpu(CpuTable& cpu) const {
-  TABLEAU_CHECK(cpu.slice_length > 0);
-  const auto len = static_cast<std::uint64_t>(cpu.slice_length);
-  cpu.slice_shift = (len & (len - 1)) == 0 ? __builtin_ctzll(len) : -1;
-
-  // Column-wise mirror of `allocations` with two sentinel rows: a lookup may
-  // advance one past its slice's floor allocation, and the idle tail peeks
-  // one further for the next boundary — both land on {length, length, idle}
-  // instead of needing bounds branches.
-  const std::size_t n = cpu.allocations.size();
-  cpu.alloc_start.resize(n + 2);
-  cpu.alloc_end.resize(n + 2);
-  cpu.alloc_vcpu.resize(n + 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    cpu.alloc_start[i] = cpu.allocations[i].start;
-    cpu.alloc_end[i] = cpu.allocations[i].end;
-    cpu.alloc_vcpu[i] = cpu.allocations[i].vcpu;
-  }
-  for (std::size_t i = n; i < n + 2; ++i) {
-    cpu.alloc_start[i] = length_;
-    cpu.alloc_end[i] = length_;
-    cpu.alloc_vcpu[i] = kIdleVcpu;
-  }
-
-  // slice_floor[s] = first allocation whose end is past the slice's start
-  // (== the slice's first overlapping allocation when one exists, else the
-  // next allocation after the slice, else the sentinel n).
-  const std::size_t num_slices = static_cast<std::size_t>(CeilDiv(length_, cpu.slice_length));
-  cpu.slice_floor.resize(num_slices);
-  std::size_t alloc_index = 0;
-  for (std::size_t s = 0; s < num_slices; ++s) {
-    const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
-    const TimeNs slice_end = std::min(slice_start + cpu.slice_length, length_);
-    while (alloc_index < n && cpu.allocations[alloc_index].end <= slice_start) {
-      ++alloc_index;
-    }
-    cpu.slice_floor[s] = static_cast<std::int32_t>(alloc_index);
-    // Invariant from the slice-length choice: no third overlap.
-    TABLEAU_CHECK(alloc_index + 2 >= n || cpu.allocations[alloc_index + 2].start >= slice_end);
-  }
 }
 
 LookupResult SchedulingTable::Lookup(int cpu_index, TimeNs offset) const {
   TABLEAU_CHECK(offset >= 0 && offset < length_);
   const CpuTable& cpu = cpus_[static_cast<std::size_t>(cpu_index)];
-  if (cpu.allocations.empty()) {
+  const auto slice = static_cast<std::uint64_t>(offset) >>
+                     std::countr_zero(static_cast<std::uint64_t>(cpu.slice_length));
+  // The slice's floor allocation serves unless the offset is past its end,
+  // in which case its successor does: it lasts to the slice end (see Build).
+  auto alloc = cpu.allocations.begin() + cpu.slice_floor[slice];
+  const auto end = cpu.allocations.end();
+  if (alloc != end && offset >= alloc->end) {
+    ++alloc;
+  }
+  if (alloc == end) {
     return LookupResult{kIdleVcpu, length_};
   }
-  const auto slice_index =
-      cpu.slice_shift >= 0
-          ? static_cast<std::size_t>(offset) >> cpu.slice_shift
-          : static_cast<std::size_t>(offset / cpu.slice_length);
-  // Two-candidate select over the SoA mirror, branch-free: the floor
-  // allocation serves unless the offset is past its end, in which case its
-  // successor serves (a slice never needs a third candidate, and the
-  // sentinel rows absorb the end-of-table cases).
-  const auto k0 = static_cast<std::size_t>(cpu.slice_floor[slice_index]);
-  const std::size_t k = k0 + static_cast<std::size_t>(offset >= cpu.alloc_end[k0]);
-  const TimeNs a_start = cpu.alloc_start[k];
-  const TimeNs a_end = cpu.alloc_end[k];
-  if (offset >= a_end) {
-    // Rare: both candidates end inside the slice and the offset is past them.
-    // By the slice invariant the next allocation starts at or after the slice
-    // end (sentinel start == length_ when there is none).
-    return LookupResult{kIdleVcpu, cpu.alloc_start[k + 1]};
+  if (offset < alloc->start) {
+    return LookupResult{kIdleVcpu, alloc->start};
   }
-  const bool served = offset >= a_start;
-  return LookupResult{served ? cpu.alloc_vcpu[k] : kIdleVcpu, served ? a_end : a_start};
+  return LookupResult{alloc->vcpu, alloc->end};
 }
 
 LookupResult SchedulingTable::LookupLinear(int cpu_index, TimeNs offset) const {
@@ -221,73 +204,6 @@ TimeNs SchedulingTable::MaxBlackout(VcpuId vcpu) const {
 }
 
 std::string SchedulingTable::Validate() const {
-  for (int c = 0; c < num_cpus(); ++c) {
-    const CpuTable& cpu = cpus_[static_cast<std::size_t>(c)];
-    TimeNs prev_end = 0;
-    for (const Allocation& alloc : cpu.allocations) {
-      if (alloc.start < prev_end || alloc.end > length_ || alloc.start >= alloc.end) {
-        return "cpu " + std::to_string(c) + ": malformed or overlapping allocation";
-      }
-      prev_end = alloc.end;
-    }
-    if (!cpu.allocations.empty()) {
-      TimeNs min_len = length_;
-      for (const Allocation& alloc : cpu.allocations) {
-        min_len = std::min(min_len, alloc.Length());
-      }
-      // Power-of-two rounding may shorten slices but must never lengthen
-      // them past the shortest allocation (the two-overlap invariant).
-      if (cpu.slice_length <= 0 || cpu.slice_length > min_len) {
-        return "cpu " + std::to_string(c) + ": slice length exceeds shortest allocation";
-      }
-    }
-    const auto len = static_cast<std::uint64_t>(cpu.slice_length);
-    const std::int32_t want_shift =
-        (len != 0 && (len & (len - 1)) == 0) ? __builtin_ctzll(len) : -1;
-    if (cpu.slice_shift != want_shift) {
-      return "cpu " + std::to_string(c) + ": slice_shift inconsistent with slice_length";
-    }
-    if (cpu.slice_floor.size() !=
-        static_cast<std::size_t>(CeilDiv(length_, cpu.slice_length))) {
-      return "cpu " + std::to_string(c) + ": slice count != ceil(length / slice_length)";
-    }
-    // The SoA mirror must match the allocation records plus sentinels, and
-    // every slice floor must point at the first allocation ending past the
-    // slice start.
-    const std::size_t n = cpu.allocations.size();
-    if (cpu.alloc_start.size() != n + 2 || cpu.alloc_end.size() != n + 2 ||
-        cpu.alloc_vcpu.size() != n + 2) {
-      return "cpu " + std::to_string(c) + ": SoA mirror size mismatch";
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cpu.alloc_start[i] != cpu.allocations[i].start ||
-          cpu.alloc_end[i] != cpu.allocations[i].end ||
-          cpu.alloc_vcpu[i] != cpu.allocations[i].vcpu) {
-        return "cpu " + std::to_string(c) + ": SoA mirror desynced from allocations";
-      }
-    }
-    for (std::size_t i = n; i < n + 2; ++i) {
-      if (cpu.alloc_start[i] != length_ || cpu.alloc_end[i] != length_ ||
-          cpu.alloc_vcpu[i] != kIdleVcpu) {
-        return "cpu " + std::to_string(c) + ": bad SoA sentinel row";
-      }
-    }
-    // Allocation ends strictly increase (checked above), so the first one
-    // ending past the slice start only moves forward: one cursor serves
-    // every slice.
-    std::size_t want = 0;
-    for (std::size_t s = 0; s < cpu.slice_floor.size(); ++s) {
-      const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
-      while (want < n && cpu.allocations[want].end <= slice_start) {
-        ++want;
-      }
-      if (cpu.slice_floor[s] != static_cast<std::int32_t>(want)) {
-        return "cpu " + std::to_string(c) + ": slice floor desynced at slice " +
-               std::to_string(s);
-      }
-    }
-  }
-
   // No vCPU may be allocated on two pCPUs at the same instant.
   struct Event {
     TimeNs time;
@@ -336,8 +252,8 @@ std::vector<std::uint8_t> SchedulingTable::Serialize() const {
     // absent), derived from the floor encoding so old consumers keep parsing.
     const auto n = static_cast<std::int32_t>(cpu.allocations.size());
     for (std::size_t s = 0; s < cpu.slice_floor.size(); ++s) {
-      const TimeNs slice_end =
-          std::min(static_cast<TimeNs>(s + 1) * cpu.slice_length, length_);
+      const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
+      const TimeNs slice_end = slice_start + std::min(cpu.slice_length, length_ - slice_start);
       const std::int32_t k = cpu.slice_floor[s];
       const bool has_first = k < n && cpu.allocations[static_cast<std::size_t>(k)].start < slice_end;
       const bool has_second =
@@ -353,43 +269,56 @@ std::vector<std::uint8_t> SchedulingTable::Serialize() const {
   return out;
 }
 
-SchedulingTable SchedulingTable::Deserialize(const std::vector<std::uint8_t>& bytes) {
-  std::size_t pos = 0;
-  TABLEAU_CHECK(ReadAt<std::uint32_t>(bytes, pos) == kMagic);
-  TABLEAU_CHECK(ReadAt<std::uint32_t>(bytes, pos) == kVersion);
-  SchedulingTable table;
-  table.length_ = ReadAt<TimeNs>(bytes, pos);
-  const auto num_cpus = ReadAt<std::uint32_t>(bytes, pos);
-  table.cpus_.resize(num_cpus);
-  for (CpuTable& cpu : table.cpus_) {
-    const auto num_allocs = ReadAt<std::uint32_t>(bytes, pos);
-    cpu.slice_length = ReadAt<TimeNs>(bytes, pos);
-    const auto num_slices = ReadAt<std::uint32_t>(bytes, pos);
-    const auto num_locals = ReadAt<std::uint32_t>(bytes, pos);
-    cpu.allocations.resize(num_allocs);
-    for (Allocation& alloc : cpu.allocations) {
-      alloc.vcpu = ReadAt<VcpuId>(bytes, pos);
-      alloc.start = ReadAt<TimeNs>(bytes, pos);
-      alloc.end = ReadAt<TimeNs>(bytes, pos);
-    }
-    // The per-slice {first, second} pairs are fully derivable from the
-    // allocations and slice length; consume and discard them, then rebuild
-    // the lookup structures in the SoA layout (this also upgrades old
-    // non-power-of-two blobs in place — they keep their slice geometry and
-    // take the division path).
-    for (std::uint32_t s = 0; s < num_slices; ++s) {
-      ReadAt<std::int32_t>(bytes, pos);
-      ReadAt<std::int32_t>(bytes, pos);
-    }
-    cpu.local_vcpus.resize(num_locals);
-    for (VcpuId& vcpu : cpu.local_vcpus) {
-      vcpu = ReadAt<VcpuId>(bytes, pos);
-    }
-    table.FinalizeCpu(cpu);
-    TABLEAU_CHECK(cpu.slice_floor.size() == num_slices);
+std::optional<SchedulingTable> SchedulingTable::Deserialize(
+    const std::vector<std::uint8_t>& bytes) {
+  Reader in{bytes};
+  const auto magic = in.Read<std::uint32_t>();
+  const auto version = in.Read<std::uint32_t>();
+  const auto length = in.Read<TimeNs>();
+  const auto num_cpus = in.Read<std::uint32_t>();
+  // Every count is checked against the bytes left before anything is sized
+  // from it.
+  if (!in.ok || magic != kMagic || version != kVersion || length <= 0 ||
+      num_cpus > in.Remaining() / kCpuHeaderBytes) {
+    return std::nullopt;
   }
-  TABLEAU_CHECK(pos == bytes.size());
-  return table;
+  std::vector<std::vector<Allocation>> per_cpu(num_cpus);
+  for (std::vector<Allocation>& allocations : per_cpu) {
+    const auto num_allocs = in.Read<std::uint32_t>();
+    const auto slice_length = in.Read<TimeNs>();
+    const auto num_slices = in.Read<std::uint32_t>();
+    const auto num_locals = in.Read<std::uint32_t>();
+    if (!in.ok || num_allocs > in.Remaining() / kAllocationBytes) {
+      return std::nullopt;
+    }
+    allocations.resize(num_allocs);
+    TimeNs prev_end = 0;
+    TimeNs min_len = length;
+    for (Allocation& alloc : allocations) {
+      alloc.vcpu = in.Read<VcpuId>();
+      alloc.start = in.Read<TimeNs>();
+      alloc.end = in.Read<TimeNs>();
+      // Sorted, disjoint and inside the table, or Build would abort.
+      if (alloc.start < prev_end || alloc.end <= alloc.start || alloc.end > length) {
+        return std::nullopt;
+      }
+      prev_end = alloc.end;
+      min_len = std::min(min_len, alloc.Length());
+    }
+    // The per-slice pairs and the local-vCPU list are derived data that
+    // Build recomputes, so they are skipped. The stated geometry must still
+    // be one a v1 writer could produce: that caps the rebuilt slice table
+    // at about twice the pairs this blob carries.
+    if (slice_length <= 0 || slice_length > min_len ||
+        num_slices != SliceCount(length, slice_length) ||
+        !in.Skip(num_slices, kSlicePairBytes) || !in.Skip(num_locals, sizeof(VcpuId))) {
+      return std::nullopt;
+    }
+  }
+  if (in.Remaining() != 0) {
+    return std::nullopt;
+  }
+  return Build(length, std::move(per_cpu));
 }
 
 std::size_t SchedulingTable::SerializedSizeBytes() const { return Serialize().size(); }

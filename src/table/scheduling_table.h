@@ -2,15 +2,16 @@
 //
 // A table covers one hyperperiod and holds, per pCPU, a time-ordered list of
 // non-overlapping variable-length allocations. To give the dispatcher O(1)
-// lookups, each pCPU also carries a *slice table*: fixed-size time slices
-// whose length equals the shortest allocation on that pCPU, so each slice
-// overlaps at most two allocations (plus possibly idle time between them).
+// lookups, each pCPU also carries a *slice table*: fixed-size time slices no
+// longer than the shortest allocation on that pCPU, so each slice overlaps
+// at most two allocations (plus possibly idle time between them).
 // A lookup indexes the slice table with (now mod table length) and then
 // inspects at most two allocation records.
 #ifndef SRC_TABLE_SCHEDULING_TABLE_H_
 #define SRC_TABLE_SCHEDULING_TABLE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,26 +21,14 @@
 
 namespace tableau {
 
-// Per-pCPU portion of a scheduling table.
-//
-// The dispatcher-facing lookup state is struct-of-arrays: `slice_floor`
-// maps a slice index to the first allocation whose end lies beyond the
-// slice's start, and `alloc_start`/`alloc_end`/`alloc_vcpu` mirror
-// `allocations` column-wise with two sentinel rows ({length, length,
-// idle}) appended. A lookup reads one slice_floor cell and then at most
-// two SoA rows — no AoS padding, no -1 index checks, and the sentinel
-// rows make the candidate advance branch-free (see
-// SchedulingTable::Lookup). When `slice_length` is a power of two (every
-// freshly built table; see Build) `slice_shift` holds its log2 and the
-// slice index is a shift instead of a 64-bit division.
+// Per-pCPU portion of a scheduling table. SchedulingTable::Build derives
+// every field but `allocations` from it: `slice_floor[s]` is the index of the
+// first allocation whose end lies past slice s's start (`allocations.size()`
+// when none does), and a lookup reads that allocation or its successor.
 struct CpuTable {
   std::vector<Allocation> allocations;  // Sorted by start, non-overlapping.
   TimeNs slice_length = 0;
-  std::int32_t slice_shift = -1;  // log2(slice_length), or -1 if not a power of two.
   std::vector<std::int32_t> slice_floor;
-  std::vector<TimeNs> alloc_start;   // allocations[i].start, + 2 sentinels.
-  std::vector<TimeNs> alloc_end;     // allocations[i].end, + 2 sentinels.
-  std::vector<VcpuId> alloc_vcpu;    // allocations[i].vcpu, + 2 sentinels.
   // vCPUs eligible for second-level scheduling on this pCPU ("core-local"
   // vCPUs, Sec. 4). For split vCPUs this reflects the trailing-core policy.
   std::vector<VcpuId> local_vcpus;
@@ -59,20 +48,14 @@ struct LookupResult {
 class SchedulingTable {
  public:
   // Builds a table of the given length from per-CPU allocation lists
-  // (unsorted input is sorted; overlap or bounds violations abort). Slice
-  // tables and local-vCPU lists are derived automatically. The slice length
-  // is the shortest allocation on the pCPU rounded *down* to a power of two,
+  // (unsorted input is sorted; overlap or bounds violations abort). This is
+  // the only way a table comes to exist. Slice tables and local-vCPU lists
+  // are derived here. The slice length is the shortest allocation on the
+  // pCPU (the table length on an idle one) rounded *down* to a power of two,
   // so lookups index with a shift; the rounding at most doubles the slice
   // count (Fig. 4 table-size tradeoff) and preserves the at-most-two-overlaps
   // invariant, since slices only get shorter.
   static SchedulingTable Build(TimeNs length, std::vector<std::vector<Allocation>> per_cpu);
-
-  // Test/ablation hook: same as Build but keeps the exact (possibly
-  // non-power-of-two) shortest-allocation slice length — the pre-SoA layout's
-  // geometry, exercising the division path in Lookup just like tables
-  // deserialized from older v1 blobs.
-  static SchedulingTable BuildWithExactSlices(TimeNs length,
-                                              std::vector<std::vector<Allocation>> per_cpu);
 
   TimeNs length() const { return length_; }
   int num_cpus() const { return static_cast<int>(cpus_.size()); }
@@ -95,23 +78,20 @@ class SchedulingTable {
   // the vCPU has no allocations at all.
   TimeNs MaxBlackout(VcpuId vcpu) const;
 
-  // Checks structural invariants (ordering, bounds, slice consistency, and
-  // that no vCPU is allocated on two pCPUs at the same instant). Returns an
-  // empty string on success, else a description of the first violation.
+  // Checks the one invariant Build cannot: that no vCPU is allocated on two
+  // pCPUs at the same instant. Returns an empty string on success, else a
+  // description of the violation.
   std::string Validate() const;
 
-  // Binary wire format (the "hypercall format" pushed by the planner).
+  // Binary wire format v1 (the "hypercall format" pushed by the planner).
+  // Deserialize reads the allocation lists, skips the derived slice and
+  // local-vCPU data, and rebuilds the table through Build; it returns
+  // nullopt for a malformed blob instead of aborting.
   std::vector<std::uint8_t> Serialize() const;
-  static SchedulingTable Deserialize(const std::vector<std::uint8_t>& bytes);
+  static std::optional<SchedulingTable> Deserialize(const std::vector<std::uint8_t>& bytes);
   std::size_t SerializedSizeBytes() const;
 
  private:
-  static SchedulingTable BuildImpl(TimeNs length, std::vector<std::vector<Allocation>> per_cpu,
-                                   bool pow2_slices);
-  // Derives slice_shift, slice_floor, and the SoA allocation mirror from
-  // `allocations` and `slice_length` (used by Build and Deserialize).
-  void FinalizeCpu(CpuTable& cpu) const;
-
   TimeNs length_ = 0;
   std::vector<CpuTable> cpus_;
 };

@@ -15,39 +15,11 @@
 namespace tableau {
 namespace {
 
-TEST(MathUtil, GcdBasics) {
-  EXPECT_EQ(Gcd(12, 18), 6);
-  EXPECT_EQ(Gcd(18, 12), 6);
-  EXPECT_EQ(Gcd(7, 13), 1);
-  EXPECT_EQ(Gcd(0, 5), 5);
-  EXPECT_EQ(Gcd(5, 0), 5);
-  EXPECT_EQ(Gcd(0, 0), 0);
-  EXPECT_EQ(Gcd(-12, 18), 6);
-  EXPECT_EQ(Gcd(12, -18), 6);
-}
-
-TEST(MathUtil, LcmBasics) {
-  EXPECT_EQ(LcmSaturating(4, 6), 12);
-  EXPECT_EQ(LcmSaturating(5, 7), 35);
-  EXPECT_EQ(LcmSaturating(0, 7), 0);
-  EXPECT_EQ(LcmSaturating(1, 1), 1);
-}
-
-TEST(MathUtil, LcmSaturatesOnOverflow) {
-  EXPECT_EQ(LcmSaturating(INT64_MAX, INT64_MAX - 1), INT64_MAX);
-  // Two large coprime numbers.
-  EXPECT_EQ(LcmSaturating(2305843009213693951LL, 2305843009213693950LL), INT64_MAX);
-}
-
-TEST(MathUtil, CeilDivAndRounding) {
+TEST(MathUtil, CeilDiv) {
   EXPECT_EQ(CeilDiv(10, 3), 4);
   EXPECT_EQ(CeilDiv(9, 3), 3);
   EXPECT_EQ(CeilDiv(1, 100), 1);
   EXPECT_EQ(CeilDiv(0, 5), 0);
-  EXPECT_EQ(RoundUp(10, 4), 12);
-  EXPECT_EQ(RoundUp(12, 4), 12);
-  EXPECT_EQ(RoundDown(10, 4), 8);
-  EXPECT_EQ(RoundDown(12, 4), 12);
 }
 
 TEST(MathUtil, MulDivFloorNoOverflow) {

@@ -118,6 +118,12 @@ TEST(SimulationDeathTest, SchedulingInThePastAborts) {
   EXPECT_DEATH(sim.ScheduleAt(50, [] {}), "scheduled in the past");
 }
 
+TEST(SimulationDeathTest, RunUntilFromInsideAnEventAborts) {
+  Simulation sim;
+  sim.ScheduleAt(10, [&sim] { sim.RunUntil(20); });
+  EXPECT_DEATH(sim.RunAll(), "RunUntil called from inside an event");
+}
+
 // --- Timer-wheel routing: near/L0 through every cascade level and the
 // overflow heap (level-0 slots are 1024 ns; each level covers 256x more).
 

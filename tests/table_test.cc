@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 
 #include "src/common/rng.h"
 #include "src/rt/edf_sim.h"
@@ -76,19 +78,7 @@ TEST(SchedulingTable, SliceLengthIsShortestAllocationRoundedToPow2) {
   // Shortest allocation is 100 on both CPUs; slices round down to 64 so the
   // lookup indexes with a shift.
   EXPECT_EQ(table.cpu(0).slice_length, 64);
-  EXPECT_EQ(table.cpu(0).slice_shift, 6);
   EXPECT_EQ(table.cpu(1).slice_length, 64);
-}
-
-TEST(SchedulingTable, ExactSlicesKeepShortestAllocationLength) {
-  std::vector<std::vector<Allocation>> per_cpu(2);
-  per_cpu[0] = {{0, 0, 100}, {1, 100, 250}, {0, 300, 400}};
-  per_cpu[1] = {{2, 50, 150}};
-  const SchedulingTable table = SchedulingTable::BuildWithExactSlices(400, std::move(per_cpu));
-  EXPECT_EQ(table.Validate(), "");
-  EXPECT_EQ(table.cpu(0).slice_length, 100);  // Shortest of 100/150/100.
-  EXPECT_EQ(table.cpu(0).slice_shift, -1);    // 100 is not a power of two.
-  EXPECT_EQ(table.cpu(1).slice_length, 100);
 }
 
 TEST(SchedulingTable, SliceOverlapsAtMostTwoAllocations) {
@@ -138,10 +128,8 @@ TEST(SchedulingTable, SliceLookupAgreesWithLinearEverywhere) {
 
 // Property: the sliced lookup agrees with the linear-scan oracle on random
 // tables, probed at the hot-path edges — every slice boundary (one ns either
-// side), the table wrap (offset length-1, then 0), and inside idle gaps —
-// for both the power-of-two (shift) layout and the exact-slice (division)
-// layout that deserialized v1 blobs use.
-TEST(SchedulingTable, LookupMatchesLinearAtSliceEdgesBothLayouts) {
+// side), the table wrap (offset length-1, then 0), and inside idle gaps.
+TEST(SchedulingTable, LookupMatchesLinearAtSliceEdges) {
   Rng rng(21);
   for (int trial = 0; trial < 40; ++trial) {
     const TimeNs length = rng.UniformInt(1000, 20000);
@@ -156,32 +144,26 @@ TEST(SchedulingTable, LookupMatchesLinearAtSliceEdgesBothLayouts) {
       allocations.push_back(Allocation{id++ % 6, t, t + len});
       t += len + rng.UniformInt(0, 250);
     }
-    for (const bool pow2 : {true, false}) {
-      std::vector<std::vector<Allocation>> per_cpu = {allocations};
-      const SchedulingTable table =
-          pow2 ? SchedulingTable::Build(length, std::move(per_cpu))
-               : SchedulingTable::BuildWithExactSlices(length, std::move(per_cpu));
-      ASSERT_EQ(table.Validate(), "");
-      const TimeNs slice = table.cpu(0).slice_length;
-      std::vector<TimeNs> probes = {0, length - 1};
-      for (TimeNs edge = slice; edge < length; edge += slice) {
-        probes.push_back(edge - 1);
-        probes.push_back(edge);
-        if (edge + 1 < length) {
-          probes.push_back(edge + 1);
-        }
+    std::vector<std::vector<Allocation>> per_cpu = {allocations};
+    const SchedulingTable table = SchedulingTable::Build(length, std::move(per_cpu));
+    ASSERT_EQ(table.Validate(), "");
+    const TimeNs slice = table.cpu(0).slice_length;
+    std::vector<TimeNs> probes = {0, length - 1};
+    for (TimeNs edge = slice; edge < length; edge += slice) {
+      probes.push_back(edge - 1);
+      probes.push_back(edge);
+      if (edge + 1 < length) {
+        probes.push_back(edge + 1);
       }
-      for (int extra = 0; extra < 64; ++extra) {
-        probes.push_back(rng.UniformInt(0, length - 1));
-      }
-      for (const TimeNs offset : probes) {
-        const LookupResult fast = table.Lookup(0, offset);
-        const LookupResult slow = table.LookupLinear(0, offset);
-        ASSERT_EQ(fast.vcpu, slow.vcpu)
-            << "offset " << offset << " pow2 " << pow2 << " trial " << trial;
-        ASSERT_EQ(fast.interval_end, slow.interval_end)
-            << "offset " << offset << " pow2 " << pow2 << " trial " << trial;
-      }
+    }
+    for (int extra = 0; extra < 64; ++extra) {
+      probes.push_back(rng.UniformInt(0, length - 1));
+    }
+    for (const TimeNs offset : probes) {
+      const LookupResult fast = table.Lookup(0, offset);
+      const LookupResult slow = table.LookupLinear(0, offset);
+      ASSERT_EQ(fast.vcpu, slow.vcpu) << "offset " << offset << " trial " << trial;
+      ASSERT_EQ(fast.interval_end, slow.interval_end) << "offset " << offset << " trial " << trial;
     }
   }
 }
@@ -200,33 +182,20 @@ TEST(SchedulingTable, LookupWrapsFromLastNanosecondToZero) {
   EXPECT_EQ(wrapped.interval_end, 250);
 }
 
-TEST(SchedulingTable, SingleSliceTableBothLayouts) {
+TEST(SchedulingTable, SingleSliceTable) {
   // One allocation spanning the whole table -> a single slice (the slice
-  // length equals the table length), for both layouts.
-  for (const bool pow2 : {true, false}) {
-    std::vector<std::vector<Allocation>> per_cpu(1);
-    per_cpu[0] = {{3, 0, 1024}};  // 1024 is a power of two: 1 slice either way.
-    const SchedulingTable table =
-        pow2 ? SchedulingTable::Build(1024, std::move(per_cpu))
-             : SchedulingTable::BuildWithExactSlices(1024, std::move(per_cpu));
-    ASSERT_EQ(table.Validate(), "");
-    EXPECT_EQ(table.cpu(0).num_slices(), 1u);
-    for (const TimeNs offset : {TimeNs{0}, TimeNs{512}, TimeNs{1023}}) {
-      const LookupResult fast = table.Lookup(0, offset);
-      const LookupResult slow = table.LookupLinear(0, offset);
-      EXPECT_EQ(fast.vcpu, slow.vcpu);
-      EXPECT_EQ(fast.interval_end, slow.interval_end);
-    }
-  }
-  // Non-pow2 single-slice: allocation covers [0, 900) of a 900-long table.
-  std::vector<std::vector<Allocation>> odd(1);
-  odd[0] = {{1, 0, 900}};
-  const SchedulingTable table = SchedulingTable::BuildWithExactSlices(900, std::move(odd));
+  // length equals the table length).
+  std::vector<std::vector<Allocation>> per_cpu(1);
+  per_cpu[0] = {{3, 0, 1024}};  // 1024 is a power of two: 1 slice.
+  const SchedulingTable table = SchedulingTable::Build(1024, std::move(per_cpu));
   ASSERT_EQ(table.Validate(), "");
   EXPECT_EQ(table.cpu(0).num_slices(), 1u);
-  EXPECT_EQ(table.cpu(0).slice_shift, -1);
-  EXPECT_EQ(table.Lookup(0, 899).vcpu, 1);
-  EXPECT_EQ(table.Lookup(0, 899).interval_end, 900);
+  for (const TimeNs offset : {TimeNs{0}, TimeNs{512}, TimeNs{1023}}) {
+    const LookupResult fast = table.Lookup(0, offset);
+    const LookupResult slow = table.LookupLinear(0, offset);
+    EXPECT_EQ(fast.vcpu, slow.vcpu);
+    EXPECT_EQ(fast.interval_end, slow.interval_end);
+  }
 }
 
 TEST(SchedulingTable, CpusOf) {
@@ -274,17 +243,19 @@ TEST(SchedulingTable, ValidateDetectsConcurrentAllocation) {
 TEST(SchedulingTable, SerializeRoundTrip) {
   const SchedulingTable table = SimpleTable();
   const std::vector<std::uint8_t> bytes = table.Serialize();
-  const SchedulingTable copy = SchedulingTable::Deserialize(bytes);
-  EXPECT_EQ(copy.length(), table.length());
-  EXPECT_EQ(copy.num_cpus(), table.num_cpus());
+  const std::optional<SchedulingTable> copy = SchedulingTable::Deserialize(bytes);
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(copy->Serialize(), bytes);
+  EXPECT_EQ(copy->length(), table.length());
+  EXPECT_EQ(copy->num_cpus(), table.num_cpus());
   for (int c = 0; c < table.num_cpus(); ++c) {
-    EXPECT_EQ(copy.cpu(c).allocations, table.cpu(c).allocations);
-    EXPECT_EQ(copy.cpu(c).slice_length, table.cpu(c).slice_length);
-    EXPECT_EQ(copy.cpu(c).local_vcpus, table.cpu(c).local_vcpus);
+    EXPECT_EQ(copy->cpu(c).allocations, table.cpu(c).allocations);
+    EXPECT_EQ(copy->cpu(c).slice_length, table.cpu(c).slice_length);
+    EXPECT_EQ(copy->cpu(c).local_vcpus, table.cpu(c).local_vcpus);
   }
   // And lookups behave identically.
   for (TimeNs offset = 0; offset < 400; offset += 7) {
-    EXPECT_EQ(copy.Lookup(0, offset).vcpu, table.Lookup(0, offset).vcpu);
+    EXPECT_EQ(copy->Lookup(0, offset).vcpu, table.Lookup(0, offset).vcpu);
   }
 }
 
@@ -333,12 +304,6 @@ TEST(SchedulingTable, SliceCountNeverExceedsCeil) {
   const SchedulingTable table = SchedulingTable::Build(1000, std::move(per_cpu));
   EXPECT_EQ(table.cpu(0).slice_length, 256);  // Pow2 floor of the shortest (300).
   EXPECT_EQ(table.cpu(0).num_slices(), 4u);   // ceil(1000/256).
-
-  std::vector<std::vector<Allocation>> exact(1);
-  exact[0] = {{0, 0, 300}, {1, 500, 800}};
-  const SchedulingTable old_layout = SchedulingTable::BuildWithExactSlices(1000, std::move(exact));
-  EXPECT_EQ(old_layout.cpu(0).slice_length, 300);
-  EXPECT_EQ(old_layout.cpu(0).num_slices(), 4u);  // ceil(1000/300).
 }
 
 TEST(SchedulingTableDeathTest, BuildRejectsOverlap) {
@@ -353,22 +318,101 @@ TEST(SchedulingTableDeathTest, BuildRejectsOutOfBounds) {
   EXPECT_DEATH(SchedulingTable::Build(1000, std::move(per_cpu)), "bad allocation");
 }
 
-TEST(SchedulingTableDeathTest, DeserializeRejectsCorruptMagic) {
+TEST(SchedulingTable, DeserializeRejectsCorruptMagic) {
   std::vector<std::vector<Allocation>> per_cpu(1);
   per_cpu[0] = {{0, 0, 500}};
   const SchedulingTable table = SchedulingTable::Build(1000, std::move(per_cpu));
   auto bytes = table.Serialize();
   bytes[0] ^= 0xff;
-  EXPECT_DEATH(SchedulingTable::Deserialize(bytes), "");
+  EXPECT_FALSE(SchedulingTable::Deserialize(bytes).has_value());
 }
 
-TEST(SchedulingTableDeathTest, DeserializeRejectsTruncation) {
+TEST(SchedulingTable, DeserializeRejectsTruncation) {
   std::vector<std::vector<Allocation>> per_cpu(1);
   per_cpu[0] = {{0, 0, 500}};
   const SchedulingTable table = SchedulingTable::Build(1000, std::move(per_cpu));
   auto bytes = table.Serialize();
   bytes.resize(bytes.size() / 2);
-  EXPECT_DEATH(SchedulingTable::Deserialize(bytes), "");
+  EXPECT_FALSE(SchedulingTable::Deserialize(bytes).has_value());
+}
+
+// Hand-encodes a one-pCPU wire-format v1 blob: {magic, version, length,
+// pCPUs}, then {allocations, slice length, slices, locals}, the allocations,
+// the per-slice {first, second} pairs and the local vCPUs.
+std::vector<std::uint8_t> OneCpuV1Blob(TimeNs length, TimeNs slice_length,
+                                       const std::vector<Allocation>& allocations,
+                                       const std::vector<std::pair<int, int>>& pairs,
+                                       const std::vector<VcpuId>& locals) {
+  std::vector<std::uint8_t> out;
+  const auto put = [&out](auto value) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+    out.insert(out.end(), p, p + sizeof(value));
+  };
+  put(std::uint32_t{0x53'4c'42'54});  // "TBLS".
+  put(std::uint32_t{1});
+  put(length);
+  put(std::uint32_t{1});
+  put(static_cast<std::uint32_t>(allocations.size()));
+  put(slice_length);
+  put(static_cast<std::uint32_t>(pairs.size()));
+  put(static_cast<std::uint32_t>(locals.size()));
+  for (const Allocation& alloc : allocations) {
+    put(alloc.vcpu);
+    put(alloc.start);
+    put(alloc.end);
+  }
+  for (const auto& [first, second] : pairs) {
+    put(std::int32_t{first});
+    put(std::int32_t{second});
+  }
+  for (const VcpuId vcpu : locals) {
+    put(vcpu);
+  }
+  return out;
+}
+
+TEST(SchedulingTable, DeserializeRejectsMalformedBlobs) {
+  std::vector<std::uint8_t> trailing = SimpleTable().Serialize();
+  trailing.push_back(0);
+  EXPECT_FALSE(SchedulingTable::Deserialize(trailing).has_value());
+
+  // A 1000 ns table with 256 ns slices has four of them.
+  const auto loads = [](const std::vector<Allocation>& allocations, std::size_t num_slices) {
+    const std::vector<std::pair<int, int>> pairs(num_slices, {-1, -1});
+    return SchedulingTable::Deserialize(OneCpuV1Blob(1000, 256, allocations, pairs, {}))
+        .has_value();
+  };
+  EXPECT_TRUE(loads({{0, 0, 300}, {1, 500, 800}}, 4));
+  EXPECT_FALSE(loads({{0, 0, 500}, {1, 400, 800}}, 4));  // Overlapping allocations.
+  EXPECT_FALSE(loads({{0, 500, 1200}}, 4));              // Ends past the table.
+  EXPECT_FALSE(loads({{0, 0, 300}, {1, 500, 800}}, 5));  // Slice count != ceil(1000 / 256).
+
+  // A 60-byte blob (headers and one allocation) stating 1 << 20 allocations
+  // is rejected before anything is sized from the count.
+  std::vector<std::uint8_t> huge = OneCpuV1Blob(1000, 256, {{0, 0, 300}}, {}, {});
+  ASSERT_EQ(huge.size(), 60u);
+  const std::uint32_t count = 1u << 20;
+  std::memcpy(huge.data() + 20, &count, sizeof(count));
+  EXPECT_FALSE(SchedulingTable::Deserialize(huge).has_value());
+}
+
+// A v1 blob from before tables used power-of-two slices loads, and is
+// rebuilt with them.
+TEST(SchedulingTable, DeserializeRebuildsNonPow2V1Blob) {
+  // Slice length 100 (the shortest allocation, not rounded) and each
+  // slice's {first, second} overlapping allocation, as that layout wrote them.
+  const std::optional<SchedulingTable> table = SchedulingTable::Deserialize(
+      OneCpuV1Blob(400, 100, {{0, 0, 100}, {1, 100, 250}, {0, 300, 400}},
+                   {{0, -1}, {1, -1}, {1, -1}, {2, -1}}, {0, 1}));
+  ASSERT_TRUE(table.has_value());
+  EXPECT_EQ(table->cpu(0).slice_length, 64);
+  EXPECT_EQ(table->Validate(), "");
+  for (TimeNs offset = 0; offset < 400; ++offset) {
+    const LookupResult fast = table->Lookup(0, offset);
+    const LookupResult slow = table->LookupLinear(0, offset);
+    ASSERT_EQ(fast.vcpu, slow.vcpu) << "offset " << offset;
+    ASSERT_EQ(fast.interval_end, slow.interval_end) << "offset " << offset;
+  }
 }
 
 // ---------- Coalescing ----------

@@ -8,7 +8,8 @@
 //       Plans the reservations through Planner::Solve(PlanRequest) and
 //       prints the per-vCPU report; --out writes the table in the binary
 //       "hypercall" format the dispatcher consumes.
-//   tableau show FILE            validates and summarizes a written table
+//   tableau show FILE            validates and summarizes a written table;
+//                                a malformed file exits 2
 //   tableau fleet run|describe   multi-host fleet simulation (fleet_cmds.cc)
 //   tableau adapt run|describe   the same with adaptive reservations
 //   tableau check run|fuzz|replay|selftest   verification (check_cmds.cc)
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -177,7 +179,12 @@ int ShowMain(int argc, char** argv) {
   }
   const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                         std::istreambuf_iterator<char>());
-  const SchedulingTable table = SchedulingTable::Deserialize(bytes);
+  const std::optional<SchedulingTable> parsed = SchedulingTable::Deserialize(bytes);
+  if (!parsed) {
+    std::fprintf(stderr, "%s: malformed table\n", path.c_str());
+    return 2;
+  }
+  const SchedulingTable& table = *parsed;
   const std::string violation = table.Validate();
   std::printf("table: %d pCPUs, length %s, %zu bytes; validation: %s\n",
               table.num_cpus(), FormatDuration(table.length()).c_str(), bytes.size(),
