@@ -1,9 +1,11 @@
 // Ablation: incremental per-core replanning, the Sec. 7.1
 // reconfiguration-time optimization ("tables can be incrementally
 // re-computed on a per-core basis"). Measures reconfiguration latency for a
-// single-VM arrival against a full replan, across machine sizes.
+// single-VM arrival against a full replan, across machine sizes, and writes
+// each row to BENCH_ablation_incremental_plan.json.
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/core/planner.h"
@@ -34,6 +36,7 @@ double MeasureMs(const std::function<void()>& fn, int runs) {
 
 int main() {
   PrintHeader("Ablation: incremental replanning vs full replan (one VM arrives)");
+  BenchJson json("ablation_incremental_plan");
   std::printf("%6s %6s %14s %14s %10s\n", "cores", "VMs", "full (ms)", "incr (ms)",
               "speedup");
   for (const int cores : {8, 16, 44}) {
@@ -63,7 +66,13 @@ int main() {
       std::printf("%6d %6d %11.3f %s %11.3f %s %9.1fx\n", cores, vms, full_ms,
                   latency == kMillisecond ? "(1ms) " : "(20ms)", incr_ms,
                   latency == kMillisecond ? "(1ms) " : "(20ms)", full_ms / incr_ms);
+      const std::string row = "cores" + std::to_string(cores) + ".goal" +
+                              std::to_string(latency / kMillisecond) + "ms.";
+      json.Add(row + "full_ms", full_ms);
+      json.Add(row + "incr_ms", incr_ms);
+      json.Add(row + "speedup", full_ms / incr_ms);
     }
   }
+  json.Write();
   return 0;
 }

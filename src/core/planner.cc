@@ -246,10 +246,11 @@ VcpuPlan SharedPlan(const VcpuRequest& request, const TaskMapping& mapping,
 // allocations earlier stages laid out (clustered and dedicated cores). Runs
 // the per-core EDF simulation of the fresh cores that have tasks, peephole,
 // coalescing, table build and validation, and the split/donation accounting
-// of the vCPUs on fresh cores. Cores not in `fresh` are copied verbatim from
-// `previous`, and the plans of their vCPUs are kept as they are: a carried
-// core is a whole core of a partitioned plan, so no vCPU straddles a fresh
-// and a carried core.
+// of the vCPUs on fresh cores. A core not in `fresh` keeps `previous`'s whole
+// per-pCPU table (allocations, slice table and local vCPUs), so only fresh
+// cores are built, and the plans of its vCPUs are kept as they are: a
+// carried core is a whole core of a partitioned plan, so no vCPU straddles a
+// fresh and a carried core.
 void FinishPlan(const PlannerConfig& config, const PhaseMetrics& pm,
                 const std::vector<bool>& fresh, const SchedulingTable* previous,
                 std::vector<std::vector<Allocation>> per_core, AdmissionTally& tally,
@@ -286,12 +287,8 @@ void FinishPlan(const PlannerConfig& config, const PhaseMetrics& pm,
     PhaseTimer timer(pm.coalesce);
     per_core = CoalesceAllocations(std::move(per_core), config.coalesce_threshold, &donated);
   }
-  for (std::size_t core = 0; core < per_core.size(); ++core) {
-    if (!fresh[core]) {
-      per_core[core] = previous->cpu(static_cast<int>(core)).allocations;
-    }
-  }
-  result.table = SchedulingTable::Build(h, std::move(per_core));
+  result.table = previous == nullptr ? SchedulingTable::Build(h, std::move(per_core))
+                                     : previous->Rebuild(fresh, std::move(per_core));
   const std::string violation = result.table.Validate();
   TABLEAU_CHECK_MSG(violation.empty(), "planner produced invalid table: %s",
                     violation.c_str());

@@ -219,8 +219,8 @@ class Planner {
   // The same pipeline with the previous assignment reused (the Sec. 7.1
   // optimization: "tables can be incrementally re-computed on a per-core
   // basis"): departed vCPUs leave their cores, added ones are placed by the
-  // worst-fit scan, and only the touched cores are re-simulated; untouched
-  // cores keep their previous allocations verbatim. Anything else runs
+  // worst-fit scan, and only the touched cores are re-simulated and built;
+  // untouched cores keep their previous per-pCPU tables. Anything else runs
   // PlanFull over the merged request set: a previous plan that is not fully
   // partitioned onto shared cores, an added dedicated vCPU, a merged set
   // PlanFull would reject, or an added vCPU that fits on no single core.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <map>
 #include <set>
 
 #include "src/common/check.h"
@@ -58,6 +57,68 @@ std::size_t SliceCount(TimeNs length, TimeNs slice_length) {
   return static_cast<std::size_t>((length - 1) / slice_length + 1);
 }
 
+// The ids listed more than once in `holders`, ascending. Given each pCPU's
+// distinct vCPUs, these are the vCPUs holding time on two or more pCPUs.
+std::vector<VcpuId> SpreadVcpus(std::vector<VcpuId> holders) {
+  std::sort(holders.begin(), holders.end());
+  std::vector<VcpuId> spread;
+  for (std::size_t i = 1; i < holders.size(); ++i) {
+    if (holders[i] == holders[i - 1] && (spread.empty() || spread.back() != holders[i])) {
+      spread.push_back(holders[i]);
+    }
+  }
+  return spread;
+}
+
+// Build's work for one pCPU (index `c`, for messages): sorts the list,
+// aborts on overlap or bounds violations, and derives the rest.
+CpuTable BuildCpu(TimeNs length, std::size_t c, std::vector<Allocation> allocations) {
+  CpuTable cpu;
+  cpu.allocations = std::move(allocations);
+  std::sort(cpu.allocations.begin(), cpu.allocations.end(),
+            [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
+  TimeNs prev_end = 0;
+  TimeNs min_len = length;
+  std::set<VcpuId> locals;
+  for (const Allocation& alloc : cpu.allocations) {
+    TABLEAU_CHECK_MSG(alloc.start >= prev_end && alloc.end <= length &&
+                          alloc.start < alloc.end,
+                      "bad allocation [%lld,%lld) on cpu %zu",
+                      static_cast<long long>(alloc.start),
+                      static_cast<long long>(alloc.end), c);
+    prev_end = alloc.end;
+    min_len = std::min(min_len, alloc.Length());
+    locals.insert(alloc.vcpu);
+  }
+  cpu.local_vcpus.assign(locals.begin(), locals.end());
+
+  // Slice length: the shortest allocation keeps every slice overlapping at
+  // most two allocations; rounding down to a power of two preserves that
+  // (slices only shrink) and turns the lookup division into a shift, for
+  // at most 2x the slice count.
+  cpu.slice_length =
+      static_cast<TimeNs>(std::bit_floor(static_cast<std::uint64_t>(min_len)));
+
+  // slice_floor[s] = first allocation whose end is past the slice's start
+  // (the slice's first overlapping allocation when one exists, else the
+  // next allocation after the slice, else n).
+  const std::size_t n = cpu.allocations.size();
+  cpu.slice_floor.resize(SliceCount(length, cpu.slice_length));
+  std::size_t k = 0;
+  for (std::size_t s = 0; s < cpu.slice_floor.size(); ++s) {
+    const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
+    const TimeNs slice_end = slice_start + std::min(cpu.slice_length, length - slice_start);
+    while (k < n && cpu.allocations[k].end <= slice_start) {
+      ++k;
+    }
+    cpu.slice_floor[s] = static_cast<std::int32_t>(k);
+    // Lookup's invariant, from the slice-length choice: the floor
+    // allocation's successor lasts to the slice end, so no third overlap.
+    TABLEAU_CHECK(k + 1 >= n || cpu.allocations[k + 1].end >= slice_end);
+  }
+  return cpu;
+}
+
 }  // namespace
 
 SchedulingTable SchedulingTable::Build(TimeNs length,
@@ -65,51 +126,26 @@ SchedulingTable SchedulingTable::Build(TimeNs length,
   TABLEAU_CHECK(length > 0);
   SchedulingTable table;
   table.length_ = length;
-  table.cpus_.resize(per_cpu.size());
-
+  table.cpus_.reserve(per_cpu.size());
   for (std::size_t c = 0; c < per_cpu.size(); ++c) {
-    CpuTable& cpu = table.cpus_[c];
-    cpu.allocations = std::move(per_cpu[c]);
-    std::sort(cpu.allocations.begin(), cpu.allocations.end(),
-              [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
-    TimeNs prev_end = 0;
-    TimeNs min_len = length;
-    std::set<VcpuId> locals;
-    for (const Allocation& alloc : cpu.allocations) {
-      TABLEAU_CHECK_MSG(alloc.start >= prev_end && alloc.end <= length &&
-                            alloc.start < alloc.end,
-                        "bad allocation [%lld,%lld) on cpu %zu",
-                        static_cast<long long>(alloc.start),
-                        static_cast<long long>(alloc.end), c);
-      prev_end = alloc.end;
-      min_len = std::min(min_len, alloc.Length());
-      locals.insert(alloc.vcpu);
-    }
-    cpu.local_vcpus.assign(locals.begin(), locals.end());
+    table.cpus_.push_back(BuildCpu(length, c, std::move(per_cpu[c])));
+  }
+  return table;
+}
 
-    // Slice length: the shortest allocation keeps every slice overlapping at
-    // most two allocations; rounding down to a power of two preserves that
-    // (slices only shrink) and turns the lookup division into a shift, for
-    // at most 2x the slice count.
-    cpu.slice_length =
-        static_cast<TimeNs>(std::bit_floor(static_cast<std::uint64_t>(min_len)));
-
-    // slice_floor[s] = first allocation whose end is past the slice's start
-    // (the slice's first overlapping allocation when one exists, else the
-    // next allocation after the slice, else n).
-    const std::size_t n = cpu.allocations.size();
-    cpu.slice_floor.resize(SliceCount(length, cpu.slice_length));
-    std::size_t k = 0;
-    for (std::size_t s = 0; s < cpu.slice_floor.size(); ++s) {
-      const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
-      const TimeNs slice_end = slice_start + std::min(cpu.slice_length, length - slice_start);
-      while (k < n && cpu.allocations[k].end <= slice_start) {
-        ++k;
-      }
-      cpu.slice_floor[s] = static_cast<std::int32_t>(k);
-      // Lookup's invariant, from the slice-length choice: the floor
-      // allocation's successor lasts to the slice end, so no third overlap.
-      TABLEAU_CHECK(k + 1 >= n || cpu.allocations[k + 1].end >= slice_end);
+SchedulingTable SchedulingTable::Rebuild(const std::vector<bool>& changed,
+                                         std::vector<std::vector<Allocation>> per_cpu) const {
+  TABLEAU_CHECK(changed.size() == cpus_.size() && per_cpu.size() == cpus_.size());
+  SchedulingTable table;
+  table.length_ = length_;
+  table.cpus_.reserve(cpus_.size());
+  // An if, not `changed[c] ? BuildCpu(...) : cpus_[c]`: that expression is a
+  // const prvalue, which push_back copies again instead of moving.
+  for (std::size_t c = 0; c < cpus_.size(); ++c) {
+    if (changed[c]) {
+      table.cpus_.push_back(BuildCpu(length_, c, std::move(per_cpu[c])));
+    } else {
+      table.cpus_.push_back(cpus_[c]);
     }
   }
   return table;
@@ -204,29 +240,33 @@ TimeNs SchedulingTable::MaxBlackout(VcpuId vcpu) const {
 }
 
 std::string SchedulingTable::Validate() const {
-  // No vCPU may be allocated on two pCPUs at the same instant.
-  struct Event {
-    TimeNs time;
-    int delta;  // +1 start, -1 end.
-  };
-  std::map<VcpuId, std::vector<Event>> events;
+  // Build rejects overlap within a pCPU, so only a vCPU listed on two or
+  // more pCPUs can run on two pCPUs at one instant.
+  std::vector<VcpuId> listed;
+  for (const CpuTable& cpu : cpus_) {
+    listed.insert(listed.end(), cpu.local_vcpus.begin(), cpu.local_vcpus.end());
+  }
+  const std::vector<VcpuId> spread = SpreadVcpus(std::move(listed));
+  if (spread.empty()) {
+    return "";
+  }
+  std::vector<Allocation> pieces;
   for (const CpuTable& cpu : cpus_) {
     for (const Allocation& alloc : cpu.allocations) {
-      events[alloc.vcpu].push_back(Event{alloc.start, +1});
-      events[alloc.vcpu].push_back(Event{alloc.end, -1});
+      if (std::binary_search(spread.begin(), spread.end(), alloc.vcpu)) {
+        pieces.push_back(alloc);
+      }
     }
   }
-  for (auto& [vcpu, list] : events) {
-    std::sort(list.begin(), list.end(), [](const Event& a, const Event& b) {
-      if (a.time != b.time) return a.time < b.time;
-      return a.delta < b.delta;  // Process ends before starts at the same instant.
-    });
-    int depth = 0;
-    for (const Event& e : list) {
-      depth += e.delta;
-      if (depth > 1) {
-        return "vcpu " + std::to_string(vcpu) + " allocated on two pCPUs concurrently";
-      }
+  std::sort(pieces.begin(), pieces.end(), [](const Allocation& a, const Allocation& b) {
+    return a.vcpu != b.vcpu ? a.vcpu < b.vcpu : a.start < b.start;
+  });
+  // In (vcpu, start) order the first piece to overlap an earlier piece of
+  // its vCPU overlaps its predecessor: were the earlier piece further back,
+  // the predecessor would start inside it and overlap it first.
+  for (std::size_t i = 1; i < pieces.size(); ++i) {
+    if (pieces[i].vcpu == pieces[i - 1].vcpu && pieces[i].start < pieces[i - 1].end) {
+      return "vcpu " + std::to_string(pieces[i].vcpu) + " allocated on two pCPUs concurrently";
     }
   }
   return "";
@@ -480,13 +520,7 @@ std::vector<std::vector<Allocation>> CoalesceAllocations(
       }
     }
   }
-  std::sort(holders.begin(), holders.end());
-  std::vector<VcpuId> spread;
-  for (std::size_t i = 1; i < holders.size(); ++i) {
-    if (holders[i] == holders[i - 1] && (spread.empty() || spread.back() != holders[i])) {
-      spread.push_back(holders[i]);
-    }
-  }
+  const std::vector<VcpuId> spread = SpreadVcpus(std::move(holders));
 
   // Every core is coalesced on its own. An extension that puts its vCPU on
   // two cores at once (McNaughton wrap-around places a task's two pieces on

@@ -29,8 +29,11 @@ struct CpuTable {
   std::vector<Allocation> allocations;  // Sorted by start, non-overlapping.
   TimeNs slice_length = 0;
   std::vector<std::int32_t> slice_floor;
-  // vCPUs eligible for second-level scheduling on this pCPU ("core-local"
-  // vCPUs, Sec. 4). For split vCPUs this reflects the trailing-core policy.
+  // Every vCPU with at least one allocation on this pCPU, ascending: the
+  // candidates for second-level scheduling here ("core-local" vCPUs, Sec. 4;
+  // the dispatcher applies the trailing-core policy to split vCPUs). A vCPU
+  // holding time on several pCPUs is listed on each of them, which Validate
+  // relies on to find the only vCPUs that can run on two pCPUs at once.
   std::vector<VcpuId> local_vcpus;
 
   std::size_t num_slices() const { return slice_floor.size(); }
@@ -48,14 +51,22 @@ struct LookupResult {
 class SchedulingTable {
  public:
   // Builds a table of the given length from per-CPU allocation lists
-  // (unsorted input is sorted; overlap or bounds violations abort). This is
-  // the only way a table comes to exist. Slice tables and local-vCPU lists
-  // are derived here. The slice length is the shortest allocation on the
-  // pCPU (the table length on an idle one) rounded *down* to a power of two,
-  // so lookups index with a shift; the rounding at most doubles the slice
-  // count (Fig. 4 table-size tradeoff) and preserves the at-most-two-overlaps
-  // invariant, since slices only get shorter.
+  // (unsorted input is sorted; overlap or bounds violations abort). Build and
+  // Rebuild are the only ways a table comes to exist, and both derive a
+  // fresh pCPU's slice table and local-vCPU list with one per-pCPU function.
+  // The slice length is the shortest allocation on the pCPU (the table
+  // length on an idle one) rounded *down* to a power of two, so lookups
+  // index with a shift; the rounding at most doubles the slice count (Fig. 4
+  // table-size tradeoff) and preserves the at-most-two-overlaps invariant,
+  // since slices only get shorter.
   static SchedulingTable Build(TimeNs length, std::vector<std::vector<Allocation>> per_cpu);
+
+  // Derives a table of the same length and pCPU count from this one, for a
+  // delta solve: pCPU c keeps this table's CpuTable when `changed[c]` is
+  // false (per_cpu[c] is then ignored), and is built from per_cpu[c] exactly
+  // as Build would otherwise. Either size differing from num_cpus() aborts.
+  SchedulingTable Rebuild(const std::vector<bool>& changed,
+                          std::vector<std::vector<Allocation>> per_cpu) const;
 
   TimeNs length() const { return length_; }
   int num_cpus() const { return static_cast<int>(cpus_.size()); }
@@ -79,8 +90,11 @@ class SchedulingTable {
   TimeNs MaxBlackout(VcpuId vcpu) const;
 
   // Checks the one invariant Build cannot: that no vCPU is allocated on two
-  // pCPUs at the same instant. Returns an empty string on success, else a
-  // description of the violation.
+  // pCPUs at the same instant (pieces that only touch are legal). Build
+  // rejects overlap within a pCPU, so only vCPUs listed in two or more
+  // pCPUs' `local_vcpus` are examined, and a partitioned table passes
+  // without reading its allocations. Returns an empty string on success,
+  // else a description naming the lowest violating vCPU id.
   std::string Validate() const;
 
   // Binary wire format v1 (the "hypercall format" pushed by the planner).

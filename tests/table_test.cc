@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <optional>
+#include <string>
 
 #include "src/common/rng.h"
 #include "src/rt/edf_sim.h"
@@ -233,11 +235,185 @@ TEST(SchedulingTable, MaxBlackoutAcrossCpus) {
 }
 
 TEST(SchedulingTable, ValidateDetectsConcurrentAllocation) {
-  std::vector<std::vector<Allocation>> per_cpu(2);
-  per_cpu[0] = {{0, 0, 100}};
-  per_cpu[1] = {{0, 50, 150}};  // Same vCPU overlapping in time on CPU 1.
-  const SchedulingTable table = SchedulingTable::Build(400, std::move(per_cpu));
-  EXPECT_NE(table.Validate(), "");
+  const auto validate = [](std::vector<std::vector<Allocation>> per_cpu) {
+    return SchedulingTable::Build(400, std::move(per_cpu)).Validate();
+  };
+  // Same vCPU overlapping in time on CPU 1.
+  EXPECT_EQ(validate({{{0, 0, 100}}, {{0, 50, 150}}}),
+            "vcpu 0 allocated on two pCPUs concurrently");
+  // Pieces that only touch hand the vCPU from one pCPU to the next.
+  EXPECT_EQ(validate({{{0, 0, 100}}, {{0, 100, 200}}}), "");
+  // Three pCPUs: only the first and third pieces overlap.
+  EXPECT_EQ(validate({{{4, 0, 100}}, {{4, 200, 300}}, {{4, 50, 150}}}),
+            "vcpu 4 allocated on two pCPUs concurrently");
+  // Two violators: the lower id is named, although vCPU 7's overlap comes
+  // first in time and first in each pCPU's list.
+  EXPECT_EQ(validate({{{7, 0, 100}, {3, 250, 350}}, {{7, 50, 150}, {3, 300, 400}}}),
+            "vcpu 3 allocated on two pCPUs concurrently");
+}
+
+// Reference for Validate: per vCPU, a sweep over its start and end events
+// across every pCPU (ends before starts at one instant), flagging depth 2.
+std::string ValidateReference(const SchedulingTable& table) {
+  struct Event {
+    TimeNs time;
+    int delta;  // +1 start, -1 end.
+  };
+  std::map<VcpuId, std::vector<Event>> events;
+  for (int c = 0; c < table.num_cpus(); ++c) {
+    for (const Allocation& alloc : table.cpu(c).allocations) {
+      events[alloc.vcpu].push_back(Event{alloc.start, +1});
+      events[alloc.vcpu].push_back(Event{alloc.end, -1});
+    }
+  }
+  for (auto& [vcpu, list] : events) {
+    std::sort(list.begin(), list.end(), [](const Event& a, const Event& b) {
+      if (a.time != b.time) return a.time < b.time;
+      return a.delta < b.delta;
+    });
+    int depth = 0;
+    for (const Event& e : list) {
+      depth += e.delta;
+      if (depth > 1) {
+        return "vcpu " + std::to_string(vcpu) + " allocated on two pCPUs concurrently";
+      }
+    }
+  }
+  return "";
+}
+
+// Random per-pCPU allocation lists on a 10 ns grid of a 1000 ns table, each
+// list free of overlap. Every vCPU may run on 1-3 of the pCPUs, so pieces on
+// different pCPUs touch, nest and start together often; `max_gap` sets how
+// densely the lists are packed.
+std::vector<std::vector<Allocation>> RandomPerCpu(Rng& rng, int num_cpus, int num_vcpus,
+                                                  TimeNs max_gap) {
+  std::vector<std::vector<VcpuId>> allowed(static_cast<std::size_t>(num_cpus));
+  for (VcpuId vcpu = 0; vcpu < num_vcpus; ++vcpu) {
+    const auto spread = rng.UniformInt(1, std::min(3, num_cpus));
+    std::vector<int> cpus(static_cast<std::size_t>(num_cpus));
+    for (int c = 0; c < num_cpus; ++c) {
+      cpus[static_cast<std::size_t>(c)] = c;
+    }
+    for (std::int64_t k = 0; k < spread; ++k) {
+      const auto pick = static_cast<std::size_t>(rng.UniformInt(k, num_cpus - 1));
+      std::swap(cpus[static_cast<std::size_t>(k)], cpus[pick]);
+      allowed[static_cast<std::size_t>(cpus[static_cast<std::size_t>(k)])].push_back(vcpu);
+    }
+  }
+  std::vector<std::vector<Allocation>> per_cpu(static_cast<std::size_t>(num_cpus));
+  for (std::size_t c = 0; c < per_cpu.size(); ++c) {
+    if (allowed[c].empty()) {
+      continue;
+    }
+    TimeNs t = 0;
+    while (true) {
+      const TimeNs start = t + 10 * rng.UniformInt(0, max_gap / 10);
+      const TimeNs end = start + 10 * rng.UniformInt(1, 8);
+      if (end > 1000) {
+        break;
+      }
+      const auto vcpu = allowed[c][static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(allowed[c].size()) - 1))];
+      per_cpu[c].push_back(Allocation{vcpu, start, end});
+      t = end;
+    }
+  }
+  return per_cpu;
+}
+
+TEST(SchedulingTable, ValidateMatchesReferenceOnRandomTables) {
+  Rng rng(33);
+  int valid = 0;
+  int touching = 0;
+  int nested = 0;
+  int equal_start = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const int num_cpus = static_cast<int>(rng.UniformInt(2, 6));
+    const int num_vcpus = static_cast<int>(rng.UniformInt(2, 40));
+    const SchedulingTable table = SchedulingTable::Build(
+        1000, RandomPerCpu(rng, num_cpus, num_vcpus, 10 * rng.UniformInt(0, 80)));
+    const std::string expected = ValidateReference(table);
+    ASSERT_EQ(table.Validate(), expected) << "trial " << trial;
+    valid += expected.empty() ? 1 : 0;
+    // Coverage of the cases the check must tell apart, over pieces of one
+    // vCPU on different pCPUs.
+    for (int a = 0; a < num_cpus; ++a) {
+      for (int b = 0; b < num_cpus; ++b) {
+        for (const Allocation& x : table.cpu(a).allocations) {
+          for (const Allocation& y : table.cpu(b).allocations) {
+            if (a == b || x.vcpu != y.vcpu) {
+              continue;
+            }
+            touching += x.end == y.start ? 1 : 0;
+            nested += x.start < y.start && y.end < x.end ? 1 : 0;
+            equal_start += a < b && x.start == y.start ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(valid, 100);
+  EXPECT_LT(valid, 500);
+  EXPECT_GT(touching, 0);
+  EXPECT_GT(nested, 0);
+  EXPECT_GT(equal_start, 0);
+}
+
+TEST(SchedulingTable, RebuildMatchesBuild) {
+  Rng rng(34);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int num_cpus = static_cast<int>(rng.UniformInt(2, 6));
+    const int num_vcpus = static_cast<int>(rng.UniformInt(2, 40));
+    const std::vector<std::vector<Allocation>> before =
+        RandomPerCpu(rng, num_cpus, num_vcpus, 10 * rng.UniformInt(0, 40));
+    const SchedulingTable previous = SchedulingTable::Build(1000, before);
+    // Trial 0 changes every pCPU, trial 1 none; later trials mix, and some
+    // changed pCPUs become empty.
+    const std::vector<std::vector<Allocation>> fresh =
+        RandomPerCpu(rng, num_cpus, num_vcpus, 10 * rng.UniformInt(0, 40));
+    std::vector<bool> changed(static_cast<std::size_t>(num_cpus));
+    std::vector<std::vector<Allocation>> after = before;
+    std::vector<std::vector<Allocation>> changed_only(static_cast<std::size_t>(num_cpus));
+    for (std::size_t c = 0; c < changed.size(); ++c) {
+      changed[c] = trial == 0 || (trial > 1 && rng.UniformInt(0, 1) == 1);
+      if (changed[c]) {
+        after[c] = rng.UniformInt(0, 3) == 0 ? std::vector<Allocation>{} : fresh[c];
+        changed_only[c] = after[c];
+      }
+    }
+    const SchedulingTable derived = previous.Rebuild(changed, std::move(changed_only));
+    ASSERT_EQ(derived.Serialize(), SchedulingTable::Build(1000, after).Serialize())
+        << "trial " << trial;
+    for (int c = 0; c < num_cpus; ++c) {
+      if (!changed[static_cast<std::size_t>(c)]) {
+        continue;
+      }
+      for (const Allocation& alloc : derived.cpu(c).allocations) {
+        for (const TimeNs edge : {alloc.start, alloc.end}) {
+          for (TimeNs offset = edge - 1; offset <= edge + 1; ++offset) {
+            if (offset < 0 || offset >= derived.length()) {
+              continue;
+            }
+            const LookupResult fast = derived.Lookup(c, offset);
+            const LookupResult slow = derived.LookupLinear(c, offset);
+            ASSERT_EQ(fast.vcpu, slow.vcpu) << "trial " << trial << " offset " << offset;
+            ASSERT_EQ(fast.interval_end, slow.interval_end)
+                << "trial " << trial << " offset " << offset;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SchedulingTableDeathTest, RebuildRejectsOverlapAndCpuCountMismatch) {
+  const SchedulingTable previous = SimpleTable();
+  std::vector<std::vector<Allocation>> overlapping(2);
+  overlapping[1] = {{0, 0, 200}, {1, 100, 300}};
+  EXPECT_DEATH(previous.Rebuild({false, true}, std::move(overlapping)), "bad allocation");
+  EXPECT_DEATH(previous.Rebuild({true, true, true}, std::vector<std::vector<Allocation>>(3)),
+               "TABLEAU_CHECK failed");
 }
 
 TEST(SchedulingTable, SerializeRoundTrip) {
