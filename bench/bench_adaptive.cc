@@ -26,8 +26,8 @@
 //  - Safety: every host's live table passes the TableVerifier at the end of
 //    every arm (and TABLEAU_VERIFY_TABLES=1 audits each intermediate Solve).
 //  - Determinism: the elastic diurnal run has byte-identical fingerprint and
-//    merged metrics across serial, sharded, and parallel execution and
-//    across repeated runs.
+//    merged metrics across serial and parallel execution and across
+//    repeated runs.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -230,19 +230,16 @@ int main() {
   // --- Gate 4: the elastic loop stays execution-mode independent ---
   struct Mode {
     const char* name;
-    bool sharded;
     bool parallel;
     int threads;
   };
   const std::vector<Mode> modes = {
-      {"sharded", true, false, 0},
-      {"parallel", true, true, BenchThreads()},
-      {"repeat", false, false, 0},
+      {"parallel", true, BenchThreads()},
+      {"repeat", false, 0},
   };
   bool deterministic = true;
   for (const Mode& mode : modes) {
     FleetScenarioConfig config = DiurnalConfig(/*adaptive=*/true);
-    config.sharded = mode.sharded;
     config.parallel = mode.parallel;
     config.num_threads = mode.threads;
     const AdaptiveRunResult run = RunArm(config, duration, second_wave_at);

@@ -1,11 +1,11 @@
 // Fleet-scale simulation bench: a 64-host cluster (32 pCPUs x 4 slots per
 // core = 8,192 vCPU slots) serving an open-loop VM reservation stream, run
-// under every execution strategy the sharded engine offers.
+// serially and on worker threads.
 //
 // Claims checked (the tentpole's acceptance criteria):
 //  - Determinism: the fleet fingerprint and the merged metrics block are
-//    byte-identical across serial, sharded single-threaded, and sharded
-//    parallel execution, and across repeated runs.
+//    byte-identical across serial and parallel execution, and across
+//    repeated runs.
 //  - Control plane: a scripted overload (one VM multiplies its service
 //    demand mid-run) trips the burn-rate detector and produces a live
 //    migration whose destination table still passes the TableVerifier.
@@ -97,15 +97,13 @@ int main() {
 
   struct Mode {
     const char* name;
-    bool sharded;
     bool parallel;
     int threads;
   };
   const std::vector<Mode> modes = {
-      {"serial", false, false, 0},
-      {"sharded", true, false, 0},
-      {"parallel", true, true, BenchThreads()},
-      {"repeat", false, false, 0},  // Serial again: run-to-run repeatability.
+      {"serial", false, 0},
+      {"parallel", true, BenchThreads()},
+      {"repeat", false, 0},  // Serial again: run-to-run repeatability.
   };
 
   BenchJson json("fleet");
@@ -114,7 +112,6 @@ int main() {
               "attain", "worst vm", "migr", "wall");
   for (const Mode& mode : modes) {
     FleetScenarioConfig config = base;
-    config.sharded = mode.sharded;
     config.parallel = mode.parallel;
     config.num_threads = mode.threads;
     runs.push_back(RunFleet(config, duration));

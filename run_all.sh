@@ -19,13 +19,14 @@ ctest --test-dir build-asan -L check --output-on-failure 2>&1 | tee -a test_outp
 build-asan/tools/tableau check selftest
 build-asan/tools/tableau check fuzz --seeds 0:20000 --shrink --repro-dir tests/repro
 # Audit every table the planner-heavy benches emit, full plans (fig3, fig4)
-# and delta solves (incremental-plan ablation, reconfiguration) alike (the
-# uninstrumented bench loop below regenerates the JSON artifacts without the
-# verification cost).
+# and delta solves (incremental-plan ablation, reconfiguration, the 64-host
+# fleet's admissions and migration replans) alike (the uninstrumented bench
+# loop below regenerates the JSON artifacts without the verification cost).
 TABLEAU_VERIFY_TABLES=1 build-asan/bench/bench_fig3_table_generation_time
 TABLEAU_VERIFY_TABLES=1 build-asan/bench/bench_fig4_table_size
 TABLEAU_VERIFY_TABLES=1 build-asan/bench/bench_ablation_incremental_plan
 TABLEAU_VERIFY_TABLES=1 build-asan/bench/bench_ext_reconfiguration
+TABLEAU_VERIFY_TABLES=1 build-asan/bench/bench_fleet
 
 # Engine microbenchmark first: writes BENCH_sim_engine.json (events/sec for
 # the timer-wheel engine vs the legacy heap engine, parallel-harness timing).
@@ -39,10 +40,10 @@ for b in build/bench/bench_*; do "$b"; done 2>&1 | tee bench_output.txt
 build/tools/tableau trace --scheduler tableau --cpus 2 --seconds 0.2 \
     --validate --check-determinism --out tableau.perfetto.json
 
-# Fleet smoke: a small deterministic multi-host run — serial, sharded,
-# sharded-parallel, and repeat executions must produce byte-identical
-# fingerprints and merged metrics (exits nonzero otherwise). The full
-# 64-host BENCH_fleet.json artifact comes from the bench loop above.
+# Fleet smoke: a small deterministic multi-host run — serial, parallel,
+# and repeat executions must produce byte-identical fingerprints and
+# merged metrics (exits nonzero otherwise). The full 64-host
+# BENCH_fleet.json artifact comes from the bench loop above.
 build/tools/tableau fleet run --hosts 4 --cpus 4 --slots 2 --vms 8 \
     --surge-vms 1 --surge-at-ms 100 --surge-factor 6 --seconds 0.5 \
     --check-determinism

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <span>
 #include <sstream>
 
 namespace tableau::check {
@@ -36,38 +36,58 @@ void CheckStructure(const SchedulingTable& table, const VerifyOptions& options,
     TimeNs prev_end = 0;
     for (std::size_t i = 0; i < cpu.allocations.size(); ++i) {
       const Allocation& alloc = cpu.allocations[i];
-      std::ostringstream where;
-      where << "cpu " << c << " allocation " << i << " [" << alloc.start << ", "
+      // Formatted only for a violation: most tables have none.
+      const auto where = [&] {
+        std::ostringstream out;
+        out << "cpu " << c << " allocation " << i << " [" << alloc.start << ", "
             << alloc.end << ") vcpu " << alloc.vcpu;
+        return out.str();
+      };
       if (alloc.vcpu == kIdleVcpu) {
-        violations->push_back(where.str() + ": allocation for the idle vCPU");
+        violations->push_back(where() + ": allocation for the idle vCPU");
       }
       if (alloc.start < 0 || alloc.end > length || alloc.start >= alloc.end) {
-        violations->push_back(where.str() + ": out of bounds or empty");
+        violations->push_back(where() + ": out of bounds or empty");
         continue;
       }
       if (alloc.start < prev_end) {
-        violations->push_back(where.str() + ": overlaps the previous allocation");
+        violations->push_back(where() + ": overlaps the previous allocation");
       }
       prev_end = alloc.end;
       if (options.coalesce_threshold > 0 &&
           alloc.end - alloc.start < options.coalesce_threshold) {
-        violations->push_back(where.str() +
-                              ": sub-threshold allocation survived coalescing");
+        violations->push_back(where() + ": sub-threshold allocation survived coalescing");
       }
     }
   }
 }
 
-// The slice table must agree with the linear reference lookup everywhere.
+// Reference lookup by binary search: the first allocation whose end lies
+// past `offset` either holds it or ends the idle gap it falls in. Shares
+// nothing with Lookup and its slice floors. Needs the structure check's
+// sorted, non-overlapping allocations.
+LookupResult ReferenceLookup(const std::vector<Allocation>& allocations, TimeNs length,
+                             TimeNs offset) {
+  const auto next = std::ranges::upper_bound(allocations, offset, {}, &Allocation::end);
+  if (next == allocations.end()) {
+    return LookupResult{kIdleVcpu, length};
+  }
+  if (offset < next->start) {
+    return LookupResult{kIdleVcpu, next->start};
+  }
+  return LookupResult{next->vcpu, next->end};
+}
+
+// The slice table must agree with the reference lookup everywhere.
 // Exhaustive agreement is implied by agreement at every discontinuity, so
 // sample each allocation edge (and one interior point) plus each gap.
 void CheckSliceAgreement(const SchedulingTable& table,
                          std::vector<std::string>* violations) {
   const TimeNs length = table.length();
   for (int c = 0; c < table.num_cpus(); ++c) {
+    const std::vector<Allocation>& allocations = table.cpu(c).allocations;
     std::vector<TimeNs> offsets = {0, length - 1};
-    for (const Allocation& alloc : table.cpu(c).allocations) {
+    for (const Allocation& alloc : allocations) {
       offsets.push_back(alloc.start);
       offsets.push_back(alloc.start + (alloc.end - alloc.start) / 2);
       offsets.push_back(alloc.end - 1);
@@ -80,7 +100,7 @@ void CheckSliceAgreement(const SchedulingTable& table,
     }
     for (const TimeNs offset : offsets) {
       const LookupResult fast = table.Lookup(c, offset);
-      const LookupResult slow = table.LookupLinear(c, offset);
+      const LookupResult slow = ReferenceLookup(allocations, length, offset);
       if (fast.vcpu != slow.vcpu || fast.interval_end != slow.interval_end) {
         std::ostringstream out;
         out << "cpu " << c << " offset " << offset << ": slice lookup (vcpu "
@@ -93,81 +113,78 @@ void CheckSliceAgreement(const SchedulingTable& table,
   }
 }
 
-// Collects every allocation of one vCPU across all cores, sorted by start.
-std::vector<Allocation> IntervalsOf(const SchedulingTable& table, VcpuId vcpu) {
-  std::vector<Allocation> intervals;
+// One allocation tagged with its pCPU.
+struct Piece {
+  VcpuId vcpu;
+  TimeNs start;
+  TimeNs end;
+  int cpu;
+};
+
+// Every allocation of the table, sorted by (vcpu, start, cpu): each vCPU's
+// pieces form one run, in time order.
+std::vector<Piece> PiecesByVcpu(const SchedulingTable& table) {
+  std::vector<Piece> pieces;
   for (int c = 0; c < table.num_cpus(); ++c) {
     for (const Allocation& alloc : table.cpu(c).allocations) {
-      if (alloc.vcpu == vcpu) {
-        intervals.push_back(alloc);
-      }
+      pieces.push_back(Piece{alloc.vcpu, alloc.start, alloc.end, c});
     }
   }
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
-  return intervals;
+  std::sort(pieces.begin(), pieces.end(), [](const Piece& a, const Piece& b) {
+    if (a.vcpu != b.vcpu) return a.vcpu < b.vcpu;
+    if (a.start != b.start) return a.start < b.start;
+    return a.cpu < b.cpu;
+  });
+  return pieces;
 }
 
 // No vCPU may be allocated on two cores at the same instant (a vCPU is one
 // thread of execution). Checked across the whole table, for every vCPU.
-void CheckCrossCoreExclusion(const SchedulingTable& table,
+void CheckCrossCoreExclusion(const std::vector<Piece>& pieces,
                              std::vector<std::string>* violations) {
-  struct Tagged {
-    TimeNs start;
-    TimeNs end;
-    int cpu;
-  };
-  std::map<VcpuId, std::vector<Tagged>> by_vcpu;
-  for (int c = 0; c < table.num_cpus(); ++c) {
-    for (const Allocation& alloc : table.cpu(c).allocations) {
-      by_vcpu[alloc.vcpu].push_back(Tagged{alloc.start, alloc.end, c});
-    }
-  }
-  for (auto& [vcpu, intervals] : by_vcpu) {
-    std::sort(intervals.begin(), intervals.end(),
-              [](const Tagged& a, const Tagged& b) { return a.start < b.start; });
-    for (std::size_t i = 1; i < intervals.size(); ++i) {
-      if (intervals[i].start < intervals[i - 1].end) {
-        std::ostringstream out;
-        out << "vcpu " << vcpu << " allocated concurrently on cpu "
-            << intervals[i - 1].cpu << " and cpu " << intervals[i].cpu << " at time "
-            << intervals[i].start;
-        violations->push_back(out.str());
-      }
+  for (std::size_t i = 1; i < pieces.size(); ++i) {
+    const Piece& prev = pieces[i - 1];
+    const Piece& piece = pieces[i];
+    if (piece.vcpu == prev.vcpu && piece.start < prev.end) {
+      std::ostringstream out;
+      out << "vcpu " << piece.vcpu << " allocated concurrently on cpu " << prev.cpu
+          << " and cpu " << piece.cpu << " at time " << piece.start;
+      violations->push_back(out.str());
     }
   }
 }
 
 // Supply received by the vCPU inside [window_start, window_end), from its
-// sorted interval list.
-TimeNs SupplyIn(const std::vector<Allocation>& intervals, TimeNs window_start,
-                TimeNs window_end) {
+// pieces in time order. Windows come in increasing order: `*skip` moves past
+// the leading pieces that end by window_start, which end before every later
+// window too.
+TimeNs SupplyIn(std::span<const Piece> pieces, TimeNs window_start, TimeNs window_end,
+                std::size_t* skip) {
+  while (*skip < pieces.size() && pieces[*skip].end <= window_start) {
+    ++*skip;
+  }
   TimeNs supply = 0;
-  for (const Allocation& alloc : intervals) {
-    if (alloc.end <= window_start) {
-      continue;
+  for (std::size_t i = *skip; i < pieces.size() && pieces[i].start < window_end; ++i) {
+    if (pieces[i].end > window_start) {
+      supply += std::min(pieces[i].end, window_end) - std::max(pieces[i].start, window_start);
     }
-    if (alloc.start >= window_end) {
-      break;
-    }
-    supply += std::min(alloc.end, window_end) - std::max(alloc.start, window_start);
   }
   return supply;
 }
 
 // Longest cyclic gap in the vCPU's service across all cores.
-TimeNs MaxGap(const std::vector<Allocation>& intervals, TimeNs length) {
-  if (intervals.empty()) {
+TimeNs MaxGap(std::span<const Piece> pieces, TimeNs length) {
+  if (pieces.empty()) {
     return length;
   }
   TimeNs worst = 0;
-  TimeNs covered_until = intervals.front().start;
-  TimeNs first_start = intervals.front().start;
-  for (const Allocation& alloc : intervals) {
-    if (alloc.start > covered_until) {
-      worst = std::max(worst, alloc.start - covered_until);
+  TimeNs covered_until = pieces.front().start;
+  TimeNs first_start = pieces.front().start;
+  for (const Piece& piece : pieces) {
+    if (piece.start > covered_until) {
+      worst = std::max(worst, piece.start - covered_until);
     }
-    covered_until = std::max(covered_until, alloc.end);
+    covered_until = std::max(covered_until, piece.end);
   }
   // Wrap-around gap: from the last covered instant, through the table end,
   // to the first allocation of the next round.
@@ -175,15 +192,25 @@ TimeNs MaxGap(const std::vector<Allocation>& intervals, TimeNs length) {
   return worst;
 }
 
-void CheckContract(const SchedulingTable& table, const VcpuContract& contract,
-                   const VerifyOptions& options, std::vector<std::string>* violations) {
-  const TimeNs length = table.length();
-  const std::vector<Allocation> intervals = IntervalsOf(table, contract.vcpu);
+// Number of distinct pCPUs the pieces lie on.
+long long CpuCount(std::span<const Piece> pieces) {
+  std::vector<int> cpus;
+  for (const Piece& piece : pieces) {
+    cpus.push_back(piece.cpu);
+  }
+  std::sort(cpus.begin(), cpus.end());
+  return std::unique(cpus.begin(), cpus.end()) - cpus.begin();
+}
 
+// Checks one contract against `pieces`, its vCPU's run of PiecesByVcpu
+// (empty when the vCPU has no allocation).
+void CheckContract(TimeNs length, std::span<const Piece> pieces,
+                   const VcpuContract& contract, const VerifyOptions& options,
+                   std::vector<std::string>* violations) {
   if (contract.dedicated) {
     TimeNs supply = 0;
-    for (const Allocation& alloc : intervals) {
-      supply += alloc.end - alloc.start;
+    for (const Piece& piece : pieces) {
+      supply += piece.end - piece.start;
     }
     if (supply != length) {
       violations->push_back(Describe("dedicated vcpu does not own a full core",
@@ -212,9 +239,11 @@ void CheckContract(const SchedulingTable& table, const VcpuContract& contract,
   // less what coalescing provably donated away; and the donation accounting
   // must cover the summed shortfall exactly.
   TimeNs total_shortfall = 0;
+  std::size_t skip = 0;
   for (TimeNs k = 0; k < windows; ++k) {
     const TimeNs window_start = k * contract.period;
-    const TimeNs supply = SupplyIn(intervals, window_start, window_start + contract.period);
+    const TimeNs supply =
+        SupplyIn(pieces, window_start, window_start + contract.period, &skip);
     if (supply < contract.cost - donated) {
       std::ostringstream out;
       out << "vcpu " << contract.vcpu << " window " << k << " [" << window_start << ", "
@@ -246,7 +275,7 @@ void CheckContract(const SchedulingTable& table, const VcpuContract& contract,
   // threshold-sized sliver per adjacent gap.
   const TimeNs blackout_bound = 2 * (contract.period - contract.cost) +
                                 (donated > 0 ? donated + 2 * options.coalesce_threshold : 0);
-  const TimeNs blackout = MaxGap(intervals, length);
+  const TimeNs blackout = MaxGap(pieces, length);
   if (blackout > blackout_bound) {
     violations->push_back(
         Describe("blackout exceeds 2(T - C) plus coalescing slack", contract.vcpu,
@@ -256,15 +285,14 @@ void CheckContract(const SchedulingTable& table, const VcpuContract& contract,
   // C=D split legality: the split flag must match the table, and each piece
   // must be long enough to be enforceable. Cross-core exclusion (checked
   // globally) covers the "one core at a time" half of the contract.
-  const std::vector<int> cpus = table.CpusOf(contract.vcpu);
-  if (contract.split && cpus.size() < 2) {
+  const long long cpus = CpuCount(pieces);
+  if (contract.split && cpus < 2) {
     violations->push_back(Describe("split vcpu has allocations on fewer than two cores",
-                                   contract.vcpu, static_cast<long long>(cpus.size()), 2));
+                                   contract.vcpu, cpus, 2));
   }
-  if (!contract.split && cpus.size() > 1) {
-    violations->push_back(
-        Describe("unsplit vcpu has allocations on more than one core", contract.vcpu,
-                 static_cast<long long>(cpus.size()), 1));
+  if (!contract.split && cpus > 1) {
+    violations->push_back(Describe("unsplit vcpu has allocations on more than one core",
+                                   contract.vcpu, cpus, 1));
   }
 }
 
@@ -280,9 +308,11 @@ std::vector<std::string> VerifyTable(const SchedulingTable& table,
     return violations;
   }
   CheckSliceAgreement(table, &violations);
-  CheckCrossCoreExclusion(table, &violations);
+  const std::vector<Piece> pieces = PiecesByVcpu(table);
+  CheckCrossCoreExclusion(pieces, &violations);
   for (const VcpuContract& contract : contracts) {
-    CheckContract(table, contract, options, &violations);
+    const auto run = std::ranges::equal_range(pieces, contract.vcpu, {}, &Piece::vcpu);
+    CheckContract(table.length(), {run.begin(), run.end()}, contract, options, &violations);
   }
   return violations;
 }

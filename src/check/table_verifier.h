@@ -6,7 +6,7 @@
 //
 // The verifier deliberately shares no code with SchedulingTable::Validate()
 // or the planner: it re-checks structure from first principles (ordering,
-// bounds, slice-table agreement against the linear reference lookup,
+// bounds, slice-table agreement against a binary-search reference lookup,
 // cross-core exclusion) and then checks the per-vCPU supply contract:
 //
 //  - window supply: in every aligned period window [kT, (k+1)T) the vCPU

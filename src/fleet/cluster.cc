@@ -19,37 +19,37 @@ inline void Mix(std::uint64_t& fp, std::uint64_t value) {
   fp = (fp ^ value) * kFnvPrime;
 }
 
-ShardedSimulation::Options SimOptions(const ClusterConfig& config) {
-  ShardedSimulation::Options options = config.sim;
-  options.num_shards = config.num_hosts;
-  return options;
+std::vector<std::unique_ptr<Host>> MakeHosts(const ClusterConfig& config) {
+  TABLEAU_CHECK(config.num_hosts >= 1);
+  TABLEAU_CHECK(config.control_period > 0);
+  if (config.host.attach_telemetry && config.host.slots_per_core > 0) {
+    TABLEAU_CHECK_MSG(config.host.telemetry.window_ns == config.control_period,
+                      "telemetry window must equal the control period so "
+                      "cadence samples land on tick barriers");
+  }
+  std::vector<std::unique_ptr<Host>> hosts;
+  hosts.reserve(static_cast<std::size_t>(config.num_hosts));
+  for (int h = 0; h < config.num_hosts; ++h) {
+    HostConfig host_config = config.host;
+    host_config.index = h;
+    hosts.push_back(std::make_unique<Host>(host_config));
+  }
+  return hosts;
+}
+
+std::vector<Simulation*> EnginesOf(const std::vector<std::unique_ptr<Host>>& hosts) {
+  std::vector<Simulation*> engines;
+  engines.reserve(hosts.size());
+  for (const auto& host : hosts) {
+    engines.push_back(&host->machine().sim());
+  }
+  return engines;
 }
 
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config)
-    : config_(config), sim_(SimOptions(config)) {
-  TABLEAU_CHECK(config_.num_hosts >= 1);
-  TABLEAU_CHECK(config_.control_period > 0);
-  if (config_.host.attach_telemetry && config_.host.slots_per_core > 0) {
-    TABLEAU_CHECK_MSG(config_.host.telemetry.window_ns == config_.control_period,
-                      "telemetry window must equal the control period so "
-                      "cadence samples land on tick barriers");
-  }
-  hosts_.reserve(static_cast<std::size_t>(config_.num_hosts));
-  for (int h = 0; h < config_.num_hosts; ++h) {
-    HostConfig host_config = config_.host;
-    host_config.index = h;
-    host_config.engine = &sim_.shard(h);
-    // With several hosts, serial mode multiplexes them onto one engine, so
-    // per-host engine gauges would depend on the execution mode; drop them
-    // to keep snapshots byte-identical across modes. A 1-host cluster owns
-    // its engine exclusively and keeps the gauges (the classic single-host
-    // harness path).
-    host_config.report_engine_stats = config_.num_hosts == 1;
-    hosts_.push_back(std::make_unique<Host>(host_config));
-  }
-
+    : config_(config), hosts_(MakeHosts(config_)), sim_(EnginesOf(hosts_), config_.sim) {
   streams_.reserve(config_.vms.size());
   vm_state_.resize(config_.vms.size());
   for (std::size_t i = 0; i < config_.vms.size(); ++i) {

@@ -2,15 +2,16 @@
 // plane that places and migrates VMs across it (api_redesign; ROADMAP
 // "from one box to a datacenter").
 //
-// Execution model: every host is one ShardedSimulation shard — its Machine,
-// planner, and telemetry all live on the shard's engine. Hosts meet only at
-// control ticks: RunUntil runs every host to the next tick (one
-// ShardedSimulation barrier), and the tick posts the cross-host events (VM
+// Execution model: every host's Machine owns its engine, and each engine is
+// one shard of the cluster's ShardedSimulation, a barrier over those
+// engines. Hosts meet only at control ticks: RunUntil runs every host to the
+// next tick (one barrier), and the tick posts the cross-host events (VM
 // arrival activations, live-migration transfers) through
 // ShardedSimulation::Post for the next barrier to inject. The run is
-// therefore byte-reproducible in serial, sharded, and parallel execution
-// alike (the sharded determinism argument in src/sim/sharded_sim.h; asserted
-// by tests/fleet_test.cc and bench_fleet --check-determinism).
+// therefore byte-reproducible whether the barrier runs the engines one after
+// another or on worker threads (the determinism argument in
+// src/sim/sharded_sim.h; asserted by tests/fleet_test.cc and
+// `tableau fleet run --check-determinism`).
 //
 // Control plane: at every control tick (a barrier whose period equals the
 // telemetry window), the cluster — in deterministic host/VM order —
@@ -43,9 +44,9 @@ enum class PlacementPolicy { kWorstFit, kFirstFit };
 
 struct ClusterConfig {
   int num_hosts = 1;
-  // Per-host template; index/engine/report_engine_stats are set per host.
+  // Per-host template; index is set per host.
   HostConfig host;
-  // Execution mode knobs (num_shards is overwritten with num_hosts).
+  // Execution mode: serial or parallel barriers (byte-identical results).
   ShardedSimulation::Options sim;
   // Control tick period. Must equal the hosts' telemetry window (cadence
   // samples land on tick barriers).
@@ -149,9 +150,10 @@ class Cluster {
   void ActivateOn(int vm, int host, int slot, TimeNs at);
 
   ClusterConfig config_;
-  // Declared before hosts_: host machines arm timers on shard engines.
-  ShardedSimulation sim_;
+  // Declared before sim_, so the barrier's worker pool is joined before the
+  // hosts' engines are destroyed.
   std::vector<std::unique_ptr<Host>> hosts_;
+  ShardedSimulation sim_;
   std::vector<std::unique_ptr<VmStream>> streams_;  // Indexed by vm id.
   std::vector<VmState> vm_state_;
   std::vector<int> arrival_order_;  // vm ids sorted by (arrival, vm).

@@ -24,8 +24,6 @@ Host::Host(const HostConfig& config) : config_(config) {
   machine_config.num_cpus = config_.num_cpus;
   machine_config.cores_per_socket = config_.cores_per_socket;
   machine_config.costs = config_.costs;
-  machine_config.engine = config_.engine;
-  machine_config.report_engine_stats = config_.report_engine_stats;
   machine_ = std::make_unique<Machine>(machine_config, std::move(made.scheduler));
   if (injector_ != nullptr) {
     machine_->SetFaultInjector(injector_.get());

@@ -11,10 +11,6 @@
 //    through Planner::Solve's delta path (Sec. 7.1 incremental
 //    re-computation); RemoveVm() replans with the vCPU departed and frees
 //    the slot for reuse.
-//
-// A host runs either on its own discrete-event engine (standalone /
-// classic single-host mode) or on an engine supplied by a
-// ShardedSimulation shard (fleet mode) — see MachineConfig::engine.
 #ifndef SRC_FLEET_HOST_H_
 #define SRC_FLEET_HOST_H_
 
@@ -51,11 +47,6 @@ struct HostConfig {
   OverheadCosts costs;
   // Deterministic fault injection; empty builds no injector.
   faults::FaultPlan fault_plan;
-  // External engine (a ShardedSimulation shard); null = machine-owned.
-  Simulation* engine = nullptr;
-  // See MachineConfig::report_engine_stats. Fleet hosts sharing a serial
-  // engine must turn this off so snapshots are execution-mode-independent.
-  bool report_engine_stats = true;
   // Windowed telemetry for the slot pool (SLO verdicts drive the control
   // plane's overload detection). Off = the owner attaches telemetry itself.
   bool attach_telemetry = true;

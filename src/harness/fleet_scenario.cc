@@ -9,7 +9,6 @@ fleet::ClusterConfig BuildFleetConfig(const FleetScenarioConfig& config) {
   TABLEAU_CHECK(config.num_hosts >= 1 && config.num_vms >= 0);
   fleet::ClusterConfig cluster;
   cluster.num_hosts = config.num_hosts;
-  cluster.sim.sharded = config.sharded;
   cluster.sim.parallel = config.parallel;
   cluster.sim.num_threads = config.num_threads;
   cluster.control_period = config.control_period;

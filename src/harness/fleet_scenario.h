@@ -20,6 +20,8 @@ struct FleetScenarioConfig {
   int slots_per_core = 4;
   // --- Execution mode (determinism: results are byte-identical across all
   // combinations; see ShardedSimulation) ---
+  // Has no effect: every host runs on its own engine. Kept only because
+  // perfbench/fleet_workloads.cc still assigns it.
   bool sharded = false;
   bool parallel = false;
   int num_threads = 0;

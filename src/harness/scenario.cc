@@ -59,8 +59,8 @@ fleet::HostConfig HostConfigFrom(const ScenarioConfig& config) {
 
 Scenario BuildScenario(const ScenarioConfig& config) {
   Scenario scenario;
-  // A one-host serial cluster: shard 0 is a plain dedicated engine, so the
-  // machine behaves exactly as with an owned engine (golden traces pin it).
+  // A one-host cluster; its machine owns its engine, as every fleet host's
+  // does (golden traces pin its behavior).
   fleet::ClusterConfig cluster_config;
   cluster_config.num_hosts = 1;
   cluster_config.host = HostConfigFrom(config);

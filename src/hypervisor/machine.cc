@@ -7,19 +7,15 @@
 namespace tableau {
 
 Machine::Machine(MachineConfig config, std::unique_ptr<VcpuScheduler> scheduler)
-    : config_(config),
-      owned_sim_(config.engine == nullptr ? std::make_unique<Simulation>()
-                                          : nullptr),
-      sim_(config.engine != nullptr ? config.engine : owned_sim_.get()),
-      scheduler_(std::move(scheduler)) {
+    : config_(config), scheduler_(std::move(scheduler)) {
   TABLEAU_CHECK(config_.num_cpus > 0 && config_.cores_per_socket > 0);
   cpu_.resize(static_cast<std::size_t>(config_.num_cpus));
   for (CpuId cpu = 0; cpu < config_.num_cpus; ++cpu) {
     CpuState& state = cpu_[static_cast<std::size_t>(cpu)];
-    state.cpu_event_timer = sim_->CreateTimer([this, cpu] { OnCpuEvent(cpu); });
+    state.cpu_event_timer = sim_.CreateTimer([this, cpu] { OnCpuEvent(cpu); });
     state.resched_timer =
-        sim_->CreateTimer([this, cpu] { Reschedule(cpu, DeschedReason::kSliceEnd); });
-    state.kick_timer = sim_->CreateTimer([this, cpu] {
+        sim_.CreateTimer([this, cpu] { Reschedule(cpu, DeschedReason::kSliceEnd); });
+    state.kick_timer = sim_.CreateTimer([this, cpu] {
       cpu_[static_cast<std::size_t>(cpu)].kick_pending = false;
       Reschedule(cpu, DeschedReason::kPreempted);
     });
@@ -58,24 +54,24 @@ TimeNs Machine::PerturbFire(TimeNs at) {
   if (fault_injector_ == nullptr) {
     return at;
   }
-  return fault_injector_->PerturbTimerArm(sim_->Now(), at);
+  return fault_injector_->PerturbTimerArm(sim_.Now(), at);
 }
 
 void Machine::RunFor(TimeNs duration) {
-  const TimeNs target = sim_->Now() + duration;
+  const TimeNs target = sim_.Now() + duration;
   if (telemetry_ != nullptr) {
     // Cadence sampling: chunk the advance at telemetry window boundaries.
     // RunUntil executes exactly the events due up to its horizon and then
     // sets the clock to it, so chunking is behavior-neutral — the same
     // events fire at the same times whether telemetry is attached or not.
-    TimeNs boundary = telemetry_->NextBoundaryAfter(sim_->Now());
+    TimeNs boundary = telemetry_->NextBoundaryAfter(sim_.Now());
     while (boundary < target) {
-      sim_->RunUntil(boundary);
+      sim_.RunUntil(boundary);
       SampleCadence(boundary);
       boundary += telemetry_->window_ns();
     }
   }
-  sim_->RunUntil(target);
+  sim_.RunUntil(target);
   SettleAllCpus();
 }
 
@@ -95,11 +91,11 @@ void Machine::SampleCadence(TimeNs at) {
 void Machine::Start() {
   if (telemetry_ != nullptr && !telemetry_->bound()) {
     telemetry_->Bind(config_.num_cpus, static_cast<int>(vcpus_.size()),
-                     scheduler_->table_driven(), sim_->Now());
+                     scheduler_->table_driven(), sim_.Now());
   }
   scheduler_->Start();
   for (CpuId cpu = 0; cpu < config_.num_cpus; ++cpu) {
-    sim_->Arm(cpu_[static_cast<std::size_t>(cpu)].resched_timer, sim_->Now());
+    sim_.Arm(cpu_[static_cast<std::size_t>(cpu)].resched_timer, sim_.Now());
   }
 }
 
@@ -128,7 +124,7 @@ auto Machine::TraceOp(SchedOp op, CpuId cpu, Fn&& fn) {
 void Machine::AddOpCost(TimeNs cost) {
   TABLEAU_CHECK(cost >= 0);
   if (fault_injector_ != nullptr && cost > 0) {
-    cost = fault_injector_->ScaleSchedOpCost(sim_->Now(), cost);
+    cost = fault_injector_->ScaleSchedOpCost(sim_.Now(), cost);
   }
   if (op_active_) {
     op_cost_ += cost;
@@ -155,9 +151,9 @@ void Machine::KickCpu(CpuId cpu, bool remote) {
   if (remote && fault_injector_ != nullptr) {
     // Dropped IPIs re-send after a bounded retry interval: delivery becomes
     // later, never lost, so kick_pending still dedups correctly.
-    delay = fault_injector_->PerturbIpiDelay(sim_->Now(), delay);
+    delay = fault_injector_->PerturbIpiDelay(sim_.Now(), delay);
   }
-  sim_->Arm(state.kick_timer, sim_->Now() + delay);
+  sim_.Arm(state.kick_timer, sim_.Now() + delay);
 }
 
 void Machine::SettleService(CpuId cpu) {
@@ -166,7 +162,7 @@ void Machine::SettleService(CpuId cpu) {
   if (vcpu == nullptr) {
     return;
   }
-  const TimeNs now = sim_->Now();
+  const TimeNs now = sim_.Now();
   // Guest-visible service excludes the overhead window before service_start_.
   const TimeNs served = std::max<TimeNs>(0, now - vcpu->service_start_);
   if (served > 0) {
@@ -197,11 +193,11 @@ void Machine::Wake(VcpuId id) {
     return;
   }
   vcpu->state_ = VcpuState::kRunnable;
-  vcpu->wake_time_ = sim_->Now();
+  vcpu->wake_time_ = sim_.Now();
   vcpu->woke_since_dispatch_ = true;
-  trace_.Record(sim_->Now(), TraceEvent::kWakeup, vcpu->last_cpu_, vcpu->id());
+  trace_.Record(sim_.Now(), TraceEvent::kWakeup, vcpu->last_cpu_, vcpu->id());
   if (telemetry_ != nullptr) {
-    telemetry_->OnWakeup(vcpu->id(), sim_->Now());
+    telemetry_->OnWakeup(vcpu->id(), sim_.Now());
   }
   // Wakeups are processed on the vCPU's last CPU (where the event-channel
   // interrupt lands); the charged cost lands there as overhead debt.
@@ -213,7 +209,7 @@ void Machine::Wake(VcpuId id) {
     // wakeup-processing pass and a spurious local kick, but never re-enters
     // the scheduler's OnWakeup (the vCPU is already runnable; re-enqueueing
     // it would corrupt every scheduler's runqueue invariants).
-    const int storm = fault_injector_->NextWakeupStormCount(sim_->Now());
+    const int storm = fault_injector_->NextWakeupStormCount(sim_.Now());
     for (int i = 0; i < storm; ++i) {
       AddOpCost(config_.costs.wakeup_entry);
       TraceOp(SchedOp::kWakeup, processing, [] {});
@@ -231,13 +227,13 @@ void Machine::Block(Vcpu* vcpu) {
   vcpu->state_ = VcpuState::kBlocked;
   vcpu->running_on_ = kNoCpu;
   vcpu->last_cpu_ = cpu;
-  vcpu->last_service_end_ = sim_->Now();
-  trace_.Record(sim_->Now(), TraceEvent::kBlock, cpu, vcpu->id());
+  vcpu->last_service_end_ = sim_.Now();
+  trace_.Record(sim_.Now(), TraceEvent::kBlock, cpu, vcpu->id());
   if (telemetry_ != nullptr) {
-    telemetry_->OnBlock(vcpu->id(), sim_->Now());
+    telemetry_->OnBlock(vcpu->id(), sim_.Now());
   }
   state.current = nullptr;
-  sim_->Disarm(state.pending);
+  sim_.Disarm(state.pending);
   state.pending = kInvalidEvent;
   scheduler_->OnBlock(vcpu, cpu);
   Reschedule(cpu, DeschedReason::kBlocked);
@@ -248,9 +244,9 @@ void Machine::Reschedule(CpuId cpu, DeschedReason reason) {
   // Disarm, not Cancel: the pending timer is persistent and re-armed below.
   // When Reschedule *is* the pending timer's own callback, this just
   // suppresses its re-arm — the seed engine leaked a tombstone here.
-  sim_->Disarm(state.pending);
+  sim_.Disarm(state.pending);
   state.pending = kInvalidEvent;
-  const TimeNs now = sim_->Now();
+  const TimeNs now = sim_.Now();
 
   Vcpu* prev = state.current;
   if (prev != nullptr) {
@@ -286,7 +282,7 @@ void Machine::Reschedule(CpuId cpu, DeschedReason reason) {
     state.overhead_ns += start_delay;
     m_overhead_ns_->Increment(start_delay);
     if (decision.until != kTimeNever) {
-      sim_->Arm(state.resched_timer, std::max(now, PerturbFire(decision.until)));
+      sim_.Arm(state.resched_timer, std::max(now, PerturbFire(decision.until)));
       state.pending = state.resched_timer;
     }
     return;
@@ -346,7 +342,7 @@ void Machine::Reschedule(CpuId cpu, DeschedReason reason) {
     event_time = std::min(event_time, next->service_start_ + next->remaining_burst_);
   }
   TABLEAU_CHECK(event_time != kTimeNever);
-  sim_->Arm(state.cpu_event_timer, std::max(now, PerturbFire(event_time)));
+  sim_.Arm(state.cpu_event_timer, std::max(now, PerturbFire(event_time)));
   state.pending = state.cpu_event_timer;
 }
 
@@ -354,7 +350,7 @@ void Machine::OnCpuEvent(CpuId cpu) {
   CpuState& state = cpu_[static_cast<std::size_t>(cpu)];
   state.pending = kInvalidEvent;
   Vcpu* vcpu = state.current;
-  const TimeNs now = sim_->Now();
+  const TimeNs now = sim_.Now();
 
   if (vcpu == nullptr || now >= state.decision_until) {
     Reschedule(cpu, DeschedReason::kSliceEnd);
@@ -372,7 +368,7 @@ void Machine::OnCpuEvent(CpuId cpu) {
     if (overrun > 0) {
       vcpu->remaining_burst_ = overrun;
       TimeNs event_time = std::min(state.decision_until, now + overrun);
-      sim_->Arm(state.cpu_event_timer, std::max(now, PerturbFire(event_time)));
+      sim_.Arm(state.cpu_event_timer, std::max(now, PerturbFire(event_time)));
       state.pending = state.cpu_event_timer;
       return;
     }
@@ -390,7 +386,7 @@ void Machine::OnCpuEvent(CpuId cpu) {
       event_time = std::min(event_time, now + vcpu->remaining_burst_);
     }
     TABLEAU_CHECK(event_time != kTimeNever);
-    sim_->Arm(state.cpu_event_timer, std::max(now, event_time));
+    sim_.Arm(state.cpu_event_timer, std::max(now, event_time));
     state.pending = state.cpu_event_timer;
   }
   // Otherwise the guest blocked and Block() already rescheduled this CPU.
@@ -407,16 +403,14 @@ obs::MetricsSnapshot Machine::SnapshotMetrics() {
   metrics_.GetGauge("machine.cpu_overhead_ns")->Set(static_cast<double>(overhead));
   metrics_.GetGauge("trace.records")->Set(static_cast<double>(trace_.total_recorded()));
   metrics_.GetGauge("trace.dropped")->Set(static_cast<double>(trace_.dropped()));
-  if (config_.report_engine_stats) {
-    const Simulation::EngineStats& engine = sim_->engine_stats();
-    metrics_.GetGauge("sim.events_executed")->Set(static_cast<double>(sim_->events_executed()));
-    metrics_.GetGauge("sim.wheel_cascades")->Set(static_cast<double>(engine.wheel_cascades));
-    metrics_.GetGauge("sim.wheel_slot_drains")->Set(static_cast<double>(engine.slot_drains));
-    metrics_.GetGauge("sim.overflow_reloads")->Set(static_cast<double>(engine.overflow_reloads));
-    metrics_.GetGauge("sim.pool_capacity")->Set(static_cast<double>(sim_->pool_capacity()));
-    metrics_.GetGauge("sim.live_events")->Set(static_cast<double>(sim_->live_events()));
-    metrics_.GetGauge("sim.peak_live_events")->Set(static_cast<double>(engine.peak_live_nodes));
-  }
+  const Simulation::EngineStats& engine = sim_.engine_stats();
+  metrics_.GetGauge("sim.events_executed")->Set(static_cast<double>(sim_.events_executed()));
+  metrics_.GetGauge("sim.wheel_cascades")->Set(static_cast<double>(engine.wheel_cascades));
+  metrics_.GetGauge("sim.wheel_slot_drains")->Set(static_cast<double>(engine.slot_drains));
+  metrics_.GetGauge("sim.overflow_reloads")->Set(static_cast<double>(engine.overflow_reloads));
+  metrics_.GetGauge("sim.pool_capacity")->Set(static_cast<double>(sim_.pool_capacity()));
+  metrics_.GetGauge("sim.live_events")->Set(static_cast<double>(sim_.live_events()));
+  metrics_.GetGauge("sim.peak_live_events")->Set(static_cast<double>(engine.peak_live_nodes));
   return metrics_.Snapshot();
 }
 

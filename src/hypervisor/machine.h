@@ -32,29 +32,20 @@ struct MachineConfig {
   int num_cpus = 16;
   int cores_per_socket = 8;
   OverheadCosts costs;
-  // External discrete-event engine to schedule on (not owned; must outlive
-  // the machine). nullptr — the default — makes the machine own a private
-  // engine, which is the classic single-host mode. A fleet::Host passes its
-  // ShardedSimulation shard engine here so every host on a shard (or all
-  // hosts, in serial mode) multiplex one clock.
-  Simulation* engine = nullptr;
-  // Publish sim.* engine gauges from SnapshotMetrics(). Leave on for an
-  // owned engine; fleet hosts sharing an engine turn it off so per-host
-  // snapshots do not depend on the serial-vs-sharded execution mode.
-  bool report_engine_stats = true;
 };
 
 class Machine {
  public:
   Machine(MachineConfig config, std::unique_ptr<VcpuScheduler> scheduler);
 
-  Simulation& sim() { return *sim_; }
-  const Simulation& sim() const { return *sim_; }
+  // The machine's own discrete-event engine.
+  Simulation& sim() { return sim_; }
+  const Simulation& sim() const { return sim_; }
   VcpuScheduler& scheduler() { return *scheduler_; }
   const MachineConfig& config() const { return config_; }
   int num_cpus() const { return config_.num_cpus; }
   int SocketOf(CpuId cpu) const { return cpu / config_.cores_per_socket; }
-  TimeNs Now() const { return sim_->Now(); }
+  TimeNs Now() const { return sim_.Now(); }
 
   // Creates a vCPU (initially blocked) and registers it with the scheduler.
   Vcpu* AddVcpu(const VcpuParams& params);
@@ -66,16 +57,17 @@ class Machine {
   void Start();
 
   // Advances the simulation by `duration`, then settles in-flight service
-  // accounting at the horizon so statistics cover the full interval. Only
-  // meaningful when the machine owns its engine; with an external engine the
-  // driver advances the clock and calls the two hooks below itself.
+  // accounting at the horizon so statistics cover the full interval. A
+  // single-host run drives the machine this way; a fleet advances its hosts'
+  // engines at ShardedSimulation barriers and calls the two hooks below
+  // itself.
   void RunFor(TimeNs duration);
 
-  // --- External-engine driver hooks ---
-  // When MachineConfig::engine is set, the owner advances the shared clock
-  // (e.g. via ShardedSimulation::RunUntil) and replicates what RunFor does
-  // around the advance: a telemetry cadence sample at every window boundary
-  // and a settle of in-flight service accounting at the measurement horizon.
+  // --- Barrier hooks ---
+  // A caller that advances sim() itself (the fleet's ShardedSimulation
+  // barrier) replicates what RunFor does around the advance: a telemetry
+  // cadence sample at every window boundary and a settle of in-flight
+  // service accounting at the measurement horizon.
   void SampleTelemetryCadence(TimeNs at) {
     if (telemetry_ != nullptr) {
       SampleCadence(at);
@@ -201,9 +193,8 @@ class Machine {
   auto TraceOp(SchedOp op, CpuId cpu, Fn&& fn);
 
   MachineConfig config_;
-  // Owned engine in classic mode; empty when config_.engine supplies one.
-  std::unique_ptr<Simulation> owned_sim_;
-  Simulation* sim_;
+  // Declared before everything that arms timers on it.
+  Simulation sim_;
   faults::FaultInjector* fault_injector_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
   std::unique_ptr<VcpuScheduler> scheduler_;

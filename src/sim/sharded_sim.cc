@@ -1,6 +1,7 @@
 #include "src/sim/sharded_sim.h"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "src/common/check.h"
@@ -8,20 +9,16 @@
 
 namespace tableau {
 
-ShardedSimulation::ShardedSimulation(const Options& options)
-    : options_(options) {
-  TABLEAU_CHECK(options_.num_shards >= 1);
-  TABLEAU_CHECK(!options_.parallel || options_.sharded);
-  const std::size_t engines =
-      options_.sharded ? static_cast<std::size_t>(options_.num_shards) : 1;
-  engines_.reserve(engines);
-  for (std::size_t i = 0; i < engines; ++i) {
-    engines_.push_back(std::make_unique<Simulation>());
-  }
-  if (options_.parallel) {
-    pool_ = std::make_unique<ThreadPool>(
-        options_.num_threads > 0 ? std::min(options_.num_threads, options_.num_shards)
-                                 : options_.num_shards);
+ShardedSimulation::ShardedSimulation(std::vector<Simulation*> engines,
+                                     const Options& options)
+    : engines_(std::move(engines)) {
+  TABLEAU_CHECK(!engines_.empty());
+  if (options.parallel) {
+    const int workers =
+        options.num_threads > 0
+            ? options.num_threads
+            : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    pool_ = std::make_unique<ThreadPool>(std::min(workers, num_shards()));
   }
 }
 
@@ -29,8 +26,8 @@ ShardedSimulation::~ShardedSimulation() = default;
 
 void ShardedSimulation::Post(int from_shard, int to_shard, TimeNs delay,
                              std::function<void()> fn) {
-  TABLEAU_CHECK(from_shard >= 0 && from_shard < options_.num_shards);
-  TABLEAU_CHECK(to_shard >= 0 && to_shard < options_.num_shards);
+  TABLEAU_CHECK(from_shard >= 0 && from_shard < num_shards());
+  TABLEAU_CHECK(to_shard >= 0 && to_shard < num_shards());
   TABLEAU_CHECK(delay >= 0);
   TABLEAU_CHECK_MSG(!running_, "Post is legal only between RunUntil calls");
   pending_.push_back(Message{barrier_ + delay, from_shard, to_shard, std::move(fn)});
@@ -75,7 +72,7 @@ void ShardedSimulation::RunUntil(TimeNs until) {
 
 std::uint64_t ShardedSimulation::events_executed() const {
   std::uint64_t total = 0;
-  for (const auto& engine : engines_) {
+  for (const Simulation* engine : engines_) {
     total += engine->events_executed();
   }
   return total;

@@ -1,31 +1,28 @@
 // Barrier-synchronised multi-engine simulation: the execution substrate of
-// the fleet (src/fleet/cluster.h), where each shard is one fleet host
-// (DESIGN.md "Simulation hot loop", sharded determinism argument).
+// the fleet (src/fleet/cluster.h), where each shard is one fleet host and
+// its engine is the one that host's Machine owns (DESIGN.md "Simulation hot
+// loop", sharded determinism argument).
 //
-// A ShardedSimulation partitions an event population into shards, each with
-// its own Simulation engine. RunUntil(t) is one barrier: it injects the
-// queued cross-shard messages (VM arrival activations, live-migration
-// transfers) into their target shards in (due time, sender shard, post
-// order), runs every engine to t, and returns. Post() is legal only between
-// RunUntil calls; a post from inside a shard event aborts.
+// A ShardedSimulation is a barrier over engines it does not own. RunUntil(t)
+// is one barrier: it injects the queued cross-shard messages (VM arrival
+// activations, live-migration transfers) into their target engines in (due
+// time, sender shard, post order), runs every engine to t, and returns.
+// Post() is legal only between RunUntil calls; a post from inside a shard
+// event aborts.
 //
-// Determinism / serial-equivalence argument: while the engines run, nothing
-// crosses between shards, so a shard's event sequence depends only on its
-// own prior events and the messages injected at earlier barriers. Both are
-// identical whether the shards share one engine or run on engines of their
-// own (in any order, or concurrently), and every message is posted by the
-// single thread that calls RunUntil, so the injection order is fixed. This
-// makes the `sharded` option purely an execution strategy: per-shard event
-// streams, and hence any fingerprint computed over (shard, time, payload),
-// are bit-identical with it on or off (asserted by
-// tests/sharded_sim_test.cc).
+// Determinism argument: while the engines run, nothing crosses between
+// shards, so a shard's event sequence depends only on its own prior events
+// and the messages injected at earlier barriers. Both are identical whether
+// the engines run one after another (serial) or concurrently, and every
+// message is posted by the single thread that calls RunUntil, so the
+// injection order is fixed. `parallel` is therefore purely an execution
+// strategy: per-shard event streams, and hence any fingerprint computed over
+// (shard, time, payload), are bit-identical with it on or off, for any
+// worker count (asserted by tests/sharded_sim_test.cc).
 //
-// The option is off by default: `sharded == false` multiplexes every shard
-// onto a single engine, which is exactly the classic serial mode. With
-// `parallel == true` (requires `sharded`), each barrier runs the engines on
-// a ThreadPool created once with the simulation, one contiguous range of
-// shards per worker; message injection stays on the calling thread, so the
-// guarantee above is unchanged.
+// With `parallel == true`, each barrier runs the engines on a ThreadPool
+// created once with the simulation, one contiguous range of shards per
+// worker; message injection stays on the calling thread.
 #ifndef SRC_SIM_SHARDED_SIM_H_
 #define SRC_SIM_SHARDED_SIM_H_
 
@@ -44,31 +41,26 @@ class ThreadPool;
 class ShardedSimulation {
  public:
   struct Options {
-    int num_shards = 1;
-    // Off by default: all shards multiplex onto one serial engine.
-    bool sharded = false;
-    // Run shard engines on worker threads at each barrier (requires sharded).
+    // Run the shard engines on worker threads at each barrier.
     bool parallel = false;
-    // Worker threads for parallel barriers (<= 0: one thread per shard).
-    // Shards are partitioned into contiguous ranges, one range per worker,
-    // and each worker runs its range serially — purely an execution-cost
-    // knob; message injection is unchanged, so results are byte-identical
-    // for any thread count (tests/fleet_test.cc).
+    // Worker threads for parallel barriers (<= 0: the hardware concurrency).
+    // Capped at the shard count. Shards are partitioned into contiguous
+    // ranges, one range per worker, and each worker runs its range serially
+    // — purely an execution-cost knob; message injection is unchanged, so
+    // results are byte-identical for any thread count (tests/fleet_test.cc).
     int num_threads = 0;
   };
 
-  explicit ShardedSimulation(const Options& options);
+  // One shard per engine, in order. The engines are not owned and must
+  // outlive the simulation; the caller schedules each shard's local events
+  // on its engine directly.
+  ShardedSimulation(std::vector<Simulation*> engines, const Options& options);
   ~ShardedSimulation();
 
-  int num_shards() const { return options_.num_shards; }
-  bool sharded() const { return options_.sharded; }
+  int num_shards() const { return static_cast<int>(engines_.size()); }
 
-  // Engine hosting `shard`'s local events. Callers schedule per-pCPU work
-  // (dispatch ticks, vCPU timers) directly on it; in serial mode every
-  // shard resolves to the same engine.
-  Simulation& shard(int shard) {
-    return *engines_[options_.sharded ? static_cast<std::size_t>(shard) : 0];
-  }
+  // Engine hosting `shard`'s local events.
+  Simulation& shard(int shard) { return *engines_[static_cast<std::size_t>(shard)]; }
 
   // Last completed barrier time (the globally agreed-upon clock).
   TimeNs Now() const { return barrier_; }
@@ -96,8 +88,7 @@ class ShardedSimulation {
     std::function<void()> fn;
   };
 
-  Options options_;
-  std::vector<std::unique_ptr<Simulation>> engines_;
+  std::vector<Simulation*> engines_;
   // Parallel mode only; null runs the engines inline.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<Message> pending_;  // In post order.

@@ -1,11 +1,11 @@
 // Fleet control-plane properties: execution-mode determinism (serial vs
-// sharded vs parallel with any worker count), placement policy behavior,
-// and the live-migration oracle (destination tables pass the TableVerifier;
-// no request span is lost across a drain).
+// parallel with any worker count), one engine per host, placement policy
+// behavior, and the live-migration oracle (destination tables pass the
+// TableVerifier; no request span is lost across a drain).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
+#include <set>
 #include <string>
 #include <vector>
 
@@ -59,30 +59,16 @@ TEST(FleetDeterminismTest, IdenticalAcrossExecutionModes) {
   EXPECT_GT(serial.slo.requests, 0u);
   EXPECT_EQ(serial.slo.vms_admitted, base.num_vms);
 
-  // Same scenario under every execution strategy: sharded single-threaded,
-  // and parallel with 1, 2, and 4 worker threads. The merged fingerprint
-  // and the merged metrics block must be byte-identical to the serial run.
-  std::vector<FleetScenarioConfig> modes;
-  {
-    FleetScenarioConfig sharded = base;
-    sharded.sharded = true;
-    modes.push_back(sharded);
-    for (const int threads : {1, 2, 4}) {
-      FleetScenarioConfig parallel = base;
-      parallel.sharded = true;
-      parallel.parallel = true;
-      parallel.num_threads = threads;
-      modes.push_back(parallel);
-    }
-  }
-  for (const FleetScenarioConfig& mode : modes) {
-    const FleetRun run = RunFleet(mode, duration);
-    EXPECT_EQ(run.fingerprint, serial.fingerprint)
-        << "sharded=" << mode.sharded << " parallel=" << mode.parallel
-        << " threads=" << mode.num_threads;
-    EXPECT_EQ(run.metrics_json, serial.metrics_json)
-        << "sharded=" << mode.sharded << " parallel=" << mode.parallel
-        << " threads=" << mode.num_threads;
+  // Same scenario in parallel with 1, 2, and 4 worker threads. The merged
+  // fingerprint and the merged metrics block must be byte-identical to the
+  // serial run.
+  for (const int threads : {1, 2, 4}) {
+    FleetScenarioConfig parallel = base;
+    parallel.parallel = true;
+    parallel.num_threads = threads;
+    const FleetRun run = RunFleet(parallel, duration);
+    EXPECT_EQ(run.fingerprint, serial.fingerprint) << "threads=" << threads;
+    EXPECT_EQ(run.metrics_json, serial.metrics_json) << "threads=" << threads;
   }
 
   // Repeatability: the same mode twice is bit-identical too.
@@ -100,23 +86,19 @@ TEST(FleetDeterminismTest, OddControlPeriodIdenticalAcrossExecutionModes) {
 
   const FleetRun serial = RunFleet(base, duration);
   EXPECT_GT(serial.slo.requests, 0u);
-  FleetScenarioConfig sharded = base;
-  sharded.sharded = true;
-  FleetScenarioConfig parallel = sharded;
+  FleetScenarioConfig parallel = base;
   parallel.parallel = true;
   parallel.num_threads = 3;
-  for (const FleetScenarioConfig& mode : {sharded, parallel}) {
-    const FleetRun run = RunFleet(mode, duration);
-    EXPECT_EQ(run.fingerprint, serial.fingerprint) << "parallel=" << mode.parallel;
-    EXPECT_EQ(run.metrics_json, serial.metrics_json) << "parallel=" << mode.parallel;
-  }
+  const FleetRun run = RunFleet(parallel, duration);
+  EXPECT_EQ(run.fingerprint, serial.fingerprint);
+  EXPECT_EQ(run.metrics_json, serial.metrics_json);
 }
 
 TEST(FleetDeterminismTest, AdaptiveLoopIdenticalAcrossExecutionModes) {
   // Closed-loop adaptive reservations under diurnal per-VM demand: the
   // controller ticks at cluster barriers only, so the resize sequence — and
   // with it the full fleet fingerprint and merged metrics — must stay
-  // byte-identical across serial, sharded, and parallel execution.
+  // byte-identical across serial and parallel execution.
   FleetScenarioConfig base = SmallFleet();
   base.shape = fleet::DemandShape::kDiurnal;
   base.shape_period = 200 * kMillisecond;
@@ -132,30 +114,14 @@ TEST(FleetDeterminismTest, AdaptiveLoopIdenticalAcrossExecutionModes) {
   // vacuously identical to the static determinism test above.
   EXPECT_GT(serial.resizes, 0u);
 
-  std::vector<FleetScenarioConfig> modes;
-  {
-    FleetScenarioConfig sharded = base;
-    sharded.sharded = true;
-    modes.push_back(sharded);
-    for (const int threads : {1, 2, 4}) {
-      FleetScenarioConfig parallel = base;
-      parallel.sharded = true;
-      parallel.parallel = true;
-      parallel.num_threads = threads;
-      modes.push_back(parallel);
-    }
-  }
-  for (const FleetScenarioConfig& mode : modes) {
-    const FleetRun run = RunFleet(mode, duration);
-    EXPECT_EQ(run.resizes, serial.resizes)
-        << "sharded=" << mode.sharded << " parallel=" << mode.parallel
-        << " threads=" << mode.num_threads;
-    EXPECT_EQ(run.fingerprint, serial.fingerprint)
-        << "sharded=" << mode.sharded << " parallel=" << mode.parallel
-        << " threads=" << mode.num_threads;
-    EXPECT_EQ(run.metrics_json, serial.metrics_json)
-        << "sharded=" << mode.sharded << " parallel=" << mode.parallel
-        << " threads=" << mode.num_threads;
+  for (const int threads : {1, 2, 4}) {
+    FleetScenarioConfig parallel = base;
+    parallel.parallel = true;
+    parallel.num_threads = threads;
+    const FleetRun run = RunFleet(parallel, duration);
+    EXPECT_EQ(run.resizes, serial.resizes) << "threads=" << threads;
+    EXPECT_EQ(run.fingerprint, serial.fingerprint) << "threads=" << threads;
+    EXPECT_EQ(run.metrics_json, serial.metrics_json) << "threads=" << threads;
   }
 
   const FleetRun repeat = RunFleet(base, duration);
@@ -176,6 +142,31 @@ TEST(FleetDeterminismTest, AdaptiveLoopIdenticalAcrossExecutionModes) {
         check::VerifyPlan(host.plan(), host.planner_config());
     EXPECT_TRUE(violations.empty()) << "host " << h << ": " << violations.front();
   }
+}
+
+TEST(FleetEngineTest, EveryHostRunsOnItsOwnEngine) {
+  // The barrier runs the hosts' own engines: its event count is their sum,
+  // and the merged sim.* gauges hold the busiest engine's values (gauges
+  // merge by maximum).
+  fleet::Cluster cluster(BuildFleetConfig(SmallFleet()));
+  cluster.Start();
+  cluster.RunUntil(100 * kMillisecond);
+  std::set<const Simulation*> engines;
+  std::uint64_t total = 0;
+  std::uint64_t busiest = 0;
+  for (int h = 0; h < cluster.num_hosts(); ++h) {
+    const Simulation& engine = cluster.host(h).machine().sim();
+    engines.insert(&engine);
+    total += engine.events_executed();
+    busiest = std::max(busiest, engine.events_executed());
+  }
+  EXPECT_EQ(engines.size(), 4u);
+  EXPECT_GT(busiest, 0u);
+  EXPECT_EQ(total, cluster.sim().events_executed());
+  const obs::MetricsSnapshot merged = cluster.MergedMetrics();
+  const auto events = merged.values.find("sim.events_executed");
+  ASSERT_NE(events, merged.values.end());
+  EXPECT_EQ(events->second.gauge, static_cast<double>(busiest));
 }
 
 TEST(FleetPlacementTest, WorstFitSpreadsFirstFitPacks) {
@@ -304,7 +295,6 @@ TEST(FleetMigrationTest, MigrationIsDeterministicAcrossModes) {
   ASSERT_GE(serial.migrations, 1);
 
   FleetScenarioConfig parallel = config;
-  parallel.sharded = true;
   parallel.parallel = true;
   parallel.num_threads = 2;
   const FleetRun threaded = RunFleet(parallel, 600 * kMillisecond);

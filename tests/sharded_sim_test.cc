@@ -1,11 +1,12 @@
 // ShardedSimulation: barrier semantics and the serial-equivalence guarantee —
 // per-shard event streams (and hence fingerprints over (time, payload)
-// sequences) are bit-identical whether the shards share one serial engine,
-// run on per-shard engines, or run on per-shard engines concurrently.
+// sequences) are bit-identical whether the barrier runs the shard engines
+// one after another or concurrently, on any number of workers.
 #include "src/sim/sharded_sim.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -45,9 +46,10 @@ struct Scenario {
     std::vector<Ipi> outbox;  // Written only by this shard's events.
   };
 
-  explicit Scenario(const ShardedSimulation::Options& options) : sim(options) {
-    ctxs.resize(static_cast<std::size_t>(options.num_shards));
-    for (int s = 0; s < options.num_shards; ++s) {
+  explicit Scenario(const ShardedSimulation::Options& options)
+      : engines(MakeEngines()), sim(EnginePointers(engines), options) {
+    ctxs.resize(engines.size());
+    for (int s = 0; s < sim.num_shards(); ++s) {
       Ctx* ctx = &ctxs[static_cast<std::size_t>(s)];
       ctx->scenario = this;
       ctx->shard = s;
@@ -109,6 +111,25 @@ struct Scenario {
     return total;
   }
 
+  static std::vector<std::unique_ptr<Simulation>> MakeEngines() {
+    std::vector<std::unique_ptr<Simulation>> engines;
+    for (int s = 0; s < 4; ++s) {
+      engines.push_back(std::make_unique<Simulation>());
+    }
+    return engines;
+  }
+
+  static std::vector<Simulation*> EnginePointers(
+      const std::vector<std::unique_ptr<Simulation>>& engines) {
+    std::vector<Simulation*> pointers;
+    for (const auto& engine : engines) {
+      pointers.push_back(engine.get());
+    }
+    return pointers;
+  }
+
+  // Declared before sim: the barrier's worker pool is joined first.
+  std::vector<std::unique_ptr<Simulation>> engines;
   ShardedSimulation sim;
   std::vector<Ctx> ctxs;
 };
@@ -116,35 +137,22 @@ struct Scenario {
 constexpr TimeNs kHorizon = 20'000'000;  // 20 ms.
 constexpr TimeNs kStep = 250'000;        // 80 barriers.
 
-ShardedSimulation::Options MakeOptions(bool sharded, bool parallel) {
+ShardedSimulation::Options MakeOptions(bool parallel, int threads = 0) {
   ShardedSimulation::Options options;
-  options.num_shards = 4;
-  options.sharded = sharded;
   options.parallel = parallel;
+  options.num_threads = threads;
   return options;
 }
 
-TEST(ShardedSim, SerialAndShardedFingerprintsMatch) {
-  Scenario serial(MakeOptions(/*sharded=*/false, /*parallel=*/false));
-  Scenario sharded(MakeOptions(/*sharded=*/true, /*parallel=*/false));
-  serial.Run(kHorizon, kStep);
-  sharded.Run(kHorizon, kStep);
-
-  EXPECT_GT(serial.TotalIpis(), 100u) << "scenario must exercise cross-shard traffic";
-  EXPECT_EQ(serial.TotalIpis(), sharded.TotalIpis());
-  EXPECT_EQ(serial.sim.events_executed(), sharded.sim.events_executed());
-  EXPECT_EQ(serial.Fingerprints(), sharded.Fingerprints());
-}
-
 TEST(ShardedSim, ParallelShardedMatchesSerial) {
-  Scenario serial(MakeOptions(/*sharded=*/false, /*parallel=*/false));
+  Scenario serial(MakeOptions(/*parallel=*/false));
   serial.Run(kHorizon, kStep);
-  // One worker per shard, and fewer workers than shards (uneven ranges).
+  EXPECT_GT(serial.TotalIpis(), 100u) << "scenario must exercise cross-shard traffic";
+  // The hardware-sized pool, and fewer workers than shards (uneven ranges).
   for (const int threads : {0, 3}) {
-    ShardedSimulation::Options options = MakeOptions(/*sharded=*/true, /*parallel=*/true);
-    options.num_threads = threads;
-    Scenario parallel(options);
+    Scenario parallel(MakeOptions(/*parallel=*/true, threads));
     parallel.Run(kHorizon, kStep);
+    EXPECT_EQ(serial.TotalIpis(), parallel.TotalIpis()) << "threads=" << threads;
     EXPECT_EQ(serial.sim.events_executed(), parallel.sim.events_executed())
         << "threads=" << threads;
     EXPECT_EQ(serial.Fingerprints(), parallel.Fingerprints()) << "threads=" << threads;
@@ -152,36 +160,29 @@ TEST(ShardedSim, ParallelShardedMatchesSerial) {
 }
 
 TEST(ShardedSim, ShardedRunsAreReproducible) {
-  Scenario a(MakeOptions(/*sharded=*/true, /*parallel=*/false));
-  Scenario b(MakeOptions(/*sharded=*/true, /*parallel=*/false));
+  Scenario a(MakeOptions(/*parallel=*/false));
+  Scenario b(MakeOptions(/*parallel=*/false));
   a.Run(kHorizon, kStep);
   b.Run(kHorizon, kStep);
   EXPECT_EQ(a.Fingerprints(), b.Fingerprints());
 }
 
-TEST(ShardedSim, SerialModeMultiplexesOntoOneEngine) {
-  ShardedSimulation serial(MakeOptions(false, false));
-  EXPECT_EQ(&serial.shard(0), &serial.shard(3));
-  ShardedSimulation sharded(MakeOptions(true, false));
-  EXPECT_NE(&sharded.shard(0), &sharded.shard(3));
-}
-
 TEST(ShardedSim, MessagePostedAtSetupArrivesAtExactDueTime) {
-  for (const bool sharded : {false, true}) {
-    ShardedSimulation sim(MakeOptions(sharded, false));
-    TimeNs arrived_at = -1;
-    sim.Post(0, 1, 50'000, [&sim, &arrived_at] { arrived_at = sim.shard(1).Now(); });
-    sim.RunUntil(200'000);
-    EXPECT_EQ(arrived_at, 50'000) << "sharded=" << sharded;
-    // A zero delay is legal: the message runs at the barrier it was posted at.
-    sim.Post(1, 0, 0, [&sim, &arrived_at] { arrived_at = sim.shard(0).Now(); });
-    sim.RunUntil(300'000);
-    EXPECT_EQ(arrived_at, 200'000) << "sharded=" << sharded;
-  }
+  Scenario scenario(MakeOptions(/*parallel=*/false));
+  ShardedSimulation& sim = scenario.sim;
+  TimeNs arrived_at = -1;
+  sim.Post(0, 1, 50'000, [&sim, &arrived_at] { arrived_at = sim.shard(1).Now(); });
+  sim.RunUntil(200'000);
+  EXPECT_EQ(arrived_at, 50'000);
+  // A zero delay is legal: the message runs at the barrier it was posted at.
+  sim.Post(1, 0, 0, [&sim, &arrived_at] { arrived_at = sim.shard(0).Now(); });
+  sim.RunUntil(300'000);
+  EXPECT_EQ(arrived_at, 200'000);
 }
 
 TEST(ShardedSim, EpochBarriersAdvanceTheAgreedClock) {
-  ShardedSimulation sim(MakeOptions(true, false));
+  Scenario scenario(MakeOptions(/*parallel=*/false));
+  ShardedSimulation& sim = scenario.sim;
   EXPECT_EQ(sim.Now(), 0);
   // Each RunUntil is exactly one barrier, however far it advances.
   sim.RunUntil(500'000);
@@ -196,7 +197,8 @@ TEST(ShardedSim, EpochBarriersAdvanceTheAgreedClock) {
 }
 
 TEST(ShardedSim, MessageDueSeveralEpochsOutIsDeliveredOnce) {
-  ShardedSimulation sim(MakeOptions(true, false));
+  Scenario scenario(MakeOptions(/*parallel=*/false));
+  ShardedSimulation& sim = scenario.sim;
   int delivered = 0;
   TimeNs arrived_at = -1;
   sim.Post(2, 0, 5 * kStep + 123, [&] {
@@ -211,7 +213,8 @@ TEST(ShardedSim, MessageDueSeveralEpochsOutIsDeliveredOnce) {
 }
 
 TEST(ShardedSimDeathTest, PostFromInsideAShardEventAborts) {
-  ShardedSimulation sim(MakeOptions(/*sharded=*/true, /*parallel=*/false));
+  Scenario scenario(MakeOptions(/*parallel=*/false));
+  ShardedSimulation& sim = scenario.sim;
   sim.shard(0).ScheduleAt(10, [&sim] { sim.Post(0, 1, 0, [] {}); });
   EXPECT_DEATH(sim.RunUntil(100), "between RunUntil calls");
 }

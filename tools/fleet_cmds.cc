@@ -12,8 +12,8 @@
 //
 // Both share the fleet-shape, stream, surge and execution-mode flags,
 // --json (merged metrics snapshot out) and --check-determinism, which
-// re-runs serial, sharded, sharded-parallel and a serial repeat and exits 1
-// unless fingerprints, merged metrics and resize counts are byte-identical.
+// re-runs serial, parallel and a serial repeat and exits 1 unless
+// fingerprints, merged metrics and resize counts are byte-identical.
 // `adapt` adds the window, demand-shape, flash-crowd and controller-policy
 // flags; `fleet` adds --arrival-spread-ms and --first-fit.
 #include <cstdint>
@@ -175,19 +175,16 @@ void Describe(fleet::Cluster& cluster, const FleetScenarioConfig& config, bool a
 int CheckDeterminism(const FleetScenarioConfig& base, TimeNs duration, bool adapt) {
   struct Mode {
     const char* name;
-    bool sharded;
     bool parallel;
   };
   static constexpr Mode kModes[] = {
-      {"serial", false, false},
-      {"sharded", true, false},
-      {"parallel", true, true},
-      {"repeat", false, false},
+      {"serial", false},
+      {"parallel", true},
+      {"repeat", false},
   };
   std::vector<FleetRun> runs;
   for (const Mode& mode : kModes) {
     FleetScenarioConfig config = base;
-    config.sharded = mode.sharded;
     config.parallel = mode.parallel;
     if (mode.parallel && config.num_threads <= 0) {
       config.num_threads = 2;
@@ -253,8 +250,7 @@ int FleetMain(int argc, char** argv, bool adapt) {
   }
   flags.Duration("--seconds", &duration, kSecond);
   flags.Value("--seed", &config.seed);
-  flags.Switch("--sharded", [&config] { config.sharded = true; });
-  flags.Switch("--parallel", [&config] { config.sharded = config.parallel = true; });
+  flags.Switch("--parallel", [&config] { config.parallel = true; });
   flags.Value("--threads", &config.num_threads);
   flags.Value("--json", &json_out);
   flags.Switch("--check-determinism", [&check_determinism] { check_determinism = true; });
