@@ -56,7 +56,7 @@ GapResult MeasureGaps(SchedKind kind, bool capped, Background bg, TimeNs duratio
   obs::Telemetry::Config telemetry_config;
   telemetry_config.window_ns = 100 * kMillisecond;
   telemetry_config.window_capacity = 256;
-  telemetry_config.max_vcpu_series = 0;
+  telemetry_config.vantage_vcpus = 0;
   obs::Telemetry telemetry(telemetry_config);
   AttachTelemetry(scenario, &telemetry);
 

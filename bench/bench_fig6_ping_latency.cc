@@ -49,13 +49,14 @@ PingResult MeasurePing(SchedKind kind, bool capped, Background bg, int pings_per
   config.capped = capped;
   Scenario scenario = BuildScenario(config);
 
-  // Windowed telemetry for this cell: vantage-only vCPU series (the grid has
-  // 48 vCPUs; machine-wide series cover the rest), 10 ms SLO at p99 —
+  // Windowed telemetry for this cell: vantage-only vCPU series and span
+  // histograms (the grid has 48 vCPUs; machine-wide series cover the
+  // rest), 10 ms SLO at p99 —
   // Tableau's "never above ~10 ms" claim as a trackable objective.
   obs::Telemetry::Config telemetry_config;
   telemetry_config.window_ns = 50 * kMillisecond;
   telemetry_config.window_capacity = 256;
-  telemetry_config.max_vcpu_series = 1;
+  telemetry_config.vantage_vcpus = 1;
   telemetry_config.series_prefix = cell + ".";
   telemetry_config.slo.target_latency_ns = 10 * kMillisecond;
   telemetry_config.slo.target_quantile = 0.99;

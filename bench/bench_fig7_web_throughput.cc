@@ -48,11 +48,12 @@ WebPoint MeasureWeb(SchedKind kind, bool capped, std::int64_t file_bytes, double
   config.capped = capped;
   Scenario scenario = BuildScenario(config);
 
-  // Per-point SLO/attribution telemetry. No per-vCPU window series (the load
-  // grid has 108 cells; scalar verdicts are what the artifact keeps).
+  // Per-point SLO/attribution telemetry: the vantage VM (the web server)
+  // keeps its span histograms, read below; its per-vCPU window series go
+  // unread (scalar verdicts are what the artifact keeps).
   obs::Telemetry::Config telemetry_config;
   telemetry_config.window_ns = 50 * kMillisecond;
-  telemetry_config.max_vcpu_series = 0;
+  telemetry_config.vantage_vcpus = 1;
   telemetry_config.slo.target_latency_ns = 100 * kMillisecond;
   telemetry_config.slo.target_quantile = 0.99;
   telemetry_config.slo.miss_budget = 0.01;

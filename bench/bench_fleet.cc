@@ -11,6 +11,11 @@
 //    migration whose destination table still passes the TableVerifier.
 //  - Reporting: BENCH_fleet.json carries the merged metrics and timeseries
 //    blocks plus fleet-wide SLO attainment.
+//  - Telemetry cost: one more serial run with no telemetry attached gives
+//    fleet.telemetry_overhead, the warm serial run's simulation time
+//    (construction, Start and RunUntil; no checks or exports) with telemetry
+//    over the same without it. Without telemetry no overload is detected, so
+//    that run is exempt from the migration and determinism checks.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -32,7 +37,8 @@ struct FleetRunResult {
   fleet::Cluster::SloSummary slo;
   int migrations = 0;
   bool destination_verified = false;
-  double wall_ms = 0;
+  double sim_ms = 0;   // Cluster construction, Start and RunUntil.
+  double wall_ms = 0;  // sim_ms plus the exports and the migration oracle.
 };
 
 FleetScenarioConfig BenchConfig() {
@@ -57,13 +63,19 @@ FleetScenarioConfig BenchConfig() {
   return config;
 }
 
-FleetRunResult RunFleet(const FleetScenarioConfig& config, TimeNs duration) {
+FleetRunResult RunFleet(const FleetScenarioConfig& config, TimeNs duration,
+                        bool attach_telemetry = true) {
   const auto wall_start = std::chrono::steady_clock::now();
-  fleet::Cluster cluster(BuildFleetConfig(config));
+  fleet::ClusterConfig cluster_config = BuildFleetConfig(config);
+  cluster_config.host.attach_telemetry = attach_telemetry;
+  fleet::Cluster cluster(cluster_config);
   cluster.Start();
   cluster.RunUntil(duration);
+  const auto sim_end = std::chrono::steady_clock::now();
 
   FleetRunResult result;
+  result.sim_ms =
+      std::chrono::duration<double, std::milli>(sim_end - wall_start).count();
   result.fingerprint = cluster.Fingerprint();
   result.metrics_json = cluster.MergedMetrics().ToJson(/*indent=*/2);
   result.timeseries_json = cluster.MergedTimeSeries().ToJson(/*indent=*/2);
@@ -126,6 +138,20 @@ int main() {
     json.Add(prefix + ".fingerprint_lo32",
              static_cast<double>(run.fingerprint & 0xffffffffull));
   }
+
+  // Telemetry off, serial, after the warm "repeat" run it is compared with.
+  const FleetRunResult off = RunFleet(base, duration, /*attach_telemetry=*/false);
+  std::printf("%-10s %14llu %10llu %9.4f%% %9.4f%% %8d %8.0fms\n", "telem_off",
+              static_cast<unsigned long long>(off.slo.requests),
+              static_cast<unsigned long long>(off.slo.misses), 100.0 * off.slo.attainment,
+              100.0 * off.slo.worst_vm_attainment, off.migrations, off.wall_ms);
+  const double telemetry_overhead = runs.back().sim_ms / off.sim_ms;
+  std::printf("telemetry overhead (repeat / telem_off simulation time, %.0f / %.0f ms): "
+              "%.2fx\n",
+              runs.back().sim_ms, off.sim_ms, telemetry_overhead);
+  json.Add("fleet.repeat.sim_ms", runs.back().sim_ms);
+  json.Add("fleet.telemetry_off.sim_ms", off.sim_ms);
+  json.Add("fleet.telemetry_overhead", telemetry_overhead);
 
   const FleetRunResult& serial = runs.front();
   bool deterministic = true;

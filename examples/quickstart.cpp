@@ -31,7 +31,7 @@ int main() {
               plan0.effective_utilization, plan0.requested_utilization,
               FormatDuration(plan0.blackout_bound).c_str());
   std::printf("table-measured max blackout for vCPU 0: %s (goal %s)\n",
-              FormatDuration(scenario.plan.table.MaxBlackout(0)).c_str(),
+              FormatDuration(AnalyzeWakeupLatency(scenario.plan.table, 0).max).c_str(),
               FormatDuration(plan0.latency_goal).c_str());
 
   // 2. Run: vantage VM spins (redis-cli --intrinsic-latency style), the other

@@ -41,6 +41,7 @@ Host::Host(const HostConfig& config) : config_(config) {
       slot.guest = std::make_unique<WorkQueueGuest>(machine_.get(), slot.vcpu);
       slots_.push_back(std::move(slot));
     }
+    free_slots_ = num_slots;
     if (config_.attach_telemetry) {
       telemetry_ = std::make_unique<obs::Telemetry>(config_.telemetry);
       std::vector<int> vm_of;
@@ -82,16 +83,6 @@ PlannerConfig Host::planner_config() const {
   planner_config.fault_injector = injector_.get();
   planner_config.max_latency_degradations = config_.max_latency_degradations;
   return planner_config;
-}
-
-int Host::free_slots() const {
-  int free = 0;
-  for (const Slot& slot : slots_) {
-    if (!slot.occupied) {
-      ++free;
-    }
-  }
-  return free;
 }
 
 bool Host::Replan(std::vector<VcpuRequest> added, std::vector<VcpuId> departed) {
@@ -139,6 +130,7 @@ int Host::AdmitVm(double utilization, TimeNs latency_goal) {
     return -1;
   }
   state.occupied = true;
+  --free_slots_;
   state.utilization = utilization;
   committed_ += utilization;
   if (adaptive_ != nullptr) {
@@ -167,6 +159,7 @@ void Host::RemoveVm(int slot) {
     }
   }
   state.occupied = false;
+  ++free_slots_;
   committed_ -= state.utilization;
   state.utilization = 0;
   if (adaptive_ != nullptr) {

@@ -84,7 +84,7 @@ class Host {
   // --- Slot-pool VM admission (fleet mode; requires slots_per_core > 0) ---
 
   int num_slots() const { return static_cast<int>(slots_.size()); }
-  int free_slots() const;
+  int free_slots() const { return free_slots_; }
   // Sum of admitted reservations' utilization, the control plane's
   // bin-packing weight.
   double committed() const { return committed_; }
@@ -161,6 +161,9 @@ class Host {
   std::unique_ptr<adapt::AdaptiveController> adaptive_;
   PlanResult plan_;
   std::vector<Slot> slots_;
+  // Unoccupied slots, kept by AdmitVm/RemoveVm: the control plane asks
+  // every host on every placement.
+  int free_slots_ = 0;
   double committed_ = 0;
 };
 

@@ -20,6 +20,7 @@ TimeNs VmStream::Intended(std::uint64_t k) const {
 void VmStream::Activate(Machine* machine, WorkQueueGuest* guest,
                         obs::Telemetry* telemetry, int slot, TimeNs at) {
   TABLEAU_CHECK(machine != nullptr && guest != nullptr);
+  TABLEAU_CHECK(in_flight_.empty());  // Rebound only once drained.
   machine_ = machine;
   guest_ = guest;
   telemetry_ = telemetry;
@@ -76,29 +77,28 @@ void VmStream::PostRequest(std::uint64_t k) {
   }
   const TimeNs service = static_cast<TimeNs>(cost);
   obs::Telemetry::RequestMark mark;
+  mark.at = intended;
   if (telemetry_ != nullptr) {
     mark = telemetry_->BeginRequest(slot_, intended);
   }
   ++posted_;
-  ++outstanding_;
-  obs::Telemetry* telemetry = telemetry_;
-  const int slot = slot_;
-  guest_->Post(service, [this, k, intended, mark, telemetry, slot](TimeNs done) {
-    const TimeNs latency = done - intended;
-    if (telemetry != nullptr) {
-      // Report against the slot the request ran on, even if the stream has
-      // since been rebound to another host.
-      telemetry->EndRequest(slot, mark, done, /*network_extra_ns=*/0);
-    }
-    ++completed_;
-    --outstanding_;
-    if (latency > spec_.latency_goal) {
-      ++misses_;
-    }
-    max_latency_ = std::max(max_latency_, latency);
-    Mix(fp_, k);
-    Mix(fp_, static_cast<std::uint64_t>(latency));
-  });
+  in_flight_.PushBack(mark);
+  guest_->Post(service, [this](TimeNs done) { OnRequestDone(done); });
+}
+
+void VmStream::OnRequestDone(TimeNs done) {
+  const obs::Telemetry::RequestMark mark = in_flight_.PopFront();
+  const TimeNs latency = done - mark.at;
+  if (telemetry_ != nullptr) {
+    telemetry_->EndRequest(slot_, mark, done, /*network_extra_ns=*/0);
+  }
+  if (latency > spec_.latency_goal) {
+    ++misses_;
+  }
+  max_latency_ = std::max(max_latency_, latency);
+  Mix(fp_, completed_);  // This request's grid index k.
+  Mix(fp_, static_cast<std::uint64_t>(latency));
+  ++completed_;
 }
 
 }  // namespace tableau::fleet

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "src/common/ring_queue.h"
 #include "src/common/time.h"
 #include "src/hypervisor/machine.h"
 #include "src/obs/telemetry.h"
@@ -75,7 +76,7 @@ class VmStream {
   void Pause();
 
   bool active() const { return !paused_ && machine_ != nullptr; }
-  bool Drained() const { return outstanding_ == 0; }
+  bool Drained() const { return in_flight_.empty(); }
 
   // --- Fleet-level SLO accounting (follows the VM across hosts) ---
   std::uint64_t posted() const { return posted_; }
@@ -93,6 +94,7 @@ class VmStream {
   TimeNs Intended(std::uint64_t k) const;
   void OnTick();
   void PostRequest(std::uint64_t k);
+  void OnRequestDone(TimeNs done);
 
   VmReservation spec_;
   Machine* machine_ = nullptr;
@@ -108,7 +110,12 @@ class VmStream {
   std::uint64_t posted_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t outstanding_ = 0;
+  // Marks of the posted, not yet completed requests, in posting order. The
+  // guest FIFO completes a stream's requests in that order and a migration's
+  // drain empties this queue before the stream is reactivated, so the front
+  // is request `completed_`, posted on the current placement; the guest
+  // callback captures only `this`.
+  RingQueue<obs::Telemetry::RequestMark> in_flight_;
   TimeNs max_latency_ = 0;
   std::uint64_t fp_ = 1469598103934665603ull;
 };

@@ -27,10 +27,11 @@ fleet::ClusterConfig BuildFleetConfig(const FleetScenarioConfig& config) {
   cluster.host.telemetry.window_ns = config.control_period;
   cluster.host.telemetry.slo.window_ns = config.control_period;
   cluster.host.telemetry.slo.target_latency_ns = config.latency_goal;
-  // A fleet host has hundreds of slots; skip per-vCPU series (the per-VM
-  // SLO tracker and machine-wide series carry the signal; the adaptive
-  // controller's window views come from the attributor, not the recorder).
-  cluster.host.telemetry.max_vcpu_series = 0;
+  // A fleet host has hundreds of slots and no vantage VM: no per-vCPU
+  // series and no span histograms (the per-VM SLO tracker and machine-wide
+  // series carry the signal; the adaptive controller's window views come
+  // from the attributor, not the recorder).
+  cluster.host.telemetry.vantage_vcpus = 0;
   cluster.host.max_latency_degradations = config.max_latency_degradations;
   cluster.host.adaptive = config.adaptive;
   cluster.host.adapt_policy = config.adapt_policy;

@@ -76,16 +76,7 @@ void Machine::RunFor(TimeNs duration) {
 }
 
 void Machine::SampleCadence(TimeNs at) {
-  int waiting = 0;
-  int running = 0;
-  for (const auto& vcpu : vcpus_) {
-    if (vcpu->state_ == VcpuState::kRunnable) {
-      ++waiting;
-    } else if (vcpu->state_ == VcpuState::kRunning) {
-      ++running;
-    }
-  }
-  telemetry_->OnCadenceSample(at, waiting, running);
+  telemetry_->OnCadenceSample(at, num_runnable_waiting_, num_running_);
 }
 
 void Machine::Start() {
@@ -193,6 +184,7 @@ void Machine::Wake(VcpuId id) {
     return;
   }
   vcpu->state_ = VcpuState::kRunnable;
+  ++num_runnable_waiting_;
   vcpu->wake_time_ = sim_.Now();
   vcpu->woke_since_dispatch_ = true;
   trace_.Record(sim_.Now(), TraceEvent::kWakeup, vcpu->last_cpu_, vcpu->id());
@@ -225,6 +217,7 @@ void Machine::Block(Vcpu* vcpu) {
   TABLEAU_CHECK(state.current == vcpu);
   SettleService(cpu);
   vcpu->state_ = VcpuState::kBlocked;
+  --num_running_;
   vcpu->running_on_ = kNoCpu;
   vcpu->last_cpu_ = cpu;
   vcpu->last_service_end_ = sim_.Now();
@@ -252,6 +245,8 @@ void Machine::Reschedule(CpuId cpu, DeschedReason reason) {
   if (prev != nullptr) {
     SettleService(cpu);
     prev->state_ = VcpuState::kRunnable;
+    --num_running_;
+    ++num_runnable_waiting_;
     prev->running_on_ = kNoCpu;
     prev->last_cpu_ = cpu;
     prev->last_service_end_ = now;
@@ -309,6 +304,8 @@ void Machine::Reschedule(CpuId cpu, DeschedReason reason) {
   m_overhead_ns_->Increment(start_delay);
 
   next->state_ = VcpuState::kRunning;
+  --num_runnable_waiting_;
+  ++num_running_;
   next->running_on_ = cpu;
   next->service_start_ = now + start_delay;
   state.current = next;

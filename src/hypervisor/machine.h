@@ -215,6 +215,11 @@ class Machine {
   obs::Counter* m_overhead_ns_;
   obs::LatencyHistogram* m_dispatch_latency_;
   obs::LatencyHistogram* m_op_ns_[kNumSchedOps];
+  // vCPUs runnable but not running, and running: kept at the four state
+  // transitions (wake, block, deschedule, dispatch), so a cadence sample
+  // reads them without scanning every vCPU.
+  int num_runnable_waiting_ = 0;
+  int num_running_ = 0;
   std::uint64_t context_switches_ = 0;
   std::uint64_t schedule_invocations_ = 0;
   std::vector<std::uint64_t> vcpu_dispatches_;

@@ -58,11 +58,12 @@ void Telemetry::Bind(int num_cpus, int num_vcpus, bool table_driven,
   slo_.Bind(num_vms_, slo);
 
   const std::string& prefix = config_.series_prefix;
-  const int vcpu_series_limit =
-      config_.max_vcpu_series < 0 ? num_vcpus
-                                  : std::min(config_.max_vcpu_series, num_vcpus);
+  const int vantage = config_.vantage_vcpus < 0
+                          ? num_vcpus
+                          : std::min(config_.vantage_vcpus, num_vcpus);
   vcpu_series_.resize(static_cast<std::size_t>(num_vcpus));
-  for (int i = 0; i < vcpu_series_limit; ++i) {
+  span_hists_.resize(static_cast<std::size_t>(num_vms_));
+  for (int i = 0; i < vantage; ++i) {
     const std::string name =
         prefix + vcpu_names_[static_cast<std::size_t>(i)];
     VcpuSeries& s = vcpu_series_[static_cast<std::size_t>(i)];
@@ -70,6 +71,11 @@ void Telemetry::Bind(int num_cpus, int num_vcpus, bool table_driven,
     s.supply = recorder_->DefineSeries(name + ".supply_ns");
     s.latency = recorder_->DefineSeries(name + ".latency_ns");
     s.misses = recorder_->DefineSeries(name + ".misses");
+    auto& hists =
+        span_hists_[static_cast<std::size_t>(vm_of_[static_cast<std::size_t>(i)])];
+    if (hists == nullptr) {
+      hists = std::make_unique<SpanHistograms>();
+    }
   }
   cpu_busy_series_.reserve(static_cast<std::size_t>(num_cpus));
   for (int c = 0; c < num_cpus; ++c) {
@@ -88,9 +94,7 @@ void Telemetry::Bind(int num_cpus, int num_vcpus, bool table_driven,
     view_prev_totals_[static_cast<std::size_t>(v)] = attributor_.TotalsAt(v, start);
   }
   window_views_.resize(static_cast<std::size_t>(num_vcpus));
-
-  attribution_hists_.resize(static_cast<std::size_t>(num_vms_));
-  latency_hists_.resize(static_cast<std::size_t>(num_vms_));
+  last_view_at_ = start;
 }
 
 void Telemetry::IngestInterval(int vcpu, const AttributedInterval& interval) {
@@ -180,13 +184,20 @@ void Telemetry::OnCadenceSample(TimeNs at, int runnable_waiting, int running) {
   if (at <= last_view_at_) {
     return;  // Re-sample of the same boundary: the views are already closed.
   }
+  const TimeNs window_start = last_view_at_;
   last_view_at_ = at;
   for (int v = 0; v < attributor_.num_vcpus(); ++v) {
+    VcpuWindowView& view = window_views_[static_cast<std::size_t>(v)];
+    if (!view.has_data && attributor_.BlockedSince(v, window_start)) {
+      // Only the blocked total moved, which no view reads: the view stays
+      // empty, and the stale blocked total in view_prev_totals_ never
+      // reaches a view either.
+      continue;
+    }
     const LatencyBreakdown totals = attributor_.TotalsAt(v, at);
     const LatencyBreakdown delta =
         totals - view_prev_totals_[static_cast<std::size_t>(v)];
     view_prev_totals_[static_cast<std::size_t>(v)] = totals;
-    VcpuWindowView& view = window_views_[static_cast<std::size_t>(v)];
     view.supply_ns = delta[LatencyComponent::kService];
     view.demand_ns = view.supply_ns + delta[LatencyComponent::kWakeQueue] +
                      delta[LatencyComponent::kPreempt] +
@@ -199,7 +210,7 @@ void Telemetry::OnCadenceSample(TimeNs at, int runnable_waiting, int running) {
 Telemetry::RequestMark Telemetry::BeginRequest(int vcpu, TimeNs at) const {
   RequestMark mark;
   mark.at = at;
-  if (enabled_ && bound_) {
+  if (enabled_ && bound_ && DecomposesSpans(vcpu)) {
     mark.totals = attributor_.TotalsAt(vcpu, at);
   }
   return mark;
@@ -210,23 +221,28 @@ void Telemetry::EndRequest(int vcpu, const RequestMark& mark, TimeNs end,
   if (!enabled_ || !bound_) {
     return;
   }
-  LatencyBreakdown breakdown = attributor_.TotalsAt(vcpu, end) - mark.totals;
-  breakdown[LatencyComponent::kNetwork] += network_extra_ns;
-  const TimeNs latency = breakdown.Total();  // == (end - mark.at) + extra.
-
+  // The attributor's integer identity: the breakdown below sums to exactly
+  // this, so a VM without span histograms needs no breakdown at all.
+  const TimeNs latency = (end - mark.at) + network_extra_ns;
   const int vm = vm_of_[static_cast<std::size_t>(vcpu)];
-  auto& hists = attribution_hists_[static_cast<std::size_t>(vm)];
-  for (int c = 0; c < kNumLatencyComponents; ++c) {
-    hists[static_cast<std::size_t>(c)].Record(
-        breakdown.ns[static_cast<std::size_t>(c)]);
-  }
-  latency_hists_[static_cast<std::size_t>(vm)].Record(latency);
   slo_.Record(vm, end, latency);
 
   const VcpuSeries& s = vcpu_series_[static_cast<std::size_t>(vcpu)];
   recorder_->Observe(s.latency, end, latency);
   if (latency > slo_.config().target_latency_ns) {
     recorder_->Observe(s.misses, end, 1);
+  }
+  if (!DecomposesSpans(vcpu)) {
+    return;
+  }
+  LatencyBreakdown breakdown = attributor_.TotalsAt(vcpu, end) - mark.totals;
+  breakdown[LatencyComponent::kNetwork] += network_extra_ns;
+  if (SpanHistograms* hists = span_hists_[static_cast<std::size_t>(vm)].get()) {
+    for (int c = 0; c < kNumLatencyComponents; ++c) {
+      hists->components[static_cast<std::size_t>(c)].Record(
+          breakdown.ns[static_cast<std::size_t>(c)]);
+    }
+    hists->latency.Record(latency);
   }
   if (span_observer_) {
     span_observer_(vcpu, mark.at, end, breakdown);
@@ -242,13 +258,15 @@ TimeSeriesSnapshot Telemetry::TimeSeries() const {
 
 HistogramValue Telemetry::AttributionHistogram(int vm,
                                                LatencyComponent c) const {
-  return attribution_hists_[static_cast<std::size_t>(vm)]
-                           [static_cast<std::size_t>(static_cast<int>(c))]
-                               .ToValue();
+  const SpanHistograms* hists = span_hists_[static_cast<std::size_t>(vm)].get();
+  return hists == nullptr
+             ? HistogramValue{}
+             : hists->components[static_cast<std::size_t>(c)].ToValue();
 }
 
 HistogramValue Telemetry::RequestLatencyHistogram(int vm) const {
-  return latency_hists_[static_cast<std::size_t>(vm)].ToValue();
+  const SpanHistograms* hists = span_hists_[static_cast<std::size_t>(vm)].get();
+  return hists == nullptr ? HistogramValue{} : hists->latency.ToValue();
 }
 
 namespace {
@@ -304,8 +322,13 @@ std::string Telemetry::ToJson(int indent) const {
   out += num_vms_ == 0 ? "},\n" : "\n" + p1 + "},\n";
 
   out += p1 + "\"attribution\": {";
+  bool first = true;
   for (int vm = 0; vm < num_vms_; ++vm) {
-    out += vm == 0 ? "\n" : ",\n";
+    if (span_hists_[static_cast<std::size_t>(vm)] == nullptr) {
+      continue;
+    }
+    out += first ? "\n" : ",\n";
+    first = false;
     out += p2 + "\"vm" + std::to_string(vm) + "\": {\n";
     out += p3 + "\"latency\": " + HistJson(RequestLatencyHistogram(vm));
     for (int c = 0; c < kNumLatencyComponents; ++c) {
@@ -315,7 +338,7 @@ std::string Telemetry::ToJson(int indent) const {
     }
     out += "\n" + p2 + "}";
   }
-  out += num_vms_ == 0 ? "},\n" : "\n" + p1 + "},\n";
+  out += first ? "},\n" : "\n" + p1 + "},\n";
 
   out += p1 + "\"timeseries\": " + TimeSeries().ToJson(indent + 2) + "\n";
   out += p0 + "}";

@@ -1,9 +1,10 @@
 // Telemetry bundle: wires the windowed TimeSeriesRecorder, the causal
-// LatencyAttributor, the per-VM SloTracker, and per-VM attribution
+// LatencyAttributor, the per-VM SloTracker, and the vantage VMs' span
 // histograms behind the single pointer Machine carries. All hooks are pure
 // observers (no simulation events, no feedback into scheduling) and — after
-// Bind — zero-allocation, so a run with telemetry attached is bit-identical
-// to one without (proved by tests/telemetry_test.cc fingerprint checks and
+// Bind, apart from the time-series block the first sample lays out —
+// zero-allocation, so a run with telemetry attached is bit-identical to one
+// without (proved by tests/telemetry_test.cc fingerprint checks and
 // `tableau obs --check-determinism`).
 //
 // Lifecycle: construct with a Config, optionally SetVcpuName/SetVmOf, then
@@ -35,10 +36,12 @@ class Telemetry {
     TimeNs window_ns = 10 * kMillisecond;
     int window_capacity = 256;
     SloConfig slo;
-    // Per-vCPU series are created for vCPU ids < max_vcpu_series only
-    // (vantage vCPUs come first in every scenario); -1 = all, 0 = none.
-    // Machine-wide and per-pCPU series are always created.
-    int max_vcpu_series = -1;
+    // vCPU ids below vantage_vcpus are vantage vCPUs (they come first in
+    // every scenario); -1 = all, 0 = none. A vantage vCPU gets the four
+    // per-vCPU series, and its VM gets span histograms (end-to-end latency
+    // plus the seven attribution components). Every other VM keeps only its
+    // SLO verdict. Machine-wide and per-pCPU series are always created.
+    int vantage_vcpus = -1;
     // Prepended to every series name (e.g. "capped.tableau.io_bg."), so
     // telemetry from many bench cells can merge into one snapshot without
     // colliding.
@@ -60,7 +63,8 @@ class Telemetry {
   // Maps vCPU id -> VM id for SLO tracking and attribution histograms;
   // defaults to identity (every vCPU its own VM).
   void SetVmOf(std::vector<int> vm_of);
-  // Test hook: called at every EndRequest with the exact span breakdown.
+  // Test hook: called at every EndRequest with the exact span breakdown,
+  // for every VM (vantage or not).
   using SpanObserver = std::function<void(int vcpu, TimeNs start, TimeNs end,
                                           const LatencyBreakdown& breakdown)>;
   void set_span_observer(SpanObserver observer) {
@@ -77,7 +81,7 @@ class Telemetry {
   void Bind(int num_cpus, int num_vcpus, bool table_driven, TimeNs start);
   bool bound() const { return bound_; }
 
-  // --- Machine hooks (hot path, zero allocation after Bind) ---
+  // --- Machine hooks (hot path, zero allocation after the first sample) ---
   void OnWakeup(int vcpu, TimeNs now);
   void OnBlock(int vcpu, TimeNs now);
   void OnDispatch(int vcpu, TimeNs now);
@@ -89,7 +93,9 @@ class Telemetry {
   void OnTableSwitch(TimeNs now, TimeNs slip);
   // Deterministic cadence sample taken by Machine::RunFor at every window
   // boundary: instantaneous runnable-waiting and running vCPU counts. Also
-  // closes the per-vCPU window views below (idempotent per boundary).
+  // closes the per-vCPU window views below (idempotent per boundary); a
+  // vCPU blocked for the whole window whose last view was already empty is
+  // skipped, since its view cannot change.
   void OnCadenceSample(TimeNs at, int runnable_waiting, int running);
 
   // Per-vCPU view of the telemetry window that closed at the last cadence
@@ -114,10 +120,14 @@ class Telemetry {
   TimeNs window_ns() const { return config_.window_ns; }
 
   // --- Workload span hooks ---
+  // Captures the attributor totals only when EndRequest will decompose the
+  // span (a vantage VM, or a span observer set); otherwise just `at`.
   RequestMark BeginRequest(int vcpu, TimeNs at) const;
   // Completes a span: end-to-end latency is (end - mark.at) +
-  // network_extra_ns, and the recorded component breakdown sums to exactly
-  // that. `network_extra_ns` covers the wire legs outside the machine.
+  // network_extra_ns, recorded against the VM's SLO. For a vantage VM the
+  // component breakdown, which sums to exactly that latency, also goes into
+  // its span histograms. `network_extra_ns` covers the wire legs outside
+  // the machine.
   void EndRequest(int vcpu, const RequestMark& mark, TimeNs end,
                   TimeNs network_extra_ns);
 
@@ -126,9 +136,10 @@ class Telemetry {
   const SloTracker& slo() const { return slo_; }
   const LatencyAttributor& attributor() const { return attributor_; }
   TimeSeriesSnapshot TimeSeries() const;
+  // Span histograms of a vantage VM; empty for any other VM.
   HistogramValue AttributionHistogram(int vm, LatencyComponent c) const;
   HistogramValue RequestLatencyHistogram(int vm) const;
-  // {"schema_version", "slo": {vm: verdict...}, "attribution": {vm:
+  // {"schema_version", "slo": {vm: verdict...}, "attribution": {vantage vm:
   // {component: histogram summary...}}, "timeseries": {...}}.
   std::string ToJson(int indent = 0) const;
 
@@ -140,9 +151,20 @@ class Telemetry {
     TimeSeriesRecorder::SeriesId misses = TimeSeriesRecorder::kNoSeries;
   };
 
+  // One vantage VM's span histograms.
+  struct SpanHistograms {
+    LatencyHistogram latency;
+    std::array<LatencyHistogram, kNumLatencyComponents> components;
+  };
+
   // Routes a settled waiting/service interval into the machine-wide
   // component series and the vCPU's demand series.
   void IngestInterval(int vcpu, const AttributedInterval& interval);
+  // Whether EndRequest decomposes spans of `vcpu` into components.
+  bool DecomposesSpans(int vcpu) const {
+    const int vm = vm_of_[static_cast<std::size_t>(vcpu)];
+    return span_observer_ || span_hists_[static_cast<std::size_t>(vm)] != nullptr;
+  }
 
   Config config_;
   bool enabled_ = true;
@@ -158,7 +180,8 @@ class Telemetry {
 
   std::vector<VcpuSeries> vcpu_series_;
   // Window-view state: cumulative totals at the previous cadence sample and
-  // the view of the last closed window, per vCPU.
+  // the view of the last closed window, per vCPU, and the time of that
+  // sample (Bind's start before the first).
   std::vector<LatencyBreakdown> view_prev_totals_;
   std::vector<VcpuWindowView> window_views_;
   TimeNs last_view_at_ = -1;
@@ -174,10 +197,8 @@ class Telemetry {
   TimeSeriesRecorder::SeriesId machine_running_ =
       TimeSeriesRecorder::kNoSeries;
 
-  // Indexed [vm][component]; plus one end-to-end latency histogram per VM.
-  std::vector<std::array<LatencyHistogram, kNumLatencyComponents>>
-      attribution_hists_;
-  std::vector<LatencyHistogram> latency_hists_;
+  // Indexed by VM; null for a VM with no vantage vCPU.
+  std::vector<std::unique_ptr<SpanHistograms>> span_hists_;
 
   SpanObserver span_observer_;
 };

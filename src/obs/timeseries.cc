@@ -17,60 +17,76 @@ TimeSeriesRecorder::TimeSeriesRecorder(Options options) : options_(options) {
 TimeSeriesRecorder::SeriesId TimeSeriesRecorder::DefineSeries(std::string name) {
   Series series;
   series.name = std::move(name);
-  series.ring.resize(static_cast<std::size_t>(options_.window_capacity));
   series_.push_back(std::move(series));
   return static_cast<SeriesId>(series_.size()) - 1;
 }
 
-TimeSeriesWindow* TimeSeriesRecorder::SlotFor(Series& series, std::int64_t w) {
-  const auto capacity = static_cast<std::int64_t>(series.ring.size());
-  const auto slot = [&](std::int64_t index) -> TimeSeriesWindow& {
-    return series.ring[static_cast<std::size_t>(index % capacity)];
-  };
+void TimeSeriesRecorder::Relayout(std::size_t stride) {
+  std::vector<Cell> cells(static_cast<std::size_t>(options_.window_capacity) * stride);
+  for (std::size_t row = 0; row < static_cast<std::size_t>(options_.window_capacity);
+       ++row) {
+    for (std::size_t s = 0; s < stride_; ++s) {
+      cells[row * stride + s] = cells_[row * stride_ + s];
+    }
+  }
+  cells_ = std::move(cells);
+  stride_ = stride;
+  for (std::size_t s = 0; s < series_.size(); ++s) {
+    if (series_[s].newest >= 0) {
+      series_[s].newest_cell = CellIndex(series_[s].newest, static_cast<SeriesId>(s));
+    }
+  }
+}
+
+TimeSeriesRecorder::Cell* TimeSeriesRecorder::CellFor(SeriesId id, std::int64_t w) {
+  if (series_.size() > stride_) {
+    Relayout(series_.size());
+  }
+  Series& series = series_[static_cast<std::size_t>(id)];
+  const std::int64_t capacity = options_.window_capacity;
+  if (series.newest >= 0 && w <= series.newest) {
+    if (w < series.oldest) {
+      ++series.late_samples;
+      return nullptr;
+    }
+    return &cells_[CellIndex(w, id)];
+  }
   if (series.newest < 0) {
     series.oldest = w;
-    series.newest = w;
-    slot(w) = TimeSeriesWindow{w * options_.window_ns, 0, 0, 0, 0};
-    return &slot(w);
+    series.newest = w - 1;
   }
-  if (w > series.newest) {
-    // Open the intervening windows (bounded by the ring capacity: anything
-    // older than w - capacity + 1 is evicted wholesale, never touched).
-    const std::int64_t new_oldest = std::max(series.oldest, w - capacity + 1);
-    if (new_oldest > series.oldest) {
-      // Windows [oldest, min(newest, new_oldest - 1)] had been opened and
-      // are now lost to the ring.
-      const std::int64_t evicted =
-          std::min(series.newest, new_oldest - 1) - series.oldest + 1;
-      series.dropped_windows += static_cast<std::uint64_t>(evicted);
-      series.oldest = new_oldest;
-    }
-    for (std::int64_t k = std::max(series.newest + 1, new_oldest); k <= w; ++k) {
-      slot(k) = TimeSeriesWindow{k * options_.window_ns, 0, 0, 0, 0};
-    }
-    series.newest = w;
-    return &slot(w);
+  // Open the intervening windows (bounded by the ring capacity: anything
+  // older than w - capacity + 1 is evicted wholesale, never touched).
+  const std::int64_t new_oldest = std::max(series.oldest, w - capacity + 1);
+  if (new_oldest > series.oldest) {
+    // Windows [oldest, min(newest, new_oldest - 1)] had been opened and are
+    // now lost to the ring.
+    const std::int64_t evicted =
+        std::min(series.newest, new_oldest - 1) - series.oldest + 1;
+    series.dropped_windows += static_cast<std::uint64_t>(evicted);
+    series.oldest = new_oldest;
   }
-  if (w < series.oldest) {
-    ++series.late_samples;
-    return nullptr;
+  for (std::int64_t k = std::max(series.newest + 1, new_oldest); k <= w; ++k) {
+    cells_[CellIndex(k, id)] = Cell{};
   }
-  return &slot(w);
+  series.newest = w;
+  series.newest_start = w * options_.window_ns;
+  series.newest_cell = CellIndex(w, id);
+  return &cells_[series.newest_cell];
 }
 
 void TimeSeriesRecorder::Observe(SeriesId series, TimeNs at, std::int64_t value) {
   if (series == kNoSeries) {
     return;
   }
-  Series& s = series_[static_cast<std::size_t>(series)];
-  TimeSeriesWindow* window = SlotFor(s, at / options_.window_ns);
-  if (window == nullptr) {
-    return;
+  Cell* cell = NewestCellAt(series_[static_cast<std::size_t>(series)], at);
+  if (cell == nullptr) {
+    cell = CellFor(series, at / options_.window_ns);
+    if (cell == nullptr) {
+      return;
+    }
   }
-  window->min = window->count == 0 ? value : std::min(window->min, value);
-  window->max = window->count == 0 ? value : std::max(window->max, value);
-  window->count += 1;
-  window->sum += value;
+  cell->Add(value);
 }
 
 void TimeSeriesRecorder::AddRange(SeriesId series, TimeNs from, TimeNs to) {
@@ -79,43 +95,43 @@ void TimeSeriesRecorder::AddRange(SeriesId series, TimeNs from, TimeNs to) {
   }
   Series& s = series_[static_cast<std::size_t>(series)];
   const TimeNs W = options_.window_ns;
+  if (Cell* cell = NewestCellAt(s, from); cell != nullptr && to - s.newest_start <= W) {
+    cell->Add(to - from);  // The whole range lies in the newest window.
+    return;
+  }
   const std::int64_t last = (to - 1) / W;
   // Clamp the walk to the ring capacity: older windows would be evicted by
   // the time the walk reaches `last` anyway, so account them as late.
   std::int64_t first = from / W;
-  const auto capacity = static_cast<std::int64_t>(s.ring.size());
+  const std::int64_t capacity = options_.window_capacity;
   if (last - first + 1 > capacity) {
     s.late_samples += static_cast<std::uint64_t>(last - first + 1 - capacity);
     first = last - capacity + 1;
   }
   for (std::int64_t w = first; w <= last; ++w) {
-    TimeSeriesWindow* window = SlotFor(s, w);
-    if (window == nullptr) {
+    Cell* cell = CellFor(series, w);
+    if (cell == nullptr) {
       continue;
     }
-    const TimeNs overlap =
-        std::min(to, (w + 1) * W) - std::max(from, w * W);
-    window->min = window->count == 0 ? overlap : std::min(window->min, overlap);
-    window->max = window->count == 0 ? overlap : std::max(window->max, overlap);
-    window->count += 1;
-    window->sum += overlap;
+    cell->Add(std::min(to, (w + 1) * W) - std::max(from, w * W));
   }
 }
 
 TimeSeriesSnapshot TimeSeriesRecorder::Snapshot() const {
   TimeSeriesSnapshot snapshot;
   snapshot.window_ns = options_.window_ns;
-  for (const Series& series : series_) {
+  for (std::size_t id = 0; id < series_.size(); ++id) {
+    const Series& series = series_[id];
     TimeSeriesData data;
     data.dropped_windows = series.dropped_windows;
     data.late_samples = series.late_samples;
     if (series.newest >= 0) {
-      const auto capacity = static_cast<std::int64_t>(series.ring.size());
       data.windows.reserve(
           static_cast<std::size_t>(series.newest - series.oldest + 1));
       for (std::int64_t w = series.oldest; w <= series.newest; ++w) {
-        data.windows.push_back(
-            series.ring[static_cast<std::size_t>(w % capacity)]);
+        const Cell& cell = cells_[CellIndex(w, static_cast<SeriesId>(id))];
+        data.windows.push_back(TimeSeriesWindow{w * options_.window_ns, cell.count,
+                                                cell.sum, cell.min, cell.max});
       }
     }
     snapshot.series.emplace(series.name, std::move(data));

@@ -6,9 +6,13 @@
 // window w covers [w * window_ns, (w + 1) * window_ns). Recording into a
 // window past the newest opens the intervening windows (bounded by the ring
 // capacity) and evicts the oldest; evictions are counted, never silently
-// lost. The hot path (Observe / AddRange) performs no heap allocation — the
-// rings are sized once, at DefineSeries time — and never touches the
-// simulation engine, so recording is a pure observer: traces are
+// lost. The rings are stored window-major: one block per recorder in which
+// row w % window_capacity holds window w of every series, so the samples of
+// one window, across all series, share one row. A sample inside its
+// series' newest window takes a path with no division. The hot path
+// (Observe / AddRange) performs no heap allocation once the block is sized
+// — by the first sample after the last DefineSeries — and never touches
+// the simulation engine, so recording is a pure observer: traces are
 // bit-identical with a recorder attached or not (see DESIGN.md "Telemetry &
 // SLO tracking").
 //
@@ -19,6 +23,7 @@
 #ifndef SRC_OBS_TIMESERIES_H_
 #define SRC_OBS_TIMESERIES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -87,11 +92,12 @@ class TimeSeriesRecorder {
   int window_capacity() const { return options_.window_capacity; }
   int num_series() const { return static_cast<int>(series_.size()); }
 
-  // Registers a series and sizes its ring. Setup-time only (allocates);
-  // returns a dense id for the hot-path calls below.
+  // Registers a series; returns a dense id for the hot-path calls below.
+  // Setup-time only. Legal after recording: the first sample after a define
+  // widens the block once, keeping every recorded window.
   SeriesId DefineSeries(std::string name);
 
-  // --- Hot path: zero allocation ---
+  // --- Hot path: zero allocation once the block is sized ---
 
   // Adds one sample to the window containing `at`.
   void Observe(SeriesId series, TimeNs at, std::int64_t value);
@@ -105,21 +111,57 @@ class TimeSeriesRecorder {
   TimeSeriesSnapshot Snapshot() const;
 
  private:
+  // One window of one series; its start is implied by the window index.
+  struct Cell {
+    std::uint64_t count = 0;
+    std::int64_t sum = 0;
+    std::int64_t min = 0;  // Meaningful only when count > 0.
+    std::int64_t max = 0;
+
+    void Add(std::int64_t value) {
+      min = count == 0 ? value : std::min(min, value);
+      max = count == 0 ? value : std::max(max, value);
+      count += 1;
+      sum += value;
+    }
+  };
+
   struct Series {
     std::string name;
-    std::vector<TimeSeriesWindow> ring;  // Indexed by window_index % capacity.
     std::int64_t oldest = 0;   // Oldest retained window index.
     std::int64_t newest = -1;  // Newest opened window index; -1 = empty.
+    TimeNs newest_start = 0;   // newest * window_ns.
+    std::size_t newest_cell = 0;  // Index of the newest window's cell.
     std::uint64_t dropped_windows = 0;
     std::uint64_t late_samples = 0;
   };
 
-  // Opens (and if needed evicts up to) window index `w`; returns its slot,
-  // or nullptr for a sample older than the retained range.
-  TimeSeriesWindow* SlotFor(Series& series, std::int64_t w);
+  std::size_t CellIndex(std::int64_t w, SeriesId series) const {
+    return static_cast<std::size_t>(w % options_.window_capacity) * stride_ +
+           static_cast<std::size_t>(series);
+  }
+  // Cell of the series' newest window when `at` falls inside it.
+  Cell* NewestCellAt(const Series& series, TimeNs at) {
+    return series.newest >= 0 && at >= series.newest_start &&
+                   at - series.newest_start < options_.window_ns
+               ? &cells_[series.newest_cell]
+               : nullptr;
+  }
+  // Opens (and if needed evicts up to) window index `w`; returns its cell,
+  // or nullptr for a sample older than the retained range. First widens the
+  // block if series were defined since it was laid out.
+  Cell* CellFor(SeriesId id, std::int64_t w);
+  // Re-lays the block out with `stride` columns per row, keeping every
+  // recorded cell.
+  void Relayout(std::size_t stride);
 
   Options options_;
   std::vector<Series> series_;
+  // window_capacity rows of stride_ cells; cell CellIndex(w, s) holds window
+  // w of series s. A series with no sample yet may have no column
+  // (s >= stride_).
+  std::size_t stride_ = 0;
+  std::vector<Cell> cells_;
 };
 
 }  // namespace tableau::obs

@@ -186,59 +186,6 @@ LookupResult SchedulingTable::LookupLinear(int cpu_index, TimeNs offset) const {
   return LookupResult{kIdleVcpu, length_};
 }
 
-std::vector<int> SchedulingTable::CpusOf(VcpuId vcpu) const {
-  std::vector<int> cpus;
-  for (int c = 0; c < num_cpus(); ++c) {
-    const CpuTable& cpu = cpus_[static_cast<std::size_t>(c)];
-    for (const Allocation& alloc : cpu.allocations) {
-      if (alloc.vcpu == vcpu) {
-        cpus.push_back(c);
-        break;
-      }
-    }
-  }
-  return cpus;
-}
-
-TimeNs SchedulingTable::TotalService(VcpuId vcpu) const {
-  TimeNs total = 0;
-  for (const CpuTable& cpu : cpus_) {
-    for (const Allocation& alloc : cpu.allocations) {
-      if (alloc.vcpu == vcpu) {
-        total += alloc.Length();
-      }
-    }
-  }
-  return total;
-}
-
-TimeNs SchedulingTable::MaxBlackout(VcpuId vcpu) const {
-  std::vector<Allocation> service;
-  for (const CpuTable& cpu : cpus_) {
-    for (const Allocation& alloc : cpu.allocations) {
-      if (alloc.vcpu == vcpu) {
-        service.push_back(alloc);
-      }
-    }
-  }
-  if (service.empty()) {
-    return length_;
-  }
-  std::sort(service.begin(), service.end(),
-            [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
-  TimeNs max_gap = 0;
-  TimeNs covered_until = service.front().end;
-  for (std::size_t i = 1; i < service.size(); ++i) {
-    if (service[i].start > covered_until) {
-      max_gap = std::max(max_gap, service[i].start - covered_until);
-    }
-    covered_until = std::max(covered_until, service[i].end);
-  }
-  // Cyclic wrap: gap from the last service to the first of the next cycle.
-  const TimeNs wrap_gap = (length_ - covered_until) + service.front().start;
-  return std::max(max_gap, wrap_gap);
-}
-
 std::string SchedulingTable::Validate() const {
   // Build rejects overlap within a pCPU, so only a vCPU listed on two or
   // more pCPUs can run on two pCPUs at one instant.

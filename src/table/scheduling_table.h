@@ -78,17 +78,6 @@ class SchedulingTable {
   // Reference linear-scan lookup used by tests and the ablation benchmark.
   LookupResult LookupLinear(int cpu, TimeNs offset) const;
 
-  // All pCPUs on which `vcpu` has at least one allocation.
-  std::vector<int> CpusOf(VcpuId vcpu) const;
-
-  // Total service received by `vcpu` over the whole table, across all pCPUs.
-  TimeNs TotalService(VcpuId vcpu) const;
-
-  // Longest contiguous interval (cyclic, across pCPUs) during which `vcpu`
-  // has no allocation: the "blackout time" of Sec. 4. Returns `length()` if
-  // the vCPU has no allocations at all.
-  TimeNs MaxBlackout(VcpuId vcpu) const;
-
   // Checks the one invariant Build cannot: that no vCPU is allocated on two
   // pCPUs at the same instant (pieces that only touch are legal). Build
   // rejects overlap within a pCPU, so only vCPUs listed in two or more
@@ -120,7 +109,7 @@ struct LatencyProfile {
   double service_fraction = 0;  // P(arrival lands in service).
   TimeNs mean = 0;              // E[wait].
   TimeNs p99 = 0;               // 99th percentile of wait.
-  TimeNs max = 0;               // Longest possible wait (== MaxBlackout).
+  TimeNs max = 0;               // Longest possible wait: the longest blackout.
 };
 LatencyProfile AnalyzeWakeupLatency(const SchedulingTable& table, VcpuId vcpu);
 

@@ -26,9 +26,9 @@ void WorkQueueGuest::Insert(Item item, bool urgent) {
   if (urgent && !was_empty) {
     // The front item is in progress (its burst is armed); insert right
     // behind it, ahead of all other queued work.
-    queue_.insert(queue_.begin() + 1, std::move(item));
+    queue_.Insert(1, std::move(item));
   } else {
-    queue_.push_back(std::move(item));
+    queue_.PushBack(std::move(item));
   }
   if (was_empty && vcpu_->state() == VcpuState::kBlocked) {
     machine_->SetBurst(vcpu_, cpu_ns);
@@ -43,8 +43,7 @@ void WorkQueueGuest::Insert(Item item, bool urgent) {
 
 void WorkQueueGuest::OnBurstComplete() {
   TABLEAU_CHECK(!queue_.empty());
-  Item item = std::move(queue_.front());
-  queue_.pop_front();
+  Item item = queue_.PopFront();
   if (item.on_done) {
     item.on_done(machine_->Now());
   }

@@ -18,6 +18,7 @@
 #include "src/common/rng.h"
 #include "src/core/planner.h"
 #include "src/table/scheduling_table.h"
+#include "tests/table_oracles.h"
 
 namespace tableau::check {
 namespace {
@@ -353,7 +354,7 @@ void CheckContract(const SchedulingTable& table, const VcpuContract& contract,
         Describe("blackout exceeds 2(T - C) plus coalescing slack", contract.vcpu,
                  blackout, blackout_bound));
   }
-  const std::vector<int> cpus = table.CpusOf(contract.vcpu);
+  const std::vector<int> cpus = CpusOf(table, contract.vcpu);
   if (contract.split && cpus.size() < 2) {
     violations->push_back(Describe("split vcpu has allocations on fewer than two cores",
                                    contract.vcpu, static_cast<long long>(cpus.size()), 2));

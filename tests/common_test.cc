@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "src/common/math_util.h"
+#include "src/common/ring_queue.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/common/time.h"
@@ -293,6 +295,34 @@ TEST(Histogram, PercentileCeilingRankTenSamples) {
   EXPECT_EQ(h.Percentile(0.95), 10);  // ceil(9.5) = 10; floor gave 9.
   EXPECT_EQ(h.Percentile(0.90), 9);
   EXPECT_EQ(h.Percentile(0.05), 1);   // ceil(0.5) = 1.
+}
+
+TEST(RingQueue, MatchesDequeUnderRandomPushPopAndInsert) {
+  // Pushes, pops and inserts behind the front (WorkQueueGuest::PostUrgent)
+  // against std::deque, with growth while the ring has wrapped.
+  RingQueue<int> ring;
+  std::deque<int> reference;
+  std::size_t max_size = 0;
+  Rng rng(5);
+  for (int op = 0; op < 20000; ++op) {
+    const std::int64_t pick = rng.UniformInt(0, 19);
+    if (pick < 7 || reference.empty()) {
+      ring.PushBack(op);
+      reference.push_back(op);
+    } else if (pick < 17) {
+      ASSERT_EQ(ring.PopFront(), reference.front());
+      reference.pop_front();
+    } else {
+      ring.Insert(1, op);
+      reference.insert(reference.begin() + 1, op);
+    }
+    ASSERT_EQ(ring.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(ring[i], reference[i]) << "op " << op << ", element " << i;
+    }
+    max_size = std::max(max_size, reference.size());
+  }
+  EXPECT_GT(max_size, 64u);  // Several doublings.
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {

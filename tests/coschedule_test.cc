@@ -3,6 +3,7 @@
 #include "src/core/coschedule.h"
 #include "src/core/peephole.h"
 #include "src/core/planner.h"
+#include "tests/table_oracles.h"
 
 namespace tableau {
 namespace {
@@ -113,8 +114,8 @@ TEST(Coschedule, PlannerTablesStayValidAfterPass) {
       SchedulingTable::Build(plan.table.length(), std::move(per_core));
   EXPECT_EQ(rebuilt.Validate(), "");
   for (const VcpuPlan& vcpu : plan.vcpus) {
-    EXPECT_EQ(rebuilt.TotalService(vcpu.vcpu), plan.table.TotalService(vcpu.vcpu));
-    EXPECT_LE(rebuilt.MaxBlackout(vcpu.vcpu), vcpu.blackout_bound);
+    EXPECT_EQ(TotalService(rebuilt, vcpu.vcpu), TotalService(plan.table, vcpu.vcpu));
+    EXPECT_LE(MaxBlackout(rebuilt, vcpu.vcpu), vcpu.blackout_bound);
   }
 }
 

@@ -282,6 +282,27 @@ TEST(FleetMigrationTest, MergedMetricsCarryNoPerSlotSloGauges) {
   EXPECT_LT(run.slo.worst_vm_attainment, 1.0);
 }
 
+TEST(FleetTelemetryTest, MergedTimeSeriesBytesArePinned) {
+  // The merged machine-wide and per-pCPU series of four hosts, byte for
+  // byte, across a surge and its migration.
+  FleetScenarioConfig config = SmallFleet();
+  config.arrival_spread = 0;
+  config.num_vms = 6;
+  config.surge_vms = 1;
+  config.surge_at = 50 * kMillisecond;
+  config.surge_factor = 10.0;
+  config.min_requests_before_migration = 20;
+  fleet::Cluster cluster(BuildFleetConfig(config));
+  cluster.Start();
+  cluster.RunUntil(600 * kMillisecond);
+  ASSERT_GE(cluster.migrations().size(), 1u);
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const char c : cluster.MergedTimeSeries().ToJson()) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  EXPECT_EQ(hash, 0xf0ec254898e4c2f0ull);
+}
+
 TEST(FleetMigrationTest, MigrationIsDeterministicAcrossModes) {
   FleetScenarioConfig config = SmallFleet();
   config.arrival_spread = 0;

@@ -11,6 +11,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/planner.h"
+#include "tests/table_oracles.h"
 
 namespace tableau {
 namespace {
@@ -25,7 +26,7 @@ std::vector<VcpuRequest> UniformRequests(int count, double utilization, TimeNs l
 }
 
 double Granted(const SchedulingTable& table, VcpuId vcpu) {
-  return static_cast<double>(table.TotalService(vcpu)) /
+  return static_cast<double>(TotalService(table, vcpu)) /
          static_cast<double>(table.length());
 }
 
@@ -70,7 +71,7 @@ TEST(IncrementalPlan, RemoveOneVmTouchesOneCore) {
   ASSERT_TRUE(incremental.success);
   EXPECT_EQ(incremental.dirty_cores.size(), 1u);
   EXPECT_EQ(incremental.vcpus.size(), 23u);
-  EXPECT_EQ(incremental.table.TotalService(5), 0);
+  EXPECT_EQ(TotalService(incremental.table, 5), 0);
   // No plan entry for the departed vCPU.
   EXPECT_TRUE(std::none_of(incremental.vcpus.begin(), incremental.vcpus.end(),
                            [](const VcpuPlan& p) { return p.vcpu == 5; }));
@@ -117,7 +118,7 @@ TEST(IncrementalPlan, GuaranteesHoldAfterChurn) {
                 vcpu.requested_utilization - donated - 1e-6)
           << "round " << round << " vcpu " << vcpu.vcpu;
       if (vcpu.latency_goal_met) {
-        EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), vcpu.latency_goal)
+        EXPECT_LE(MaxBlackout(plan.table, vcpu.vcpu), vcpu.latency_goal)
             << "round " << round << " vcpu " << vcpu.vcpu;
       }
     }
@@ -254,7 +255,7 @@ TEST(IncrementalPlan, DeltaMatchesFullOnRejectedAndConstrainedInputs) {
   const PlanResult pinned = planner.Solve(PlanRequest::Delta(base, {socket_one}));
   ASSERT_TRUE(pinned.success) << pinned.error;
   EXPECT_EQ(pinned.dirty_cores.size(), 1u);  // Still an incremental solve.
-  const std::vector<int> cpus = pinned.table.CpusOf(8);
+  const std::vector<int> cpus = CpusOf(pinned.table, 8);
   ASSERT_EQ(cpus.size(), 1u);
   EXPECT_EQ(cpus[0] / config.cores_per_socket, 1);
 }

@@ -8,6 +8,7 @@
 #include "src/core/planner.h"
 #include "src/harness/scenario.h"
 #include "src/workloads/ping.h"
+#include "tests/table_oracles.h"
 
 namespace tableau {
 namespace {
@@ -66,7 +67,7 @@ TEST(LatencyProfile, MaxMatchesMaxBlackout) {
   ASSERT_TRUE(plan.success);
   for (const VcpuPlan& vcpu : plan.vcpus) {
     const LatencyProfile profile = AnalyzeWakeupLatency(plan.table, vcpu.vcpu);
-    EXPECT_EQ(profile.max, plan.table.MaxBlackout(vcpu.vcpu)) << vcpu.vcpu;
+    EXPECT_EQ(profile.max, MaxBlackout(plan.table, vcpu.vcpu)) << vcpu.vcpu;
     EXPECT_LE(profile.mean, profile.p99);
     EXPECT_LE(profile.p99, profile.max);
   }

@@ -8,6 +8,7 @@
 #include "src/core/planner.h"
 #include "src/rt/hyperperiod.h"
 #include "src/rt/partition.h"
+#include "tests/table_oracles.h"
 
 namespace tableau {
 namespace {
@@ -84,7 +85,7 @@ TEST(NumaPlanner, AffinityReflectedInTable) {
   const PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plan.success) << plan.error;
   for (const VcpuPlan& vcpu : plan.vcpus) {
-    const std::vector<int> cpus = plan.table.CpusOf(vcpu.vcpu);
+    const std::vector<int> cpus = CpusOf(plan.table, vcpu.vcpu);
     ASSERT_EQ(cpus.size(), 1u);
     const int expected_socket = vcpu.vcpu < 4 ? 0 : 1;
     EXPECT_EQ(cpus[0] / 2, expected_socket) << "vcpu " << vcpu.vcpu;
@@ -132,11 +133,11 @@ TEST(NumaPlanner, MixedAffinityStaysWithinGuarantees) {
   ASSERT_TRUE(plan.success) << plan.error;
   ASSERT_EQ(plan.table.Validate(), "");
   for (const VcpuPlan& vcpu : plan.vcpus) {
-    EXPECT_GE(static_cast<double>(plan.table.TotalService(vcpu.vcpu)) /
+    EXPECT_GE(static_cast<double>(TotalService(plan.table, vcpu.vcpu)) /
                   static_cast<double>(plan.table.length()),
               vcpu.requested_utilization - 1e-3)
         << vcpu.vcpu;
-    EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), vcpu.latency_goal) << vcpu.vcpu;
+    EXPECT_LE(MaxBlackout(plan.table, vcpu.vcpu), vcpu.latency_goal) << vcpu.vcpu;
   }
 }
 

@@ -5,6 +5,7 @@
 #include "src/core/planner.h"
 #include "src/rt/edf_sim.h"
 #include "src/rt/hyperperiod.h"
+#include "tests/table_oracles.h"
 
 namespace tableau {
 namespace {
@@ -137,11 +138,11 @@ TEST(Peephole, PlannerIntegrationReducesAllocations) {
   for (const VcpuPlan& vcpu : optimized.vcpus) {
     const double donated = static_cast<double>(vcpu.donated_ns) /
                            static_cast<double>(optimized.table.length());
-    EXPECT_GE(static_cast<double>(optimized.table.TotalService(vcpu.vcpu)) /
+    EXPECT_GE(static_cast<double>(TotalService(optimized.table, vcpu.vcpu)) /
                   static_cast<double>(optimized.table.length()),
               vcpu.requested_utilization - donated - 1e-6)
         << vcpu.vcpu;
-    EXPECT_LE(optimized.table.MaxBlackout(vcpu.vcpu), vcpu.blackout_bound) << vcpu.vcpu;
+    EXPECT_LE(MaxBlackout(optimized.table, vcpu.vcpu), vcpu.blackout_bound) << vcpu.vcpu;
   }
 }
 

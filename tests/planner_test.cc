@@ -8,6 +8,7 @@
 #include "src/common/rng.h"
 #include "src/core/planner.h"
 #include "src/rt/hyperperiod.h"
+#include "tests/table_oracles.h"
 
 namespace tableau {
 namespace {
@@ -22,7 +23,7 @@ std::vector<VcpuRequest> UniformRequests(int count, double utilization, TimeNs l
 
 // Sum of a vCPU's requested utilization over the table, as actually granted.
 double GrantedUtilization(const SchedulingTable& table, VcpuId vcpu) {
-  return static_cast<double>(table.TotalService(vcpu)) /
+  return static_cast<double>(TotalService(table, vcpu)) /
          static_cast<double>(table.length());
 }
 
@@ -39,7 +40,7 @@ TEST(Planner, PaperSetup48VmsOn12Cores) {
     EXPECT_TRUE(vcpu.latency_goal_met);
     EXPECT_FALSE(vcpu.split);
     // Blackout measured in the actual table must respect the bound.
-    EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), vcpu.blackout_bound);
+    EXPECT_LE(MaxBlackout(plan.table, vcpu.vcpu), vcpu.blackout_bound);
     // Utilization granted within ns quantization of the request.
     EXPECT_GE(GrantedUtilization(plan.table, vcpu.vcpu), 0.25 - 1e-6);
   }
@@ -55,7 +56,7 @@ TEST(Planner, UtilizationGuaranteeAcrossLatencyGoals) {
         planner.Solve(PlanRequest::Full(UniformRequests(16, 0.25, latency)));
     ASSERT_TRUE(plan.success) << plan.error << " latency " << latency;
     for (const VcpuPlan& vcpu : plan.vcpus) {
-      EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), latency)
+      EXPECT_LE(MaxBlackout(plan.table, vcpu.vcpu), latency)
           << "latency goal " << latency << " vcpu " << vcpu.vcpu;
     }
   }
@@ -103,8 +104,8 @@ TEST(Planner, DedicatedCoreForFullUtilization) {
   const PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plan.success) << plan.error;
   // vCPU 0 owns a full core.
-  EXPECT_EQ(plan.table.TotalService(0), plan.table.length());
-  EXPECT_EQ(plan.table.MaxBlackout(0), 0);
+  EXPECT_EQ(TotalService(plan.table, 0), plan.table.length());
+  EXPECT_EQ(MaxBlackout(plan.table, 0), 0);
   const auto it = std::find_if(plan.vcpus.begin(), plan.vcpus.end(),
                                [](const VcpuPlan& v) { return v.vcpu == 0; });
   ASSERT_NE(it, plan.vcpus.end());
@@ -118,8 +119,8 @@ TEST(Planner, AllDedicatedLeavesNoSharedCore) {
   const PlanResult plan = planner.Solve(
       PlanRequest::Full({{0, 1.0, kMillisecond}, {1, 1.0, kMillisecond}}));
   ASSERT_TRUE(plan.success) << plan.error;
-  EXPECT_EQ(plan.table.TotalService(0), plan.table.length());
-  EXPECT_EQ(plan.table.TotalService(1), plan.table.length());
+  EXPECT_EQ(TotalService(plan.table, 0), plan.table.length());
+  EXPECT_EQ(TotalService(plan.table, 1), plan.table.length());
 }
 
 TEST(Planner, TooManyDedicatedVcpusRejected) {
@@ -164,7 +165,7 @@ TEST(Planner, QuantizationShaveKeepsQuarterSharesPartitioned) {
     // Within 1 ns per period of the requested share.
     EXPECT_GE(vcpu.effective_utilization,
               0.25 - 1.0 / static_cast<double>(vcpu.period) - 1e-12);
-    EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), kMillisecond);
+    EXPECT_LE(MaxBlackout(plan.table, vcpu.vcpu), kMillisecond);
   }
 }
 
@@ -219,7 +220,7 @@ TEST(Planner, SemiPartitionedLatencyStillBounded) {
       planner.Solve(PlanRequest::Full(UniformRequests(3, 0.6, 40 * kMillisecond)));
   ASSERT_TRUE(plan.success) << plan.error;
   for (const VcpuPlan& vcpu : plan.vcpus) {
-    EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), 40 * kMillisecond) << vcpu.vcpu;
+    EXPECT_LE(MaxBlackout(plan.table, vcpu.vcpu), 40 * kMillisecond) << vcpu.vcpu;
   }
 }
 
@@ -258,7 +259,7 @@ TEST(Planner, MixedTiersPlan) {
   const PlanResult plan = planner.Solve(PlanRequest::Full(requests));
   ASSERT_TRUE(plan.success) << plan.error;
   for (const VcpuPlan& vcpu : plan.vcpus) {
-    EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), vcpu.latency_goal) << vcpu.vcpu;
+    EXPECT_LE(MaxBlackout(plan.table, vcpu.vcpu), vcpu.latency_goal) << vcpu.vcpu;
     // Granted share is the effective reservation minus reported coalescing
     // donations (exact accounting).
     const double donated =
@@ -388,7 +389,7 @@ TEST_P(PlannerPropertyTest, RandomWorkloadsSatisfyGuarantees) {
         << "vcpu " << vcpu.vcpu;
     // Latency guarantee whenever the goal was achievable.
     if (vcpu.latency_goal_met) {
-      EXPECT_LE(plan.table.MaxBlackout(vcpu.vcpu), request.latency_goal)
+      EXPECT_LE(MaxBlackout(plan.table, vcpu.vcpu), request.latency_goal)
           << "vcpu " << vcpu.vcpu;
     }
   }

