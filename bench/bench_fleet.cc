@@ -11,13 +11,19 @@
 //    migration whose destination table still passes the TableVerifier.
 //  - Reporting: BENCH_fleet.json carries the merged metrics and timeseries
 //    blocks plus fleet-wide SLO attainment.
-//  - Telemetry cost: one more serial run with no telemetry attached gives
-//    fleet.telemetry_overhead, the warm serial run's simulation time
-//    (construction, Start and RunUntil; no checks or exports) with telemetry
-//    over the same without it. Without telemetry no overload is detected, so
-//    that run is exempt from the migration and determinism checks.
+//  - Telemetry cost: alternating serial runs with and without telemetry give
+//    fleet.telemetry_overhead, the median over the pairs of one run's
+//    simulation time (construction, Start and RunUntil; no checks or
+//    exports) with telemetry over its partner's without, with the minimum
+//    and maximum beside it. Without telemetry no overload is detected, so
+//    those runs are exempt from the migration and determinism checks.
+//  - Memory: fleet.peak_rss_mb is the process's resident high-water mark
+//    (VmHWM) through the first, cold serial run; the bench fails above
+//    kPeakRssCeilingMb.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -98,10 +104,42 @@ FleetRunResult RunFleet(const FleetScenarioConfig& config, TimeNs duration,
   return result;
 }
 
+// Resident high-water mark of this process in MiB, from VmHWM in
+// /proc/self/status (which an exec resets, unlike getrusage's ru_maxrss);
+// 0 when it cannot be read.
+double PeakRssMb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      double kib = 0;
+      status >> kib;
+      return kib / 1024.0;
+    }
+  }
+  return 0;
+}
+
+// Ceiling on fleet.peak_rss_mb at the default run length in an
+// uninstrumented build, ~25% above the 21.2 MiB measured on x86-64 Linux
+// (glibc 2.36). Eagerly zero-filled time-series blocks (36.9 MiB) or per-slot
+// span histograms (~80 MiB) exceed it. The high-water mark is read after one
+// fleet because every later run raises it by what the allocator kept from
+// the runs before (to ~60 MiB after this bench's 13 runs).
+constexpr double kPeakRssCeilingMb = 27;
+
+// Sanitizer runtimes (shadow memory, quarantine) multiply resident memory.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
 }  // namespace
 
 int main() {
-  const TimeNs duration = MeasureDuration(500 * kMillisecond);
+  constexpr TimeNs kDefaultDuration = 500 * kMillisecond;
+  const TimeNs duration = MeasureDuration(kDefaultDuration);
   const FleetScenarioConfig base = BenchConfig();
 
   PrintHeader("Fleet: 64 hosts x 32 pCPUs x 4 slots (8,192 vCPU slots), " +
@@ -120,6 +158,7 @@ int main() {
 
   BenchJson json("fleet");
   std::vector<FleetRunResult> runs;
+  double peak_rss_mb = 0;
   std::printf("%-10s %14s %10s %10s %10s %8s %10s\n", "mode", "requests", "misses",
               "attain", "worst vm", "migr", "wall");
   for (const Mode& mode : modes) {
@@ -127,6 +166,9 @@ int main() {
     config.parallel = mode.parallel;
     config.num_threads = mode.threads;
     runs.push_back(RunFleet(config, duration));
+    if (runs.size() == 1) {
+      peak_rss_mb = PeakRssMb();
+    }
     const FleetRunResult& run = runs.back();
     std::printf("%-10s %14llu %10llu %9.4f%% %9.4f%% %8d %8.0fms\n", mode.name,
                 static_cast<unsigned long long>(run.slo.requests),
@@ -139,19 +181,36 @@ int main() {
              static_cast<double>(run.fingerprint & 0xffffffffull));
   }
 
-  // Telemetry off, serial, after the warm "repeat" run it is compared with.
-  const FleetRunResult off = RunFleet(base, duration, /*attach_telemetry=*/false);
-  std::printf("%-10s %14llu %10llu %9.4f%% %9.4f%% %8d %8.0fms\n", "telem_off",
-              static_cast<unsigned long long>(off.slo.requests),
-              static_cast<unsigned long long>(off.slo.misses), 100.0 * off.slo.attainment,
-              100.0 * off.slo.worst_vm_attainment, off.migrations, off.wall_ms);
-  const double telemetry_overhead = runs.back().sim_ms / off.sim_ms;
-  std::printf("telemetry overhead (repeat / telem_off simulation time, %.0f / %.0f ms): "
-              "%.2fx\n",
-              runs.back().sim_ms, off.sim_ms, telemetry_overhead);
-  json.Add("fleet.repeat.sim_ms", runs.back().sim_ms);
-  json.Add("fleet.telemetry_off.sim_ms", off.sim_ms);
-  json.Add("fleet.telemetry_overhead", telemetry_overhead);
+  // Telemetry on/off pairs, serial, after the warm "repeat" run. Which side
+  // runs first alternates, so a drift in the host's speed falls on both.
+  constexpr int kOverheadPairs = 5;
+  std::vector<double> on_ms;
+  std::vector<double> off_ms;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    const bool on_first = pair % 2 == 0;
+    const double first = RunFleet(base, duration, on_first).sim_ms;
+    const double second = RunFleet(base, duration, !on_first).sim_ms;
+    on_ms.push_back(on_first ? first : second);
+    off_ms.push_back(on_first ? second : first);
+    ratios.push_back(on_ms.back() / off_ms.back());
+    std::printf("telemetry pair %d (%s first): on %.0f ms, off %.0f ms, %.2fx\n", pair + 1,
+                on_first ? "on" : "off", on_ms.back(), off_ms.back(), ratios.back());
+  }
+  const auto median = [](std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];  // kOverheadPairs is odd.
+  };
+  const double overhead = median(ratios);
+  const auto [min_ratio, max_ratio] = std::minmax_element(ratios.begin(), ratios.end());
+  std::printf("telemetry overhead (on / off simulation time, median of %d alternating pairs): "
+              "%.2fx (min %.2fx, max %.2fx)\n",
+              kOverheadPairs, overhead, *min_ratio, *max_ratio);
+  json.Add("fleet.telemetry_on.sim_ms", median(on_ms));
+  json.Add("fleet.telemetry_off.sim_ms", median(off_ms));
+  json.Add("fleet.telemetry_overhead", overhead);
+  json.Add("fleet.telemetry_overhead_min", *min_ratio);
+  json.Add("fleet.telemetry_overhead_max", *max_ratio);
 
   const FleetRunResult& serial = runs.front();
   bool deterministic = true;
@@ -179,8 +238,18 @@ int main() {
            serial.destination_verified ? 1 : 0);
   json.AddRawBlock("fleet_metrics", serial.metrics_json);
   json.AddRawBlock("timeseries", serial.timeseries_json);
+
+  const bool gated = !kSanitized && duration == kDefaultDuration;
+  const bool memory_ok = !gated || (peak_rss_mb > 0 && peak_rss_mb <= kPeakRssCeilingMb);
+  std::printf("peak RSS (VmHWM after the serial run): %.1f MiB, ceiling %.0f MiB: %s\n",
+              peak_rss_mb, kPeakRssCeilingMb,
+              !gated ? "not gated (sanitizer build or non-default duration)"
+                     : (memory_ok ? "ok" : "EXCEEDED"));
+  json.Add("fleet.peak_rss_mb", peak_rss_mb);
   json.Write();
 
-  return (deterministic && serial.migrations > 0 && serial.destination_verified) ? 0
-                                                                                 : 1;
+  return (deterministic && serial.migrations > 0 && serial.destination_verified &&
+          memory_ok)
+             ? 0
+             : 1;
 }

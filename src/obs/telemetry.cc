@@ -95,6 +95,16 @@ void Telemetry::Bind(int num_cpus, int num_vcpus, bool table_driven,
   }
   window_views_.resize(static_cast<std::size_t>(num_vcpus));
   last_view_at_ = start;
+  // Every vCPU starts blocked with an empty view, so none is live yet.
+  live_vcpus_.reserve(static_cast<std::size_t>(num_vcpus));
+  is_live_.resize(static_cast<std::size_t>(num_vcpus));
+}
+
+void Telemetry::MarkLive(int vcpu) {
+  if (!is_live_[static_cast<std::size_t>(vcpu)]) {
+    is_live_[static_cast<std::size_t>(vcpu)] = true;
+    live_vcpus_.push_back(vcpu);
+  }
 }
 
 void Telemetry::IngestInterval(int vcpu, const AttributedInterval& interval) {
@@ -129,6 +139,7 @@ void Telemetry::OnWakeup(int vcpu, TimeNs now) {
   if (!enabled_ || !bound_) {
     return;
   }
+  MarkLive(vcpu);
   IngestInterval(vcpu, attributor_.OnWakeup(vcpu, now));
 }
 
@@ -143,6 +154,7 @@ void Telemetry::OnDispatch(int vcpu, TimeNs now) {
   if (!enabled_ || !bound_) {
     return;
   }
+  MarkLive(vcpu);
   IngestInterval(vcpu, attributor_.OnDispatch(vcpu, now));
 }
 
@@ -186,14 +198,17 @@ void Telemetry::OnCadenceSample(TimeNs at, int runnable_waiting, int running) {
   }
   const TimeNs window_start = last_view_at_;
   last_view_at_ = at;
-  for (int v = 0; v < attributor_.num_vcpus(); ++v) {
+  std::size_t kept = 0;
+  for (const int v : live_vcpus_) {
     VcpuWindowView& view = window_views_[static_cast<std::size_t>(v)];
     if (!view.has_data && attributor_.BlockedSince(v, window_start)) {
       // Only the blocked total moved, which no view reads: the view stays
-      // empty, and the stale blocked total in view_prev_totals_ never
-      // reaches a view either.
+      // empty until the vCPU wakes, and the stale blocked total in
+      // view_prev_totals_ never reaches a view either.
+      is_live_[static_cast<std::size_t>(v)] = false;
       continue;
     }
+    live_vcpus_[kept++] = v;
     const LatencyBreakdown totals = attributor_.TotalsAt(v, at);
     const LatencyBreakdown delta =
         totals - view_prev_totals_[static_cast<std::size_t>(v)];
@@ -205,6 +220,7 @@ void Telemetry::OnCadenceSample(TimeNs at, int runnable_waiting, int running) {
                      delta[LatencyComponent::kSwitchSlip];
     view.has_data = view.demand_ns > 0;
   }
+  live_vcpus_.resize(kept);
 }
 
 Telemetry::RequestMark Telemetry::BeginRequest(int vcpu, TimeNs at) const {

@@ -93,9 +93,10 @@ class Telemetry {
   void OnTableSwitch(TimeNs now, TimeNs slip);
   // Deterministic cadence sample taken by Machine::RunFor at every window
   // boundary: instantaneous runnable-waiting and running vCPU counts. Also
-  // closes the per-vCPU window views below (idempotent per boundary); a
-  // vCPU blocked for the whole window whose last view was already empty is
-  // skipped, since its view cannot change.
+  // closes the per-vCPU window views below (idempotent per boundary),
+  // visiting only live vCPUs: a vCPU blocked for the whole window whose
+  // last view was already empty cannot change its view, so it leaves the
+  // live list until its next wakeup or dispatch.
   void OnCadenceSample(TimeNs at, int runnable_waiting, int running);
 
   // Per-vCPU view of the telemetry window that closed at the last cadence
@@ -160,6 +161,8 @@ class Telemetry {
   // Routes a settled waiting/service interval into the machine-wide
   // component series and the vCPU's demand series.
   void IngestInterval(int vcpu, const AttributedInterval& interval);
+  // Adds `vcpu` to the live list (see OnCadenceSample) if it is not there.
+  void MarkLive(int vcpu);
   // Whether EndRequest decomposes spans of `vcpu` into components.
   bool DecomposesSpans(int vcpu) const {
     const int vm = vm_of_[static_cast<std::size_t>(vcpu)];
@@ -185,6 +188,12 @@ class Telemetry {
   std::vector<LatencyBreakdown> view_prev_totals_;
   std::vector<VcpuWindowView> window_views_;
   TimeNs last_view_at_ = -1;
+  // vCPUs whose view the next cadence sample must close: all but those
+  // blocked since before the previous sample with an empty view. Only a
+  // wakeup or a dispatch ends a blocked state (a machine deschedules only
+  // running vCPUs), and both add the vCPU.
+  std::vector<int> live_vcpus_;
+  std::vector<bool> is_live_;
   std::vector<TimeSeriesRecorder::SeriesId> cpu_busy_series_;
   TimeSeriesRecorder::SeriesId machine_queue_ = TimeSeriesRecorder::kNoSeries;
   TimeSeriesRecorder::SeriesId machine_preempt_ =

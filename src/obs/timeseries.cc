@@ -22,20 +22,21 @@ TimeSeriesRecorder::SeriesId TimeSeriesRecorder::DefineSeries(std::string name) 
 }
 
 void TimeSeriesRecorder::Relayout(std::size_t stride) {
-  std::vector<Cell> cells(static_cast<std::size_t>(options_.window_capacity) * stride);
-  for (std::size_t row = 0; row < static_cast<std::size_t>(options_.window_capacity);
-       ++row) {
-    for (std::size_t s = 0; s < stride_; ++s) {
-      cells[row * stride + s] = cells_[row * stride_ + s];
+  std::vector<Cell> cells;
+  cells.reserve(static_cast<std::size_t>(options_.window_capacity) * stride);
+  cells.resize(rows_ * stride);
+  for (std::size_t s = 0; s < series_.size(); ++s) {
+    Series& series = series_[s];
+    if (series.newest < 0) {
+      continue;  // Nothing recorded.
     }
+    for (std::int64_t w = series.oldest; w <= series.newest; ++w) {
+      cells[RowOf(w) * stride + s] = cells_[CellIndex(w, static_cast<SeriesId>(s))];
+    }
+    series.newest_cell = RowOf(series.newest) * stride + s;
   }
   cells_ = std::move(cells);
   stride_ = stride;
-  for (std::size_t s = 0; s < series_.size(); ++s) {
-    if (series_[s].newest >= 0) {
-      series_[s].newest_cell = CellIndex(series_[s].newest, static_cast<SeriesId>(s));
-    }
-  }
 }
 
 TimeSeriesRecorder::Cell* TimeSeriesRecorder::CellFor(SeriesId id, std::int64_t w) {
@@ -67,7 +68,14 @@ TimeSeriesRecorder::Cell* TimeSeriesRecorder::CellFor(SeriesId id, std::int64_t 
     series.oldest = new_oldest;
   }
   for (std::int64_t k = std::max(series.newest + 1, new_oldest); k <= w; ++k) {
-    cells_[CellIndex(k, id)] = Cell{};
+    const std::size_t row = RowOf(k);
+    if (row >= rows_) {
+      // First window to reach this row: construct (zero) the rows up to it
+      // inside the reserved block.
+      rows_ = row + 1;
+      cells_.resize(rows_ * stride_);
+    }
+    cells_[row * stride_ + static_cast<std::size_t>(id)] = Cell{};
   }
   series.newest = w;
   series.newest_start = w * options_.window_ns;

@@ -8,13 +8,16 @@
 // capacity) and evicts the oldest; evictions are counted, never silently
 // lost. The rings are stored window-major: one block per recorder in which
 // row w % window_capacity holds window w of every series, so the samples of
-// one window, across all series, share one row. A sample inside its
-// series' newest window takes a path with no division. The hot path
-// (Observe / AddRange) performs no heap allocation once the block is sized
-// — by the first sample after the last DefineSeries — and never touches
-// the simulation engine, so recording is a pure observer: traces are
-// bit-identical with a recorder attached or not (see DESIGN.md "Telemetry &
-// SLO tracking").
+// one window, across all series, share one row. The block's storage is
+// reserved for every row when it is laid out, but rows are constructed
+// (zeroed) in order as windows reach them, so a recorder whose windows
+// start at 0 keeps only as many rows resident as it has opened windows. A
+// sample inside its series' newest window takes a path with no division.
+// The hot path (Observe / AddRange) performs no heap allocation once the
+// block is laid out — by the first sample after the last DefineSeries — and
+// never touches the simulation engine, so recording is a pure observer:
+// traces are bit-identical with a recorder attached or not (see DESIGN.md
+// "Telemetry & SLO tracking").
 //
 // Snapshots are plain data. TimeSeriesSnapshot::Merge aligns windows by
 // start time and adds counts/sums (min/max combine accordingly), which is
@@ -136,9 +139,11 @@ class TimeSeriesRecorder {
     std::uint64_t late_samples = 0;
   };
 
+  std::size_t RowOf(std::int64_t w) const {
+    return static_cast<std::size_t>(w % options_.window_capacity);
+  }
   std::size_t CellIndex(std::int64_t w, SeriesId series) const {
-    return static_cast<std::size_t>(w % options_.window_capacity) * stride_ +
-           static_cast<std::size_t>(series);
+    return RowOf(w) * stride_ + static_cast<std::size_t>(series);
   }
   // Cell of the series' newest window when `at` falls inside it.
   Cell* NewestCellAt(const Series& series, TimeNs at) {
@@ -151,16 +156,20 @@ class TimeSeriesRecorder {
   // or nullptr for a sample older than the retained range. First widens the
   // block if series were defined since it was laid out.
   Cell* CellFor(SeriesId id, std::int64_t w);
-  // Re-lays the block out with `stride` columns per row, keeping every
-  // recorded cell.
+  // Re-lays the block out with `stride` columns per row, copying only each
+  // series' retained cells.
   void Relayout(std::size_t stride);
 
   Options options_;
   std::vector<Series> series_;
-  // window_capacity rows of stride_ cells; cell CellIndex(w, s) holds window
-  // w of series s. A series with no sample yet may have no column
-  // (s >= stride_).
+  // Rows of stride_ cells; cell CellIndex(w, s) holds window w of series s.
+  // A series with no sample yet may have no column (s >= stride_). Storage
+  // for all window_capacity rows is reserved when the block is laid out,
+  // but only rows [0, rows_) are constructed: a row is zeroed when the
+  // first window to reach it opens, so the rest are never written (or made
+  // resident) and no cell is read before it is written.
   std::size_t stride_ = 0;
+  std::size_t rows_ = 0;
   std::vector<Cell> cells_;
 };
 

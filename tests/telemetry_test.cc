@@ -250,8 +250,18 @@ TEST(TimeSeriesRecorder, WindowMajorBlockMatchesPerSeriesRings) {
   // Random samples and ranges around a mostly advancing clock, with jumps
   // that evict, samples behind the ring (late), ranges straddling several
   // windows and longer than the ring, and series defined after recording.
+  // The block constructs its rows only as windows reach them, so the
+  // production capacity (256) also runs: its first sample lands in a late
+  // window (row 200, so rows below it are constructed unopened), snapshots
+  // are compared while the run is shorter than the ring, and series are
+  // defined (the block widened) before the ring is full.
   constexpr TimeNs kWindow = 100;
-  for (const int capacity : {1, 3, 8}) {
+  struct Shape {
+    int capacity;
+    std::int64_t first_window;
+  };
+  for (const Shape shape : {Shape{1, 0}, Shape{3, 0}, Shape{8, 0}, Shape{256, 200}}) {
+    const int capacity = shape.capacity;
     TimeSeriesRecorder recorder({kWindow, capacity});
     RingReference reference(kWindow, capacity);
     Rng rng(static_cast<std::uint64_t>(capacity));
@@ -263,7 +273,13 @@ TEST(TimeSeriesRecorder, WindowMajorBlockMatchesPerSeriesRings) {
     };
     define();
     define();
-    TimeNs clock = 0;
+    TimeNs clock = shape.first_window * kWindow;
+    // Whether the run had opened fewer windows than the ring holds.
+    const auto shorter_than_ring = [&] {
+      return clock / kWindow - shape.first_window + 1 < capacity;
+    };
+    int short_run_checks = 0;
+    int mid_ring_widenings = 0;
     for (int op = 0; op < 6000; ++op) {
       const int pick = static_cast<int>(rng.UniformInt(0, 99));
       if (pick < 2 && ids.size() < 7) {
@@ -271,6 +287,7 @@ TEST(TimeSeriesRecorder, WindowMajorBlockMatchesPerSeriesRings) {
         if (pick == 0 && ids.size() < 7) {
           define();  // Two defines, then one widening.
         }
+        mid_ring_widenings += shorter_than_ring() ? 1 : 0;
         // Every series again at the current time, newest first: its sample
         // widens the block, and most older series are still in their newest
         // window, whose cell the widening moved.
@@ -298,7 +315,12 @@ TEST(TimeSeriesRecorder, WindowMajorBlockMatchesPerSeriesRings) {
       if (op % 97 == 0) {
         ASSERT_EQ(recorder.Snapshot(), reference.Snapshot())
             << "capacity " << capacity << ", op " << op;
+        short_run_checks += shorter_than_ring() ? 1 : 0;
       }
+    }
+    if (capacity == 256) {
+      EXPECT_GT(short_run_checks, 0);
+      EXPECT_GT(mid_ring_widenings, 0);
     }
     const TimeSeriesSnapshot snapshot = recorder.Snapshot();
     EXPECT_EQ(snapshot, reference.Snapshot()) << "capacity " << capacity;
@@ -350,13 +372,18 @@ TEST(Telemetry, LastWindowViewDistinguishesNoDataFromZero) {
 }
 
 TEST(Telemetry, WindowViewsMatchFullRecomputationUnderRandomChurn) {
-  // OnCadenceSample skips a vCPU blocked for the whole window whose last
-  // view was empty. The reference recomputes every vCPU's view from its
-  // own attributor at every boundary; the two must agree on every view,
-  // including a vCPU that wakes exactly on a window boundary (events at a
-  // boundary precede its sample, as in Machine::RunFor).
+  // OnCadenceSample visits only live vCPUs: a vCPU blocked for the whole
+  // window whose last view was empty leaves the list until it wakes. The
+  // reference recomputes every vCPU's view from its own attributor at every
+  // boundary; the two must agree on every view, including a vCPU that wakes
+  // exactly on a window boundary (events at a boundary precede its sample,
+  // as in Machine::RunFor), a vCPU that never wakes, and one that only ever
+  // wakes, runs and blocks inside a single window.
   constexpr TimeNs kWindow = 1000;
-  constexpr int kVcpus = 6;
+  constexpr int kChurning = 6;  // vCPUs 0..5 take the random transitions.
+  constexpr int kNeverWakes = kChurning;
+  constexpr int kBouncer = kChurning + 1;
+  constexpr int kVcpus = kChurning + 2;
   Telemetry::Config config;
   config.window_ns = kWindow;
   Telemetry telemetry(config);
@@ -389,17 +416,38 @@ TEST(Telemetry, WindowViewsMatchFullRecomputationUnderRandomChurn) {
   Rng rng(23);
   TimeNs now = 0;
   int boundary_wakeups = 0;
+  int bounces = 0;
   for (int step = 0; step < 40000; ++step) {
     // vCPU v is picked with weight 2^-v: high ids stay blocked for many
     // windows at a time.
     int v = 0;
-    while (v + 1 < kVcpus && rng.UniformInt(0, 1) == 1) {
+    while (v + 1 < kChurning && rng.UniformInt(0, 1) == 1) {
       ++v;
     }
     const bool to_boundary = rng.UniformInt(0, 15) == 0;
     const TimeNs next = to_boundary ? boundary : now + rng.UniformInt(0, 400);
     sample_through(next);
     now = std::max(now, next);
+    if (rng.UniformInt(0, 63) == 0 && now % kWindow + 20 < kWindow) {
+      // The bouncer wakes, waits, runs and blocks again before the window
+      // ends (sometimes all at one instant): its view has data for this
+      // window only, and it must be dropped from the live list afterwards.
+      // Now and then it is dispatched straight from blocked, with no
+      // wakeup, which the attributor books as blocked time.
+      const TimeNs wait = rng.UniformInt(0, 1) * 10;
+      const TimeNs run = rng.UniformInt(0, 1) * 10;
+      if (rng.UniformInt(0, 3) != 0) {
+        telemetry.OnWakeup(kBouncer, now);
+        reference.OnWakeup(kBouncer, now);
+      }
+      telemetry.OnDispatch(kBouncer, now + wait);
+      reference.OnDispatch(kBouncer, now + wait);
+      telemetry.OnBlock(kBouncer, now + wait + run);
+      reference.OnBlock(kBouncer, now + wait + run);
+      now += wait + run;
+      ++bounces;
+      continue;
+    }
     switch (reference.StateOf(v)) {
       case LatencyComponent::kBlocked:
         boundary_wakeups += now % kWindow == 0 ? 1 : 0;
@@ -431,6 +479,8 @@ TEST(Telemetry, WindowViewsMatchFullRecomputationUnderRandomChurn) {
   }
   sample_through(now + 2 * kWindow);
   EXPECT_GT(boundary_wakeups, 0);
+  EXPECT_GT(bounces, 0);
+  EXPECT_EQ(reference.StateOf(kNeverWakes), LatencyComponent::kBlocked);
 }
 
 // --- LatencyAttributor: scripted exactness ---
