@@ -2,7 +2,8 @@
 // reconfiguration-time optimization ("tables can be incrementally
 // re-computed on a per-core basis"). Measures reconfiguration latency for a
 // single-VM arrival against a full replan, across machine sizes, and writes
-// each row to BENCH_ablation_incremental_plan.json.
+// each row to BENCH_ablation_incremental_plan.json, whose "metrics" block
+// holds the incremental solves' phase breakdown (planner.*_ns histograms).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -45,6 +46,11 @@ int main() {
       PlannerConfig config;
       config.num_cpus = cores;
       const Planner planner(config);
+      // The same planner with phase timers, for the incremental solves only,
+      // so the recorded phases are the delta path's alone.
+      obs::MetricsRegistry registry;
+      config.metrics = &registry;
+      const Planner timed_planner(config);
       const PlanResult base =
           planner.Solve(PlanRequest::Full(UniformRequests(vms, latency)));
       TABLEAU_CHECK(base.success);
@@ -60,9 +66,10 @@ int main() {
       const double incr_ms = MeasureMs(
           [&] {
             TABLEAU_CHECK(
-                planner.Solve(PlanRequest::Delta(base, arrival)).success);
+                timed_planner.Solve(PlanRequest::Delta(base, arrival)).success);
           },
           10);
+      RecordRegistryMetrics(registry);
       std::printf("%6d %6d %11.3f %s %11.3f %s %9.1fx\n", cores, vms, full_ms,
                   latency == kMillisecond ? "(1ms) " : "(20ms)", incr_ms,
                   latency == kMillisecond ? "(1ms) " : "(20ms)", full_ms / incr_ms);

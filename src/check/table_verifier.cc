@@ -62,45 +62,39 @@ void CheckStructure(const SchedulingTable& table, const VerifyOptions& options,
   }
 }
 
-// Reference lookup by binary search: the first allocation whose end lies
-// past `offset` either holds it or ends the idle gap it falls in. Shares
-// nothing with Lookup and its slice floors. Needs the structure check's
-// sorted, non-overlapping allocations.
+// Reference lookup: the first allocation whose end lies past `offset`
+// either holds it or ends the idle gap it falls in. `*next` is a forward
+// cursor over the allocations (sorted and non-overlapping, from the
+// structure check), so the offsets one cursor answers must not decrease.
+// Shares nothing with Lookup and its slice floors.
 LookupResult ReferenceLookup(const std::vector<Allocation>& allocations, TimeNs length,
-                             TimeNs offset) {
-  const auto next = std::ranges::upper_bound(allocations, offset, {}, &Allocation::end);
-  if (next == allocations.end()) {
+                             TimeNs offset, std::size_t* next) {
+  while (*next < allocations.size() && allocations[*next].end <= offset) {
+    ++*next;
+  }
+  if (*next == allocations.size()) {
     return LookupResult{kIdleVcpu, length};
   }
-  if (offset < next->start) {
-    return LookupResult{kIdleVcpu, next->start};
+  const Allocation& alloc = allocations[*next];
+  if (offset < alloc.start) {
+    return LookupResult{kIdleVcpu, alloc.start};
   }
-  return LookupResult{next->vcpu, next->end};
+  return LookupResult{alloc.vcpu, alloc.end};
 }
 
 // The slice table must agree with the reference lookup everywhere.
 // Exhaustive agreement is implied by agreement at every discontinuity, so
-// sample each allocation edge (and one interior point) plus each gap.
+// sample each allocation edge (and one interior point) plus each gap. Each
+// kind of probe rises with the allocation index, so each has its own
+// reference cursor and a pCPU costs O(allocations).
 void CheckSliceAgreement(const SchedulingTable& table,
                          std::vector<std::string>* violations) {
   const TimeNs length = table.length();
   for (int c = 0; c < table.num_cpus(); ++c) {
     const std::vector<Allocation>& allocations = table.cpu(c).allocations;
-    std::vector<TimeNs> offsets = {0, length - 1};
-    for (const Allocation& alloc : allocations) {
-      offsets.push_back(alloc.start);
-      offsets.push_back(alloc.start + (alloc.end - alloc.start) / 2);
-      offsets.push_back(alloc.end - 1);
-      if (alloc.end < length) {
-        offsets.push_back(alloc.end);
-      }
-      if (alloc.start > 0) {
-        offsets.push_back(alloc.start - 1);
-      }
-    }
-    for (const TimeNs offset : offsets) {
+    const auto probe = [&](TimeNs offset, std::size_t* cursor) {
       const LookupResult fast = table.Lookup(c, offset);
-      const LookupResult slow = ReferenceLookup(allocations, length, offset);
+      const LookupResult slow = ReferenceLookup(allocations, length, offset, cursor);
       if (fast.vcpu != slow.vcpu || fast.interval_end != slow.interval_end) {
         std::ostringstream out;
         out << "cpu " << c << " offset " << offset << ": slice lookup (vcpu "
@@ -108,6 +102,23 @@ void CheckSliceAgreement(const SchedulingTable& table,
             << ") disagrees with linear lookup (vcpu " << slow.vcpu << ", end "
             << slow.interval_end << ")";
         violations->push_back(out.str());
+      }
+    };
+    // One cursor per probe kind: the table's first and last instant, and
+    // each allocation's start, midpoint, last instant, end, and the instant
+    // before its start.
+    std::size_t cursors[7] = {};
+    probe(0, &cursors[0]);
+    probe(length - 1, &cursors[1]);
+    for (const Allocation& alloc : allocations) {
+      probe(alloc.start, &cursors[2]);
+      probe(alloc.start + (alloc.end - alloc.start) / 2, &cursors[3]);
+      probe(alloc.end - 1, &cursors[4]);
+      if (alloc.end < length) {
+        probe(alloc.end, &cursors[5]);
+      }
+      if (alloc.start > 0) {
+        probe(alloc.start - 1, &cursors[6]);
       }
     }
   }

@@ -84,21 +84,40 @@ const SchedulingTable& TableauDispatcher::ActiveTable(TimeNs now) {
 void TableauDispatcher::BuildTimelines() {
   timelines_.clear();
   for (int c = 0; c < current_->num_cpus(); ++c) {
-    for (const Allocation& alloc : current_->cpu(c).allocations) {
-      timelines_[alloc.vcpu].entries.push_back(
-          VcpuTimeline::Entry{alloc.start, alloc.end, c});
+    // Each pCPU lists its vCPUs once.
+    for (const VcpuId vcpu : current_->cpu(c).local_vcpus) {
+      if (vcpu < 0) {
+        continue;
+      }
+      const auto id = static_cast<std::size_t>(vcpu);
+      if (id >= timelines_.size()) {
+        timelines_.resize(id + 1);
+      }
+      timelines_[id].split = timelines_[id].cpu >= 0;  // Listed on an earlier pCPU too.
+      timelines_[id].cpu = c;
     }
   }
-  for (auto& [vcpu, timeline] : timelines_) {
+  for (int c = 0; c < current_->num_cpus(); ++c) {
+    for (const Allocation& alloc : current_->cpu(c).allocations) {
+      if (TimelineOf(alloc.vcpu).split) {
+        timelines_[static_cast<std::size_t>(alloc.vcpu)].entries.push_back(
+            VcpuTimeline::Entry{alloc.start, c});
+      }
+    }
+  }
+  for (VcpuTimeline& timeline : timelines_) {
     std::sort(timeline.entries.begin(), timeline.entries.end(),
               [](const VcpuTimeline::Entry& a, const VcpuTimeline::Entry& b) {
                 return a.start < b.start;
               });
-    const int first_cpu = timeline.entries.front().cpu;
-    timeline.split = std::any_of(
-        timeline.entries.begin(), timeline.entries.end(),
-        [first_cpu](const VcpuTimeline::Entry& e) { return e.cpu != first_cpu; });
   }
+}
+
+const TableauDispatcher::VcpuTimeline& TableauDispatcher::TimelineOf(VcpuId vcpu) const {
+  static const VcpuTimeline kAbsent;
+  return vcpu >= 0 && static_cast<std::size_t>(vcpu) < timelines_.size()
+             ? timelines_[static_cast<std::size_t>(vcpu)]
+             : kAbsent;
 }
 
 TableauDispatcher::SlotInfo TableauDispatcher::LookupSlot(int cpu, TimeNs now) {
@@ -184,11 +203,11 @@ void TableauDispatcher::AccrueSecondLevel(int cpu, VcpuId vcpu, TimeNs amount) {
 
 int TableauDispatcher::WakeupTargetCpu(VcpuId vcpu, TimeNs now) {
   const SchedulingTable& table = ActiveTable(now);
-  const auto it = timelines_.find(vcpu);
-  if (it == timelines_.end() || it->second.entries.empty()) {
-    return -1;
+  const VcpuTimeline& timeline = TimelineOf(vcpu);
+  if (!timeline.split) {
+    return timeline.cpu;
   }
-  const std::vector<VcpuTimeline::Entry>& entries = it->second.entries;
+  const std::vector<VcpuTimeline::Entry>& entries = timeline.entries;
   const TimeNs offset = now % table.length();
   // Last entry with start <= offset; if none, wrap to the final entry of the
   // previous cycle.
@@ -206,10 +225,7 @@ bool TableauDispatcher::InOwnSlot(VcpuId vcpu, int cpu, TimeNs now) {
   return slot.vcpu == vcpu;
 }
 
-bool TableauDispatcher::IsSplit(VcpuId vcpu) {
-  const auto it = timelines_.find(vcpu);
-  return it != timelines_.end() && it->second.split;
-}
+bool TableauDispatcher::IsSplit(VcpuId vcpu) { return TimelineOf(vcpu).split; }
 
 bool TableauDispatcher::SecondLevelLocal(VcpuId vcpu, int cpu, TimeNs now) {
   if (!IsSplit(vcpu)) {

@@ -93,7 +93,8 @@ class TableauDispatcher {
 
   // Wake-up targeting (Sec. 6, "Efficient wake-ups"): the CPU on which
   // `vcpu` has an allocation covering `now`, or the CPU of its most recent
-  // allocation (cyclically) otherwise. Returns -1 for unknown vCPUs.
+  // allocation (cyclically) otherwise. Returns -1 for unknown vCPUs. O(1)
+  // for a vCPU on one pCPU; a split vCPU binary-searches its allocations.
   int WakeupTargetCpu(VcpuId vcpu, TimeNs now);
 
   // True if the vCPU's current allocation (in the active table) covers `now`.
@@ -128,14 +129,17 @@ class TableauDispatcher {
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
+  // Where a vCPU's allocations lie in the active table.
   struct VcpuTimeline {
     struct Entry {
       TimeNs start;
-      TimeNs end;
       int cpu;
     };
-    std::vector<Entry> entries;  // Sorted by start.
-    bool split = false;
+    int cpu = -1;        // pCPU of its allocations; -1: none in the table.
+    bool split = false;  // Allocations on more than one pCPU.
+    // Every allocation, sorted by start; kept only for a split vCPU, whose
+    // wake-up target depends on the time.
+    std::vector<Entry> entries;
   };
 
   struct SecondLevelState {
@@ -143,6 +147,8 @@ class TableauDispatcher {
   };
 
   void BuildTimelines();
+  // The vCPU's timeline; one with cpu -1 for an id with no allocation.
+  const VcpuTimeline& TimelineOf(VcpuId vcpu) const;
 
   const int num_cpus_;
   const Config config_;
@@ -153,7 +159,7 @@ class TableauDispatcher {
   std::uint64_t generation_ = 0;
   TimeNs last_switch_slip_ = 0;
 
-  std::map<VcpuId, VcpuTimeline> timelines_;  // For the active table.
+  std::vector<VcpuTimeline> timelines_;  // Indexed by vCPU id, for the active table.
   std::vector<SecondLevelState> second_level_;
 
   obs::Counter* m_table_switches_ = nullptr;

@@ -63,6 +63,8 @@ struct PhaseMetrics {
   obs::LatencyHistogram* cd_split = nullptr;
   obs::LatencyHistogram* cluster = nullptr;
   obs::LatencyHistogram* coalesce = nullptr;
+  obs::LatencyHistogram* table_build = nullptr;
+  obs::LatencyHistogram* validate = nullptr;
   obs::LatencyHistogram* plan_total = nullptr;
   obs::Counter* plans = nullptr;
   obs::Counter* incremental_plans = nullptr;
@@ -85,6 +87,8 @@ PhaseMetrics ResolvePhaseMetrics(obs::MetricsRegistry* registry,
     m.cd_split = registry->GetHistogram("planner.cd_split_ns");
     m.cluster = registry->GetHistogram("planner.cluster_ns");
     m.coalesce = registry->GetHistogram("planner.coalesce_ns");
+    m.table_build = registry->GetHistogram("planner.table_build_ns");
+    m.validate = registry->GetHistogram("planner.validate_ns");
     m.plan_total = registry->GetHistogram("planner.plan_total_ns");
   }
   m.plans = registry->GetCounter("planner.plans");
@@ -287,9 +291,16 @@ void FinishPlan(const PlannerConfig& config, const PhaseMetrics& pm,
     PhaseTimer timer(pm.coalesce);
     per_core = CoalesceAllocations(std::move(per_core), config.coalesce_threshold, &donated);
   }
-  result.table = previous == nullptr ? SchedulingTable::Build(h, std::move(per_core))
-                                     : previous->Rebuild(fresh, std::move(per_core));
-  const std::string violation = result.table.Validate();
+  {
+    PhaseTimer timer(pm.table_build);
+    result.table = previous == nullptr ? SchedulingTable::Build(h, std::move(per_core))
+                                       : previous->Rebuild(fresh, std::move(per_core));
+  }
+  std::string violation;
+  {
+    PhaseTimer timer(pm.validate);
+    violation = result.table.Validate();
+  }
   TABLEAU_CHECK_MSG(violation.empty(), "planner produced invalid table: %s",
                     violation.c_str());
 

@@ -198,7 +198,7 @@ int Host::ResizeVms(const std::vector<ResizeRequest>& resizes, TimeNs now) {
     added.push_back(request);
     departed.push_back(state.vcpu->id());
   }
-  const ReplanController::Outcome outcome = replan_->TryReplan(
+  ReplanController::Outcome outcome = replan_->TryReplan(
       PlanRequest::Delta(plan_, std::move(added), std::move(departed)), now);
   if (!outcome.installed) {
     // Backoff-suppressed or failed: keep the previous table (graceful
@@ -210,7 +210,7 @@ int Host::ResizeVms(const std::vector<ResizeRequest>& resizes, TimeNs now) {
     }
     return 0;
   }
-  plan_ = outcome.plan;
+  plan_ = std::move(outcome.plan);
   tableau_->PushTable(std::make_shared<SchedulingTable>(plan_.table));
   for (const ResizeRequest& resize : resizes) {
     Slot& state = slots_[static_cast<std::size_t>(resize.slot)];

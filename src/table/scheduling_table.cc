@@ -71,10 +71,15 @@ std::vector<VcpuId> SpreadVcpus(std::vector<VcpuId> holders) {
 }
 
 // Build's work for one pCPU (index `c`, for messages): sorts the list,
-// aborts on overlap or bounds violations, and derives the rest.
-CpuTable BuildCpu(TimeNs length, std::size_t c, std::vector<Allocation> allocations) {
-  CpuTable cpu;
+// aborts on overlap or bounds violations, and derives the rest. The list is
+// trimmed to its size: a built CpuTable may be shared by every later table
+// a delta solve derives, so slack left by its producer would outlive it.
+std::shared_ptr<const CpuTable> BuildCpu(TimeNs length, std::size_t c,
+                                         std::vector<Allocation> allocations) {
+  auto built = std::make_shared<CpuTable>();
+  CpuTable& cpu = *built;
   cpu.allocations = std::move(allocations);
+  cpu.allocations.shrink_to_fit();
   std::sort(cpu.allocations.begin(), cpu.allocations.end(),
             [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
   TimeNs prev_end = 0;
@@ -116,7 +121,7 @@ CpuTable BuildCpu(TimeNs length, std::size_t c, std::vector<Allocation> allocati
     // allocation's successor lasts to the slice end, so no third overlap.
     TABLEAU_CHECK(k + 1 >= n || cpu.allocations[k + 1].end >= slice_end);
   }
-  return cpu;
+  return built;
 }
 
 }  // namespace
@@ -153,7 +158,7 @@ SchedulingTable SchedulingTable::Rebuild(const std::vector<bool>& changed,
 
 LookupResult SchedulingTable::Lookup(int cpu_index, TimeNs offset) const {
   TABLEAU_CHECK(offset >= 0 && offset < length_);
-  const CpuTable& cpu = cpus_[static_cast<std::size_t>(cpu_index)];
+  const CpuTable& cpu = *cpus_[static_cast<std::size_t>(cpu_index)];
   const auto slice = static_cast<std::uint64_t>(offset) >>
                      std::countr_zero(static_cast<std::uint64_t>(cpu.slice_length));
   // The slice's floor allocation serves unless the offset is past its end,
@@ -174,7 +179,7 @@ LookupResult SchedulingTable::Lookup(int cpu_index, TimeNs offset) const {
 
 LookupResult SchedulingTable::LookupLinear(int cpu_index, TimeNs offset) const {
   TABLEAU_CHECK(offset >= 0 && offset < length_);
-  const CpuTable& cpu = cpus_[static_cast<std::size_t>(cpu_index)];
+  const CpuTable& cpu = *cpus_[static_cast<std::size_t>(cpu_index)];
   for (const Allocation& alloc : cpu.allocations) {
     if (offset < alloc.start) {
       return LookupResult{kIdleVcpu, alloc.start};
@@ -190,16 +195,16 @@ std::string SchedulingTable::Validate() const {
   // Build rejects overlap within a pCPU, so only a vCPU listed on two or
   // more pCPUs can run on two pCPUs at one instant.
   std::vector<VcpuId> listed;
-  for (const CpuTable& cpu : cpus_) {
-    listed.insert(listed.end(), cpu.local_vcpus.begin(), cpu.local_vcpus.end());
+  for (const auto& cpu : cpus_) {
+    listed.insert(listed.end(), cpu->local_vcpus.begin(), cpu->local_vcpus.end());
   }
   const std::vector<VcpuId> spread = SpreadVcpus(std::move(listed));
   if (spread.empty()) {
     return "";
   }
   std::vector<Allocation> pieces;
-  for (const CpuTable& cpu : cpus_) {
-    for (const Allocation& alloc : cpu.allocations) {
+  for (const auto& cpu : cpus_) {
+    for (const Allocation& alloc : cpu->allocations) {
       if (std::binary_search(spread.begin(), spread.end(), alloc.vcpu)) {
         pieces.push_back(alloc);
       }
@@ -225,7 +230,8 @@ std::vector<std::uint8_t> SchedulingTable::Serialize() const {
   Append(out, kVersion);
   Append(out, length_);
   Append(out, static_cast<std::uint32_t>(cpus_.size()));
-  for (const CpuTable& cpu : cpus_) {
+  for (const auto& shared : cpus_) {
+    const CpuTable& cpu = *shared;
     Append(out, static_cast<std::uint32_t>(cpu.allocations.size()));
     Append(out, cpu.slice_length);
     Append(out, static_cast<std::uint32_t>(cpu.slice_floor.size()));
@@ -419,6 +425,7 @@ std::vector<Allocation> CoalesceCore(const std::vector<Allocation>& cpu, TimeNs 
                                      std::vector<std::pair<VcpuId, TimeNs>>& donated,
                                      std::vector<Extension>& extensions) {
   std::vector<Allocation> result;
+  result.reserve(cpu.size());  // Coalescing only ever removes allocations.
   for (const Allocation& alloc : cpu) {
     // Merge contiguous same-vCPU allocations first.
     if (!result.empty() && result.back().vcpu == alloc.vcpu &&

@@ -11,6 +11,7 @@
 #define SRC_TABLE_SCHEDULING_TABLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,6 +26,8 @@ namespace tableau {
 // every field but `allocations` from it: `slice_floor[s]` is the index of the
 // first allocation whose end lies past slice s's start (`allocations.size()`
 // when none does), and a lookup reads that allocation or its successor.
+// A built CpuTable is immutable and shared: a table Rebuild derives holds
+// the same CpuTable as its source for every pCPU the delta did not touch.
 struct CpuTable {
   std::vector<Allocation> allocations;  // Sorted by start, non-overlapping.
   TimeNs slice_length = 0;
@@ -62,15 +65,16 @@ class SchedulingTable {
   static SchedulingTable Build(TimeNs length, std::vector<std::vector<Allocation>> per_cpu);
 
   // Derives a table of the same length and pCPU count from this one, for a
-  // delta solve: pCPU c keeps this table's CpuTable when `changed[c]` is
-  // false (per_cpu[c] is then ignored), and is built from per_cpu[c] exactly
-  // as Build would otherwise. Either size differing from num_cpus() aborts.
+  // delta solve: pCPU c shares this table's CpuTable when `changed[c]` is
+  // false (per_cpu[c] is then ignored; nothing is copied), and is built from
+  // per_cpu[c] exactly as Build would otherwise. Either size differing from
+  // num_cpus() aborts.
   SchedulingTable Rebuild(const std::vector<bool>& changed,
                           std::vector<std::vector<Allocation>> per_cpu) const;
 
   TimeNs length() const { return length_; }
   int num_cpus() const { return static_cast<int>(cpus_.size()); }
-  const CpuTable& cpu(int index) const { return cpus_[static_cast<std::size_t>(index)]; }
+  const CpuTable& cpu(int index) const { return *cpus_[static_cast<std::size_t>(index)]; }
 
   // O(1) lookup via the slice table. `offset` must be in [0, length).
   LookupResult Lookup(int cpu, TimeNs offset) const;
@@ -96,7 +100,8 @@ class SchedulingTable {
 
  private:
   TimeNs length_ = 0;
-  std::vector<CpuTable> cpus_;
+  // Copying a table copies these pointers, not the per-pCPU data.
+  std::vector<std::shared_ptr<const CpuTable>> cpus_;
 };
 
 // Analytical wake-up latency profile of a vCPU under a table (capped mode):

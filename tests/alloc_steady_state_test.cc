@@ -5,7 +5,8 @@
 // trace ring, the metrics handles, telemetry, and a fleet host's request
 // path — asserting that after a warm-up phase (pool chunks, heap capacity,
 // batch buffer, queues all at their high-water marks) the per-event path
-// performs literally zero heap allocations.
+// performs literally zero heap allocations. It also checks that a planner
+// delta solve allocates nothing for the pCPUs it does not touch.
 //
 // The test lives in its own executable because the operator new/delete
 // replacement is process-global; mixing it into another test binary would
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/core/planner.h"
 #include "src/fleet/host.h"
 #include "src/fleet/vm_stream.h"
 #include "src/harness/fleet_scenario.h"
@@ -387,6 +389,57 @@ TEST(AllocSteadyState, FleetRequestPathIsAllocationFree) {
       << "fleet request path allocated over " << requests << " requests";
   EXPECT_EQ(host.telemetry()->slo().VerdictFor(0).requests,
             streams.front()->completed());
+}
+
+// Heap allocations made by one arrival solved as a delta of a full plan of
+// `vms` plan_churn-sized VMs (U = 0.25, 1 ms goal) on `cpus` pCPUs. Every VM
+// is pinned to socket 0, the first `socket_cpus` pCPUs, so the rest stay
+// idle. Also counts what copying the plan's per-core task lists allocates
+// (one list per busy core; the delta's PlanResult owns such a copy).
+struct DeltaAllocations {
+  std::uint64_t solve = 0;
+  std::uint64_t core_tasks_copy = 0;
+  std::size_t dirty_cores = 0;
+};
+DeltaAllocations CountDeltaAllocations(int cpus, int socket_cpus, int vms) {
+  PlannerConfig config;
+  config.num_cpus = cpus;
+  config.cores_per_socket = socket_cpus;
+  const Planner planner(config);
+  std::vector<VcpuRequest> requests;
+  for (VcpuId id = 0; id <= vms; ++id) {
+    requests.push_back(VcpuRequest{id, 0.25, kMillisecond, /*socket_affinity=*/0});
+  }
+  const std::vector<VcpuRequest> arrival = {requests.back()};
+  requests.pop_back();
+  const PlanResult base = planner.Solve(PlanRequest::Full(std::move(requests)));
+  EXPECT_TRUE(base.success) << base.error;
+  DeltaAllocations counted;
+  std::uint64_t before = AllocationCount();
+  const PlanResult next = planner.Solve(PlanRequest::Delta(base, arrival));
+  counted.solve = AllocationCount() - before;
+  EXPECT_TRUE(next.success) << next.error;
+  counted.dirty_cores = next.dirty_cores.size();
+  before = AllocationCount();
+  const std::vector<std::vector<PeriodicTask>> copy = base.core_tasks;
+  counted.core_tasks_copy = AllocationCount() - before;
+  return counted;
+}
+
+TEST(AllocSteadyState, DeltaSolveAllocationsDoNotGrowWithUntouchedCpus) {
+  // plan_churn's host, 160 VMs on 44 pCPUs; the arrival touches one pCPU.
+  const DeltaAllocations base = CountDeltaAllocations(44, 44, 160);
+  ASSERT_EQ(base.dirty_cores, 1u);
+  // 44 more pCPUs, all idle: the delta carries them without allocating.
+  const DeltaAllocations idle = CountDeltaAllocations(88, 44, 160);
+  ASSERT_EQ(idle.dirty_cores, 1u);
+  EXPECT_EQ(idle.solve, base.solve) << "allocations for 44 idle untouched pCPUs";
+  // The same VMs spread over 88 pCPUs: 43 more busy pCPUs carried, which
+  // cost nothing beyond the plan's own copy of their task lists.
+  const DeltaAllocations spread = CountDeltaAllocations(88, 88, 160);
+  ASSERT_EQ(spread.dirty_cores, 1u);
+  EXPECT_LE(spread.solve - spread.core_tasks_copy, base.solve - base.core_tasks_copy)
+      << "allocations for 43 more busy untouched pCPUs";
 }
 
 }  // namespace

@@ -130,6 +130,8 @@ TEST(Dispatcher, WakeupTargetCurrentAllocation) {
   EXPECT_EQ(dispatcher.WakeupTargetCpu(1, 600), 1);   // In cpu1 allocation.
   EXPECT_EQ(dispatcher.WakeupTargetCpu(2, 900), 1);
   EXPECT_EQ(dispatcher.WakeupTargetCpu(99, 0), -1);   // Unknown vCPU.
+  EXPECT_EQ(dispatcher.WakeupTargetCpu(0, 0), -1);    // Below a known id.
+  EXPECT_EQ(dispatcher.WakeupTargetCpu(kIdleVcpu, 0), -1);
 }
 
 TEST(Dispatcher, WakeupTargetFallsBackToLastAllocation) {
@@ -158,6 +160,8 @@ TEST(Dispatcher, IsSplitDetection) {
   EXPECT_TRUE(dispatcher.IsSplit(1));
   EXPECT_FALSE(dispatcher.IsSplit(2));
   EXPECT_FALSE(dispatcher.IsSplit(99));
+  EXPECT_FALSE(dispatcher.IsSplit(0));
+  EXPECT_FALSE(dispatcher.IsSplit(kIdleVcpu));
 }
 
 TEST(Dispatcher, SecondLevelPicksOnlyEligibleLocals) {
@@ -321,13 +325,15 @@ TEST(Dispatcher, SlipWithinToleranceStillPromotes) {
 TEST(Dispatcher, TimelinesRebuiltAfterSwitch) {
   TableauDispatcher dispatcher(2, WorkConserving());
   dispatcher.InstallTable(
-      MakeTable(1000, {{{1, 0, 500}}, {{1, 500, 800}}}), 0);  // Split.
+      MakeTable(1000, {{{1, 0, 500}}, {{1, 500, 800}, {3, 800, 900}}}), 0);  // Split.
   EXPECT_TRUE(dispatcher.IsSplit(1));
+  EXPECT_EQ(dispatcher.WakeupTargetCpu(3, 100), 1);
   dispatcher.InstallTable(MakeTable(1000, {{{1, 0, 500}}, {}}), 100);
-  // After the switch boundary, vCPU 1 is no longer split.
+  // After the switch boundary, vCPU 1 is no longer split and vCPU 3 is gone.
   dispatcher.ActiveTable(2000);
   EXPECT_FALSE(dispatcher.IsSplit(1));
   EXPECT_EQ(dispatcher.WakeupTargetCpu(1, 2600), 0);
+  EXPECT_EQ(dispatcher.WakeupTargetCpu(3, 2600), -1);
 }
 
 }  // namespace

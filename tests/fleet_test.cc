@@ -361,5 +361,36 @@ TEST(FleetHostTest, SlotPoolAdmitsAndRemoves) {
   EXPECT_DOUBLE_EQ(host.committed(), 0.0);
 }
 
+TEST(FleetHostTest, InstalledTableSharesThePlanCpuTables) {
+  fleet::HostConfig config;
+  config.num_cpus = 4;
+  config.cores_per_socket = 2;
+  config.slots_per_core = 2;
+  config.attach_telemetry = false;
+  fleet::Host host(config);
+  TableauDispatcher& dispatcher = host.tableau()->dispatcher();
+  // Promotes the table the host pushed last and checks that it holds the
+  // plan's per-pCPU tables, not copies of them.
+  const auto expect_shared = [&](const char* step) {
+    const TimeNs switch_at = dispatcher.pending_switch_time();
+    ASSERT_NE(switch_at, kTimeNever) << step;
+    const SchedulingTable& installed = dispatcher.ActiveTable(switch_at);
+    const SchedulingTable& planned = host.plan().table;
+    ASSERT_EQ(installed.num_cpus(), planned.num_cpus()) << step;
+    for (int c = 0; c < planned.num_cpus(); ++c) {
+      EXPECT_EQ(&installed.cpu(c), &planned.cpu(c)) << step << ", cpu " << c;
+    }
+  };
+
+  const int a = host.AdmitVm(0.25, 20 * kMillisecond);
+  expect_shared("full solve");
+  ASSERT_GE(host.AdmitVm(0.5, 10 * kMillisecond), 0);
+  expect_shared("arrival");
+  ASSERT_EQ(host.ResizeVms({{a, 0.375}}, 0), 1);
+  expect_shared("resize");
+  host.RemoveVm(a);
+  expect_shared("departure");
+}
+
 }  // namespace
 }  // namespace tableau

@@ -408,6 +408,46 @@ TEST(SchedulingTable, RebuildMatchesBuild) {
   }
 }
 
+TEST(SchedulingTable, RebuildSharesUnchangedCpuTables) {
+  Rng rng(35);
+  constexpr int kCpus = 5;
+  const std::vector<std::vector<Allocation>> before = RandomPerCpu(rng, kCpus, 12, 200);
+  const std::vector<std::vector<Allocation>> fresh = RandomPerCpu(rng, kCpus, 12, 200);
+  const std::vector<bool> changed = {false, true, false, false, true};
+  std::vector<std::vector<Allocation>> after = before;
+  for (std::size_t c = 0; c < changed.size(); ++c) {
+    if (changed[c]) {
+      after[c] = fresh[c];
+    }
+  }
+  std::optional<SchedulingTable> previous = SchedulingTable::Build(1000, before);
+  const SchedulingTable rebuilt = previous->Rebuild(changed, fresh);
+  for (int c = 0; c < kCpus; ++c) {
+    if (changed[static_cast<std::size_t>(c)]) {
+      EXPECT_NE(&rebuilt.cpu(c), &previous->cpu(c)) << "cpu " << c;
+    } else {
+      EXPECT_EQ(&rebuilt.cpu(c), &previous->cpu(c)) << "cpu " << c;
+    }
+  }
+  // A copied table shares every pCPU with its source.
+  const SchedulingTable copy = rebuilt;
+  for (int c = 0; c < kCpus; ++c) {
+    EXPECT_EQ(&copy.cpu(c), &rebuilt.cpu(c)) << "cpu " << c;
+  }
+
+  // The carried pCPUs outlive the table they came from.
+  previous.reset();
+  EXPECT_EQ(rebuilt.Serialize(), SchedulingTable::Build(1000, after).Serialize());
+  for (int c = 0; c < kCpus; ++c) {
+    for (TimeNs offset = 0; offset < rebuilt.length(); offset += 7) {
+      const LookupResult fast = rebuilt.Lookup(c, offset);
+      const LookupResult slow = rebuilt.LookupLinear(c, offset);
+      ASSERT_EQ(fast.vcpu, slow.vcpu) << "cpu " << c << " offset " << offset;
+      ASSERT_EQ(fast.interval_end, slow.interval_end) << "cpu " << c << " offset " << offset;
+    }
+  }
+}
+
 TEST(SchedulingTableDeathTest, RebuildRejectsOverlapAndCpuCountMismatch) {
   const SchedulingTable previous = SimpleTable();
   std::vector<std::vector<Allocation>> overlapping(2);
