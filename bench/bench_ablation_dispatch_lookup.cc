@@ -8,6 +8,7 @@
 
 #include "src/core/planner.h"
 #include "src/rt/hyperperiod.h"
+#include "tests/table_oracles.h"
 
 namespace tableau {
 namespace {
@@ -43,7 +44,7 @@ void BM_LinearLookup(benchmark::State& state) {
   TimeNs offset = 0;
   int cpu = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.LookupLinear(cpu, offset));
+    benchmark::DoNotOptimize(LookupLinear(table, cpu, offset));
     offset = (offset + 313'373) % table.length();
     cpu = (cpu + 1) % table.num_cpus();
   }

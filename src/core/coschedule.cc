@@ -69,7 +69,7 @@ TimeNs PairOverlapNs(const std::vector<std::vector<Allocation>>& per_core, VcpuI
 }
 
 CoscheduleStats CoschedulePass(std::vector<std::vector<Allocation>>& per_core,
-                               const std::vector<std::vector<PeriodicTask>>& core_tasks,
+                               const CoreTasks& core_tasks,
                                const std::vector<CoscheduleHint>& hints,
                                TimeNs table_length) {
   CoscheduleStats stats;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/core/core_tasks.h"
 #include "src/rt/edf_sim.h"
 #include "src/rt/periodic_task.h"
 
@@ -47,7 +48,7 @@ TimeNs PairOverlapNs(const std::vector<std::vector<Allocation>>& per_core, VcpuI
 // negated improvement in `moves` only; overlap fields always report raw
 // overlap sums).
 CoscheduleStats CoschedulePass(std::vector<std::vector<Allocation>>& per_core,
-                               const std::vector<std::vector<PeriodicTask>>& core_tasks,
+                               const CoreTasks& core_tasks,
                                const std::vector<CoscheduleHint>& hints,
                                TimeNs table_length);
 

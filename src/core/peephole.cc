@@ -112,11 +112,14 @@ PeepholeStats PeepholeOptimizeCore(std::vector<Allocation>& allocations,
 }
 
 PeepholeStats PeepholeOptimize(std::vector<std::vector<Allocation>>& per_core,
-                               const std::vector<std::vector<PeriodicTask>>& core_tasks) {
+                               const CoreTasks& core_tasks) {
   PeepholeStats total;
   for (std::size_t c = 0; c < per_core.size(); ++c) {
     if (c >= core_tasks.size()) {
       break;
+    }
+    if (per_core[c].empty()) {
+      continue;  // Nothing to reorder (a delta solve's carried cores).
     }
     const std::vector<PeriodicTask>& tasks = core_tasks[c];
     // Skip cores hosting split pieces or duplicate-vCPU assignments.

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/core/core_tasks.h"
 #include "src/rt/edf_sim.h"
 #include "src/rt/periodic_task.h"
 
@@ -42,7 +43,7 @@ PeepholeStats PeepholeOptimizeCore(std::vector<Allocation>& allocations,
 // Convenience: runs the pass over every core. Cores with split pieces are
 // skipped.
 PeepholeStats PeepholeOptimize(std::vector<std::vector<Allocation>>& per_core,
-                               const std::vector<std::vector<PeriodicTask>>& core_tasks);
+                               const CoreTasks& core_tasks);
 
 // Exact service check used by the optimizer and its tests: true iff every
 // task receives exactly `cost` service inside each of its period windows.

@@ -48,7 +48,9 @@ struct EdfSimResult {
 //
 // Ties on absolute deadline are broken in favor of smaller laxity (D - C),
 // then smaller vCPU id, so zero-laxity C=D subtasks always win ties and run
-// contiguously.
+// contiguously; jobs of two tasks of one vCPU then go in release order.
+// Each task's jobs are merged in release order from a heap of per-task
+// cursors, O(jobs * log tasks).
 EdfSimResult SimulateEdf(const std::vector<PeriodicTask>& tasks, TimeNs hyperperiod);
 
 // Quick exact schedulability test: runs the simulation and reports success

@@ -22,36 +22,6 @@ TimeNs DemandBound(const std::vector<PeriodicTask>& tasks, TimeNs t) {
   return demand;
 }
 
-bool DemandBoundSchedulable(const std::vector<PeriodicTask>& tasks, TimeNs hyperperiod) {
-  // Utilization precondition.
-  TimeNs total = 0;
-  for (const PeriodicTask& task : tasks) {
-    TABLEAU_CHECK(hyperperiod % task.period == 0);
-    total = SatAdd(total, SatMul(task.cost, hyperperiod / task.period));
-  }
-  if (total > hyperperiod) {
-    return false;
-  }
-  // Collect all deadline points in (0, hyperperiod].
-  std::vector<TimeNs> points;
-  for (const PeriodicTask& task : tasks) {
-    for (TimeNs d = task.deadline; d <= hyperperiod; d += task.period) {
-      points.push_back(d);
-      if (d > hyperperiod - task.period) {
-        break;  // The next step would overflow for huge hyperperiods.
-      }
-    }
-  }
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-  for (const TimeNs t : points) {
-    if (DemandBound(tasks, t) > t) {
-      return false;
-    }
-  }
-  return true;
-}
-
 namespace {
 
 // Largest absolute deadline strictly smaller than `t` under synchronous

@@ -10,13 +10,6 @@
 
 namespace tableau {
 
-// Processor-demand criterion for synchronous periodic task sets with
-// constrained deadlines: schedulable iff dbf(t) <= t at every absolute
-// deadline t in (0, hyperperiod]. Offsets are ignored (synchronous release is
-// the worst case), so for offset task sets this test is sufficient but not
-// necessary.
-bool DemandBoundSchedulable(const std::vector<PeriodicTask>& tasks, TimeNs hyperperiod);
-
 // Total demand of the task set over an interval of length t under synchronous
 // release (the demand bound function).
 TimeNs DemandBound(const std::vector<PeriodicTask>& tasks, TimeNs t);
@@ -24,9 +17,9 @@ TimeNs DemandBound(const std::vector<PeriodicTask>& tasks, TimeNs t);
 // Quick Processor-demand Analysis (Zhang & Burns, 2009): an exact EDF test
 // for synchronous constrained-deadline sets that iterates t <- dbf(t)
 // downward from the last deadline before the analysis bound instead of
-// enumerating every deadline. Equivalent to DemandBoundSchedulable but
-// typically visits far fewer points; used to cross-validate the simulator
-// and for fast feasibility pre-checks in C=D binary searches.
+// enumerating every deadline: equivalent to checking dbf(t) <= t at every
+// absolute deadline t in (0, hyperperiod], but typically visits far fewer
+// points. Used for fast feasibility pre-checks in C=D binary searches.
 bool QpaSchedulable(const std::vector<PeriodicTask>& tasks, TimeNs hyperperiod);
 
 }  // namespace tableau

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <set>
 
 #include "src/common/check.h"
 
@@ -57,6 +56,15 @@ std::size_t SliceCount(TimeNs length, TimeNs slice_length) {
   return static_cast<std::size_t>((length - 1) / slice_length + 1);
 }
 
+// Sorts a pCPU's allocations by start time. Planner output arrives sorted
+// (EDF emits time order), so check that first.
+void SortByStart(std::vector<Allocation>& allocations) {
+  const auto by_start = [](const Allocation& a, const Allocation& b) { return a.start < b.start; };
+  if (!std::is_sorted(allocations.begin(), allocations.end(), by_start)) {
+    std::sort(allocations.begin(), allocations.end(), by_start);
+  }
+}
+
 // The ids listed more than once in `holders`, ascending. Given each pCPU's
 // distinct vCPUs, these are the vCPUs holding time on two or more pCPUs.
 std::vector<VcpuId> SpreadVcpus(std::vector<VcpuId> holders) {
@@ -80,11 +88,11 @@ std::shared_ptr<const CpuTable> BuildCpu(TimeNs length, std::size_t c,
   CpuTable& cpu = *built;
   cpu.allocations = std::move(allocations);
   cpu.allocations.shrink_to_fit();
-  std::sort(cpu.allocations.begin(), cpu.allocations.end(),
-            [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
+  SortByStart(cpu.allocations);
   TimeNs prev_end = 0;
   TimeNs min_len = length;
-  std::set<VcpuId> locals;
+  std::vector<VcpuId> locals;
+  locals.reserve(cpu.allocations.size());
   for (const Allocation& alloc : cpu.allocations) {
     TABLEAU_CHECK_MSG(alloc.start >= prev_end && alloc.end <= length &&
                           alloc.start < alloc.end,
@@ -93,9 +101,10 @@ std::shared_ptr<const CpuTable> BuildCpu(TimeNs length, std::size_t c,
                       static_cast<long long>(alloc.end), c);
     prev_end = alloc.end;
     min_len = std::min(min_len, alloc.Length());
-    locals.insert(alloc.vcpu);
+    locals.push_back(alloc.vcpu);
   }
-  cpu.local_vcpus.assign(locals.begin(), locals.end());
+  std::sort(locals.begin(), locals.end());
+  cpu.local_vcpus.assign(locals.begin(), std::unique(locals.begin(), locals.end()));
 
   // Slice length: the shortest allocation keeps every slice overlapping at
   // most two allocations; rounding down to a power of two preserves that
@@ -177,20 +186,6 @@ LookupResult SchedulingTable::Lookup(int cpu_index, TimeNs offset) const {
   return LookupResult{alloc->vcpu, alloc->end};
 }
 
-LookupResult SchedulingTable::LookupLinear(int cpu_index, TimeNs offset) const {
-  TABLEAU_CHECK(offset >= 0 && offset < length_);
-  const CpuTable& cpu = *cpus_[static_cast<std::size_t>(cpu_index)];
-  for (const Allocation& alloc : cpu.allocations) {
-    if (offset < alloc.start) {
-      return LookupResult{kIdleVcpu, alloc.start};
-    }
-    if (offset < alloc.end) {
-      return LookupResult{alloc.vcpu, alloc.end};
-    }
-  }
-  return LookupResult{kIdleVcpu, length_};
-}
-
 std::string SchedulingTable::Validate() const {
   // Build rejects overlap within a pCPU, so only a vCPU listed on two or
   // more pCPUs can run on two pCPUs at one instant.
@@ -198,7 +193,35 @@ std::string SchedulingTable::Validate() const {
   for (const auto& cpu : cpus_) {
     listed.insert(listed.end(), cpu->local_vcpus.begin(), cpu->local_vcpus.end());
   }
-  const std::vector<VcpuId> spread = SpreadVcpus(std::move(listed));
+  return FirstConcurrent(SpreadVcpus(std::move(listed)));
+}
+
+std::string SchedulingTable::Validate(const std::vector<bool>& changed) const {
+  TABLEAU_CHECK(changed.size() == cpus_.size());
+  std::vector<VcpuId> candidates;
+  for (std::size_t c = 0; c < cpus_.size(); ++c) {
+    if (changed[c]) {
+      candidates.insert(candidates.end(), cpus_[c]->local_vcpus.begin(),
+                        cpus_[c]->local_vcpus.end());
+    }
+  }
+  if (candidates.empty()) {
+    return "";
+  }
+  std::sort(candidates.begin(), candidates.end());
+  // Every pCPU's listing of a candidate; those listed twice are spread.
+  std::vector<VcpuId> listed;
+  for (const auto& cpu : cpus_) {
+    for (const VcpuId vcpu : cpu->local_vcpus) {
+      if (std::binary_search(candidates.begin(), candidates.end(), vcpu)) {
+        listed.push_back(vcpu);
+      }
+    }
+  }
+  return FirstConcurrent(SpreadVcpus(std::move(listed)));
+}
+
+std::string SchedulingTable::FirstConcurrent(const std::vector<VcpuId>& spread) const {
   if (spread.empty()) {
     return "";
   }
@@ -464,8 +487,7 @@ std::vector<std::vector<Allocation>> CoalesceAllocations(
   // partitioned tables never pay for the cross-core check below.
   std::vector<VcpuId> holders;
   for (auto& cpu : per_cpu) {
-    std::sort(cpu.begin(), cpu.end(),
-              [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
+    SortByStart(cpu);
     const std::size_t first = holders.size();
     for (const Allocation& alloc : cpu) {
       if (std::find(holders.begin() + static_cast<std::ptrdiff_t>(first), holders.end(),

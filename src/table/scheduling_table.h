@@ -79,9 +79,6 @@ class SchedulingTable {
   // O(1) lookup via the slice table. `offset` must be in [0, length).
   LookupResult Lookup(int cpu, TimeNs offset) const;
 
-  // Reference linear-scan lookup used by tests and the ablation benchmark.
-  LookupResult LookupLinear(int cpu, TimeNs offset) const;
-
   // Checks the one invariant Build cannot: that no vCPU is allocated on two
   // pCPUs at the same instant (pieces that only touch are legal). Build
   // rejects overlap within a pCPU, so only vCPUs listed in two or more
@@ -89,6 +86,12 @@ class SchedulingTable {
   // without reading its allocations. Returns an empty string on success,
   // else a description naming the lowest violating vCPU id.
   std::string Validate() const;
+
+  // Validate() for a table Rebuilt from a valid one, `changed` naming the
+  // rebuilt pCPUs: pairs of unchanged pCPUs held a valid table, so only a
+  // vCPU listed on a changed pCPU can violate, and only those are examined.
+  // The verdict and message then equal Validate()'s.
+  std::string Validate(const std::vector<bool>& changed) const;
 
   // Binary wire format v1 (the "hypercall format" pushed by the planner).
   // Deserialize reads the allocation lists, skips the derived slice and
@@ -99,6 +102,10 @@ class SchedulingTable {
   std::size_t SerializedSizeBytes() const;
 
  private:
+  // The Validate message for the lowest vCPU of `spread` (ascending) that is
+  // allocated on two pCPUs at one instant, or "".
+  std::string FirstConcurrent(const std::vector<VcpuId>& spread) const;
+
   TimeNs length_ = 0;
   // Copying a table copies these pointers, not the per-pCPU data.
   std::vector<std::shared_ptr<const CpuTable>> cpus_;

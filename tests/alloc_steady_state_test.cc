@@ -394,12 +394,11 @@ TEST(AllocSteadyState, FleetRequestPathIsAllocationFree) {
 // Heap allocations made by one arrival solved as a delta of a full plan of
 // `vms` plan_churn-sized VMs (U = 0.25, 1 ms goal) on `cpus` pCPUs. Every VM
 // is pinned to socket 0, the first `socket_cpus` pCPUs, so the rest stay
-// idle. Also counts what copying the plan's per-core task lists allocates
-// (one list per busy core; the delta's PlanResult owns such a copy).
+// idle.
 struct DeltaAllocations {
   std::uint64_t solve = 0;
-  std::uint64_t core_tasks_copy = 0;
   std::size_t dirty_cores = 0;
+  std::size_t touched_tasks = 0;  // Tasks on the dirty core after the arrival.
 };
 DeltaAllocations CountDeltaAllocations(int cpus, int socket_cpus, int vms) {
   PlannerConfig config;
@@ -415,31 +414,40 @@ DeltaAllocations CountDeltaAllocations(int cpus, int socket_cpus, int vms) {
   const PlanResult base = planner.Solve(PlanRequest::Full(std::move(requests)));
   EXPECT_TRUE(base.success) << base.error;
   DeltaAllocations counted;
-  std::uint64_t before = AllocationCount();
+  const std::uint64_t before = AllocationCount();
   const PlanResult next = planner.Solve(PlanRequest::Delta(base, arrival));
   counted.solve = AllocationCount() - before;
   EXPECT_TRUE(next.success) << next.error;
   counted.dirty_cores = next.dirty_cores.size();
-  before = AllocationCount();
-  const std::vector<std::vector<PeriodicTask>> copy = base.core_tasks;
-  counted.core_tasks_copy = AllocationCount() - before;
+  if (counted.dirty_cores == 1) {
+    counted.touched_tasks =
+        next.core_tasks[static_cast<std::size_t>(next.dirty_cores[0])].size();
+  }
   return counted;
 }
 
 TEST(AllocSteadyState, DeltaSolveAllocationsDoNotGrowWithUntouchedCpus) {
-  // plan_churn's host, 160 VMs on 44 pCPUs; the arrival touches one pCPU.
+  // plan_churn's host, 160 VMs on 44 pCPUs; the arrival touches one pCPU,
+  // which then holds four tasks.
   const DeltaAllocations base = CountDeltaAllocations(44, 44, 160);
   ASSERT_EQ(base.dirty_cores, 1u);
-  // 44 more pCPUs, all idle: the delta carries them without allocating.
-  const DeltaAllocations idle = CountDeltaAllocations(88, 44, 160);
-  ASSERT_EQ(idle.dirty_cores, 1u);
-  EXPECT_EQ(idle.solve, base.solve) << "allocations for 44 idle untouched pCPUs";
-  // The same VMs spread over 88 pCPUs: 43 more busy pCPUs carried, which
-  // cost nothing beyond the plan's own copy of their task lists.
-  const DeltaAllocations spread = CountDeltaAllocations(88, 88, 160);
-  ASSERT_EQ(spread.dirty_cores, 1u);
-  EXPECT_LE(spread.solve - spread.core_tasks_copy, base.solve - base.core_tasks_copy)
-      << "allocations for 43 more busy untouched pCPUs";
+  ASSERT_EQ(base.touched_tasks, 4u);
+  // The same host inside 88 and 176 pCPUs, the rest idle, and hosts of 88
+  // and 176 busy pCPUs with as many VMs per pCPU (3.6), so that in every
+  // case the arrival lands on a pCPU of three tasks: only the untouched
+  // pCPUs differ, and they must cost no allocation, busy or idle.
+  const struct {
+    int cpus;
+    int socket_cpus;
+    int vms;
+  } cases[] = {{88, 44, 160}, {88, 88, 320}, {176, 44, 160}, {176, 176, 640}};
+  for (const auto& c : cases) {
+    const DeltaAllocations counted = CountDeltaAllocations(c.cpus, c.socket_cpus, c.vms);
+    ASSERT_EQ(counted.dirty_cores, 1u) << c.cpus << " pCPUs, " << c.socket_cpus << " busy";
+    ASSERT_EQ(counted.touched_tasks, base.touched_tasks);
+    EXPECT_EQ(counted.solve, base.solve)
+        << c.cpus << " pCPUs, " << c.socket_cpus << " busy, " << c.vms << " VMs";
+  }
 }
 
 }  // namespace

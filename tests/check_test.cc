@@ -207,7 +207,7 @@ void CheckSliceAgreement(const SchedulingTable& table,
     }
     for (const TimeNs offset : offsets) {
       const LookupResult fast = table.Lookup(c, offset);
-      const LookupResult slow = table.LookupLinear(c, offset);
+      const LookupResult slow = LookupLinear(table, c, offset);
       if (fast.vcpu != slow.vcpu || fast.interval_end != slow.interval_end) {
         std::ostringstream out;
         out << "cpu " << c << " offset " << offset << ": slice lookup (vcpu "

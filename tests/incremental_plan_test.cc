@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -75,6 +76,40 @@ TEST(IncrementalPlan, RemoveOneVmTouchesOneCore) {
   // No plan entry for the departed vCPU.
   EXPECT_TRUE(std::none_of(incremental.vcpus.begin(), incremental.vcpus.end(),
                            [](const VcpuPlan& p) { return p.vcpu == 5; }));
+}
+
+TEST(IncrementalPlan, DeltaLeavesThePreviousPlanIntact) {
+  // A delta shares the previous plan's per-core task lists and copies a list
+  // before its first edit, so the previous plan reads as before, and the
+  // untouched cores' lists are the same objects in both plans.
+  PlannerConfig config;
+  config.num_cpus = 8;
+  const Planner planner(config);
+  const PlanResult base =
+      planner.Solve(PlanRequest::Full(UniformRequests(24, 0.25, 20 * kMillisecond)));
+  ASSERT_TRUE(base.success);
+  const std::vector<std::vector<PeriodicTask>> lists(base.core_tasks.begin(),
+                                                     base.core_tasks.end());
+  const std::vector<VcpuIndexEntry> index = base.vcpu_index;
+  const PlanResult next = planner.Solve(PlanRequest::Delta(
+      base, {{5, 0.3, 20 * kMillisecond}, {30, 0.1, 20 * kMillisecond}}, {5, 9}));
+  ASSERT_TRUE(next.success) << next.error;
+  ASSERT_LT(next.dirty_cores.size(), 8u);
+  for (std::size_t core = 0; core < lists.size(); ++core) {
+    EXPECT_EQ(base.core_tasks[core].size(), lists[core].size()) << "core " << core;
+    for (std::size_t i = 0; i < lists[core].size(); ++i) {
+      EXPECT_EQ(base.core_tasks[core][i].vcpu, lists[core][i].vcpu) << "core " << core;
+      EXPECT_EQ(base.core_tasks[core][i].cost, lists[core][i].cost) << "core " << core;
+    }
+    const bool dirty = std::find(next.dirty_cores.begin(), next.dirty_cores.end(),
+                                 static_cast<int>(core)) != next.dirty_cores.end();
+    EXPECT_EQ(&next.core_tasks[core] == &base.core_tasks[core], !dirty) << "core " << core;
+  }
+  ASSERT_EQ(base.vcpu_index.size(), index.size());
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    EXPECT_EQ(base.vcpu_index[i].vcpu, index[i].vcpu);
+    EXPECT_EQ(base.vcpu_index[i].core, index[i].core);
+  }
 }
 
 TEST(IncrementalPlan, GuaranteesHoldAfterChurn) {
@@ -212,7 +247,7 @@ TEST(IncrementalPlan, QuantizationShaveOnInsert) {
 }
 
 TEST(IncrementalPlan, DeltaMatchesFullOnRejectedAndConstrainedInputs) {
-  // Each input, added to an 8-core two-socket host, must get exactly the
+  // Each delta, applied to an 8-core two-socket host, must get exactly the
   // outcome a full solve of the merged request set gets.
   PlannerConfig config;
   config.num_cpus = 8;
@@ -222,34 +257,55 @@ TEST(IncrementalPlan, DeltaMatchesFullOnRejectedAndConstrainedInputs) {
       planner.Solve(PlanRequest::Full(UniformRequests(8, 0.25, 20 * kMillisecond)));
   ASSERT_TRUE(base.success) << base.error;
 
-  VcpuRequest tiny_budget{8, 0.0004, 100 * kMillisecond};
-  VcpuRequest duplicate_id{3, 0.25, 20 * kMillisecond};
-  VcpuRequest socket_one{8, 0.25, 20 * kMillisecond};
+  const TimeNs goal = 20 * kMillisecond;
+  VcpuRequest socket_one{8, 0.25, goal};
   socket_one.socket_affinity = 1;
-  VcpuRequest socket_seven{8, 0.25, 20 * kMillisecond};
+  VcpuRequest socket_two{8, 0.25, goal};
+  socket_two.socket_affinity = 2;  // One past the last socket.
+  VcpuRequest socket_seven{8, 0.25, goal};
   socket_seven.socket_affinity = 7;
-  VcpuRequest nan_utilization{8, std::numeric_limits<double>::quiet_NaN(),
-                              20 * kMillisecond};
   const struct {
     const char* name;
-    VcpuRequest request;
+    std::vector<VcpuRequest> added;
+    std::vector<VcpuId> departed;
     PlanFailure failure;
   } cases[] = {
-      {"tiny budget", tiny_budget, PlanFailure::kAdmission},
-      {"duplicate id", duplicate_id, PlanFailure::kInvalidRequest},
-      {"socket 1", socket_one, PlanFailure::kNone},
-      {"socket 7", socket_seven, PlanFailure::kInvalidRequest},
-      {"NaN utilization", nan_utilization, PlanFailure::kInvalidRequest},
+      {"tiny budget", {{8, 0.0004, 100 * kMillisecond}}, {}, PlanFailure::kAdmission},
+      {"live id", {{3, 0.25, goal}}, {}, PlanFailure::kInvalidRequest},
+      {"id added twice", {{8, 0.25, goal}, {8, 0.3, goal}}, {}, PlanFailure::kInvalidRequest},
+      {"id added twice on departure", {{3, 0.25, goal}, {3, 0.3, goal}}, {3},
+       PlanFailure::kInvalidRequest},
+      {"socket 1", {socket_one}, {}, PlanFailure::kNone},
+      {"socket 2", {socket_two}, {}, PlanFailure::kInvalidRequest},
+      {"socket 7", {socket_seven}, {}, PlanFailure::kInvalidRequest},
+      {"zero utilization", {{8, 0.0, goal}}, {}, PlanFailure::kInvalidRequest},
+      {"NaN utilization",
+       {{8, std::numeric_limits<double>::quiet_NaN(), goal}},
+       {},
+       PlanFailure::kInvalidRequest},
+      {"utilization above 1", {{8, 1.5, goal}}, {}, PlanFailure::kInvalidRequest},
+      {"zero latency goal", {{8, 0.25, 0}}, {}, PlanFailure::kInvalidRequest},
+      {"resize", {{3, 0.4, goal}}, {3}, PlanFailure::kNone},
   };
   for (const auto& c : cases) {
-    std::vector<VcpuRequest> merged = base.requests;
-    merged.push_back(c.request);
+    // The merged set in PlanDelta's order: the survivors, then the added.
+    std::vector<VcpuRequest> merged;
+    for (const VcpuRequest& r : base.requests) {
+      if (std::find(c.departed.begin(), c.departed.end(), r.vcpu) == c.departed.end()) {
+        merged.push_back(r);
+      }
+    }
+    merged.insert(merged.end(), c.added.begin(), c.added.end());
     const PlanResult full = planner.Solve(PlanRequest::Full(merged));
-    const PlanResult delta = planner.Solve(PlanRequest::Delta(base, {c.request}));
+    const PlanResult delta = planner.Solve(PlanRequest::Delta(base, c.added, c.departed));
     EXPECT_EQ(full.failure, c.failure) << c.name << ": " << full.error;
     EXPECT_EQ(delta.failure, full.failure) << c.name << ": " << delta.error;
     EXPECT_EQ(delta.error, full.error) << c.name;
     EXPECT_EQ(delta.success, full.success) << c.name;
+    if (delta.success) {
+      EXPECT_EQ(delta.requests.size(), merged.size()) << c.name;
+      EXPECT_LT(delta.dirty_cores.size(), 8u) << c.name << ": not a delta solve";
+    }
   }
 
   const PlanResult pinned = planner.Solve(PlanRequest::Delta(base, {socket_one}));
@@ -258,6 +314,58 @@ TEST(IncrementalPlan, DeltaMatchesFullOnRejectedAndConstrainedInputs) {
   const std::vector<int> cpus = CpusOf(pinned.table, 8);
   ASSERT_EQ(cpus.size(), 1u);
   EXPECT_EQ(cpus[0] / config.cores_per_socket, 1);
+
+  // A resize re-enters on the delta path, on the core it left (the
+  // emptiest one once it is gone), with its new size.
+  const PlanResult resized = planner.Solve(PlanRequest::Delta(base, {{3, 0.4, goal}}, {3}));
+  ASSERT_TRUE(resized.success) << resized.error;
+  EXPECT_EQ(resized.dirty_cores, CpusOf(base.table, 3));
+  EXPECT_EQ(resized.vcpus.back().vcpu, 3);
+  EXPECT_DOUBLE_EQ(resized.vcpus.back().requested_utilization, 0.4);
+}
+
+TEST(IncrementalPlan, EveryDeltaRecordsOnePlanTotalSample) {
+  // planner.plan_total_ns times the whole delta solve, request checks
+  // included, and a full-solve fallback adds no second sample.
+  // planner.incremental_plans counts the deltas whose added requests pass
+  // the check, which rejects exactly what PlanFull's check of the merged
+  // set would.
+  obs::MetricsRegistry registry;
+  PlannerConfig config;
+  config.num_cpus = 4;
+  config.cores_per_socket = 2;
+  config.metrics = &registry;
+  const Planner planner(config);
+  const PlanResult base =
+      planner.Solve(PlanRequest::Full(UniformRequests(8, 0.25, 20 * kMillisecond)));
+  ASSERT_TRUE(base.success);
+  const auto samples = [&] {
+    return registry.GetHistogram("planner.plan_total_ns")->ToValue().count;
+  };
+  const auto full_solves = [&] { return registry.GetCounter("planner.plans")->value(); };
+  const auto deltas = [&] { return registry.GetCounter("planner.incremental_plans")->value(); };
+  VcpuRequest past_last_socket{8, 0.25, 20 * kMillisecond};
+  past_last_socket.socket_affinity = 2;
+  const struct {
+    const char* name;
+    std::vector<VcpuRequest> added;
+    std::int64_t full_solves;  // PlanFull runs: the fallbacks.
+    std::int64_t deltas;       // Solves past the request check.
+  } cases[] = {
+      {"delta", UniformRequests(1, 0.25, 20 * kMillisecond, 8), 0, 1},
+      {"live id", UniformRequests(1, 0.25, 20 * kMillisecond, 3), 1, 0},
+      {"socket past the last", {past_last_socket}, 1, 0},
+      {"fits no single core", UniformRequests(1, 0.6, 20 * kMillisecond, 8), 1, 1},
+  };
+  for (const auto& c : cases) {
+    const std::uint64_t samples_before = samples();
+    const std::int64_t full_before = full_solves();
+    const std::int64_t deltas_before = deltas();
+    planner.Solve(PlanRequest::Delta(base, c.added));
+    EXPECT_EQ(samples() - samples_before, 1u) << c.name;
+    EXPECT_EQ(full_solves() - full_before, c.full_solves) << c.name;
+    EXPECT_EQ(deltas() - deltas_before, c.deltas) << c.name;
+  }
 }
 
 // FNV-1a over everything a solve returns that a caller can observe: the
@@ -320,7 +428,8 @@ struct StreamSummary {
 // budget clears the coalesce threshold; arrivals turn into departures once
 // `max_committed` cores are reserved, so full fallbacks stay partitioned.
 StreamSummary RunDeltaStream(const PlannerConfig& config, int initial_vms, int steps,
-                             double max_committed, std::uint64_t seed) {
+                             double max_committed, std::uint64_t seed,
+                             const std::function<void(const PlanResult&)>& check = nullptr) {
   const Planner planner(config);
   Rng rng(seed);
   VcpuId next_id = 0;
@@ -382,6 +491,9 @@ StreamSummary RunDeltaStream(const PlannerConfig& config, int initial_vms, int s
     if (!next.success) {
       continue;  // The stream goes on from the last successful plan.
     }
+    if (check) {
+      check(next);
+    }
     if (static_cast<int>(next.dirty_cores.size()) < config.num_cpus) {
       ++summary.delta_steps;
     }
@@ -389,6 +501,81 @@ StreamSummary RunDeltaStream(const PlannerConfig& config, int initial_vms, int s
   }
   summary.hash = hash.value();
   return summary;
+}
+
+// The vCPU index of a plan agrees with its plans, its requests, its per-core
+// task lists and cached demands, and its table's local-vCPU lists.
+void ExpectIndexAgrees(const PlanResult& plan, const std::string& where) {
+  ASSERT_EQ(plan.vcpu_index.size(), plan.vcpus.size()) << where;
+  std::vector<bool> seen(plan.vcpus.size(), false);
+  for (std::size_t i = 0; i < plan.vcpu_index.size(); ++i) {
+    const VcpuIndexEntry& entry = plan.vcpu_index[i];
+    if (i > 0) {
+      ASSERT_LT(plan.vcpu_index[i - 1].vcpu, entry.vcpu) << where;
+    }
+    const auto position = static_cast<std::size_t>(entry.position);
+    ASSERT_LT(position, plan.vcpus.size()) << where;
+    ASSERT_FALSE(seen[position]) << where;
+    seen[position] = true;
+    ASSERT_EQ(plan.vcpus[position].vcpu, entry.vcpu) << where;
+    ASSERT_EQ(plan.requests[position].vcpu, entry.vcpu) << where;
+  }
+  std::size_t placed = 0;
+  for (std::size_t core = 0; core < plan.core_tasks.size(); ++core) {
+    const std::vector<PeriodicTask>& tasks = plan.core_tasks[core];
+    EXPECT_EQ(plan.core_tasks.demand(core), TotalDemand(tasks, kHyperperiodNs)) << where;
+    std::vector<VcpuId> on_core;
+    for (const PeriodicTask& task : tasks) {
+      const auto entry = std::lower_bound(
+          plan.vcpu_index.begin(), plan.vcpu_index.end(), task.vcpu,
+          [](const VcpuIndexEntry& e, VcpuId id) { return e.vcpu < id; });
+      ASSERT_NE(entry, plan.vcpu_index.end()) << where;
+      ASSERT_EQ(entry->vcpu, task.vcpu) << where;
+      if (plan.method == PlanMethod::kPartitioned) {
+        EXPECT_EQ(entry->core, static_cast<int>(core)) << where << " vcpu " << task.vcpu;
+      }
+      on_core.push_back(task.vcpu);
+    }
+    std::sort(on_core.begin(), on_core.end());
+    if (plan.method == PlanMethod::kPartitioned) {
+      EXPECT_EQ(plan.table.cpu(static_cast<int>(core)).local_vcpus, on_core)
+          << where << " core " << core;
+    }
+    placed += tasks.size();
+  }
+  for (const VcpuIndexEntry& entry : plan.vcpu_index) {
+    if (plan.method != PlanMethod::kPartitioned ||
+        plan.vcpus[static_cast<std::size_t>(entry.position)].dedicated) {
+      EXPECT_EQ(entry.core, -1) << where << " vcpu " << entry.vcpu;
+    }
+  }
+  if (plan.method == PlanMethod::kPartitioned) {
+    EXPECT_EQ(placed, plan.vcpus.size()) << where;
+  }
+}
+
+TEST(IncrementalPlan, IndexAgreesWithTasksAndTablesThroughStreams) {
+  const auto run = [](const PlannerConfig& config, int initial_vms, int steps,
+                      double max_committed, std::uint64_t seed) {
+    int step = 0;
+    const StreamSummary summary =
+        RunDeltaStream(config, initial_vms, steps, max_committed, seed,
+                       [&](const PlanResult& plan) {
+                         ExpectIndexAgrees(plan, "step " + std::to_string(step++));
+                       });
+    EXPECT_GT(summary.delta_steps, 30);
+    // Some steps fell back to a full solve (each solve after the first one
+    // is either a delta or a fallback; none failed).
+    EXPECT_EQ(step, summary.solves - 1);
+    EXPECT_GT(summary.solves - 1 - summary.delta_steps, 0);
+  };
+  PlannerConfig wide;
+  wide.num_cpus = 44;
+  run(wide, 120, 60, 38.0, 2018);
+  PlannerConfig numa;
+  numa.num_cpus = 8;
+  numa.cores_per_socket = 4;
+  run(numa, 22, 80, 6.5, 7);
 }
 
 // Pins the delta path's outputs: a refactor of the planner must reproduce

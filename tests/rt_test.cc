@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <queue>
 
+#include "src/common/math_util.h"
 #include "src/common/rng.h"
 #include "src/rt/admission.h"
 #include "src/rt/cd_split.h"
@@ -16,6 +18,134 @@
 
 namespace tableau {
 namespace {
+
+// ---------- Reference oracles ----------
+
+// Processor-demand criterion for synchronous periodic task sets with
+// constrained deadlines: schedulable iff dbf(t) <= t at every absolute
+// deadline t in (0, hyperperiod]. Offsets are ignored (synchronous release is
+// the worst case), so for offset task sets this test is sufficient but not
+// necessary. QPA visits a subset of these points.
+bool DemandBoundSchedulable(const std::vector<PeriodicTask>& tasks, TimeNs hyperperiod) {
+  // Utilization precondition.
+  TimeNs total = 0;
+  for (const PeriodicTask& task : tasks) {
+    TABLEAU_CHECK(hyperperiod % task.period == 0);
+    total = SatAdd(total, SatMul(task.cost, hyperperiod / task.period));
+  }
+  if (total > hyperperiod) {
+    return false;
+  }
+  // Collect all deadline points in (0, hyperperiod].
+  std::vector<TimeNs> points;
+  for (const PeriodicTask& task : tasks) {
+    for (TimeNs d = task.deadline; d <= hyperperiod; d += task.period) {
+      points.push_back(d);
+      if (d > hyperperiod - task.period) {
+        break;  // The next step would overflow for huge hyperperiods.
+      }
+    }
+  }
+  std::sort(points.begin(), points.end());
+  points.erase(std::unique(points.begin(), points.end()), points.end());
+  for (const TimeNs t : points) {
+    if (DemandBound(tasks, t) > t) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The EDF simulator as it was before it merged per-task release cursors:
+// every job in one array sorted by release, the ready heap keyed by
+// (deadline, laxity, vCPU, position in that array). Counts into
+// *index_ties the heap comparisons that only the array position decided.
+EdfSimResult SortedEdfReference(const std::vector<PeriodicTask>& tasks, TimeNs hyperperiod,
+                                bool record_allocations, int* index_ties) {
+  struct Job {
+    TimeNs release = 0;
+    TimeNs deadline = 0;
+    TimeNs laxity = 0;
+    TimeNs remaining = 0;
+    VcpuId vcpu = kIdleVcpu;
+  };
+  struct HeapEntry {
+    TimeNs deadline;
+    TimeNs laxity;
+    VcpuId vcpu;
+    std::size_t job_index;
+  };
+  const auto later = [index_ties](const HeapEntry& a, const HeapEntry& b) {
+    if (a.deadline != b.deadline) return a.deadline > b.deadline;
+    if (a.laxity != b.laxity) return a.laxity > b.laxity;
+    if (a.vcpu != b.vcpu) return a.vcpu > b.vcpu;
+    ++*index_ties;
+    return a.job_index > b.job_index;
+  };
+  EdfSimResult result;
+  std::vector<Job> jobs;
+  for (const PeriodicTask& task : tasks) {
+    for (TimeNs k = 0; k < hyperperiod / task.period; ++k) {
+      const TimeNs release = k * task.period + task.offset;
+      jobs.push_back(Job{release, release + task.deadline, task.deadline - task.cost,
+                         task.cost, task.vcpu});
+    }
+  }
+  std::sort(jobs.begin(), jobs.end(),
+            [](const Job& a, const Job& b) { return a.release < b.release; });
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, decltype(later)> ready(later);
+  std::size_t next = 0;
+  TimeNs now = 0;
+  const auto release_up_to = [&](TimeNs t) {
+    for (; next < jobs.size() && jobs[next].release <= t; ++next) {
+      ready.push(HeapEntry{jobs[next].deadline, jobs[next].laxity, jobs[next].vcpu, next});
+    }
+  };
+  const auto record = [&](VcpuId vcpu, TimeNs start, TimeNs end) {
+    if (!record_allocations || start == end) {
+      return;
+    }
+    if (!result.allocations.empty() && result.allocations.back().vcpu == vcpu &&
+        result.allocations.back().end == start) {
+      result.allocations.back().end = end;
+    } else {
+      result.allocations.push_back(Allocation{vcpu, start, end});
+    }
+  };
+  release_up_to(now);
+  while (now < hyperperiod) {
+    if (ready.empty()) {
+      if (next >= jobs.size()) {
+        break;
+      }
+      now = jobs[next].release;
+      release_up_to(now);
+      continue;
+    }
+    Job& job = jobs[ready.top().job_index];
+    const TimeNs next_release = next < jobs.size() ? jobs[next].release : kTimeNever;
+    const TimeNs run_until = std::min(now + job.remaining, next_release);
+    record(job.vcpu, now, run_until);
+    job.remaining -= run_until - now;
+    now = run_until;
+    if (job.remaining == 0) {
+      ready.pop();
+      if (now > job.deadline) {
+        result.missed_vcpu = job.vcpu;
+        result.missed_deadline = job.deadline;
+        return result;
+      }
+    }
+    release_up_to(now);
+  }
+  if (!ready.empty()) {
+    result.missed_vcpu = jobs[ready.top().job_index].vcpu;
+    result.missed_deadline = jobs[ready.top().job_index].deadline;
+    return result;
+  }
+  result.schedulable = true;
+  return result;
+}
 
 // ---------- Hyperperiod / candidate periods ----------
 
@@ -233,6 +363,109 @@ TEST(EdfSim, OffsetTaskReleasesRespected) {
   for (const Allocation& alloc : result.allocations) {
     EXPECT_GE(alloc.start % 100, 50);
   }
+}
+
+// A seeded task set on a 2400 ns hyperperiod, vCPU ids drawn from a
+// shuffled range so id order differs from task order. Each task is an
+// implicit-deadline task, a constrained one with a release offset, or a
+// zero-laxity C=D piece (D = C); synchronous releases, repeated periods and
+// utilizations around 1 give equal releases and deadlines across tasks and
+// both verdicts. With `shared_vcpus`, some tasks reuse an earlier task's id.
+std::vector<PeriodicTask> RandomEdfTaskSet(Rng& rng, bool shared_vcpus) {
+  const TimeNs periods[] = {100, 200, 300, 400, 600, 800, 1200, 2400};
+  const int n = static_cast<int>(rng.UniformInt(1, 16));
+  const double target = rng.UniformDouble(0.5, 1.15);
+  std::vector<VcpuId> ids;
+  for (int i = 0; i < n; ++i) {
+    ids.push_back(3 * i + 1);
+  }
+  for (int i = n - 1; i > 0; --i) {
+    std::swap(ids[static_cast<std::size_t>(i)],
+              ids[static_cast<std::size_t>(rng.UniformInt(0, i))]);
+  }
+  std::vector<PeriodicTask> tasks;
+  for (int i = 0; i < n; ++i) {
+    PeriodicTask task;
+    task.vcpu = ids[static_cast<std::size_t>(i)];
+    if (shared_vcpus && i > 0 && rng.UniformInt(0, 2) == 0) {
+      task.vcpu = tasks[static_cast<std::size_t>(rng.UniformInt(0, i - 1))].vcpu;
+    }
+    task.period = periods[rng.UniformInt(0, 7)];
+    const double share = target / n * rng.UniformDouble(0.5, 1.5);
+    task.cost = std::clamp<TimeNs>(
+        static_cast<TimeNs>(share * static_cast<double>(task.period)), 1, task.period);
+    task.deadline = task.period;
+    switch (rng.UniformInt(0, 3)) {
+      case 0:  // Constrained deadline behind a release offset.
+        task.offset = rng.UniformInt(0, task.period - task.cost);
+        task.deadline = rng.UniformInt(task.cost, task.period - task.offset);
+        break;
+      case 1:  // C=D piece.
+        task.offset = rng.UniformInt(0, task.period - task.cost);
+        task.deadline = task.cost;
+        break;
+      default:
+        break;
+    }
+    tasks.push_back(task);
+  }
+  return tasks;
+}
+
+TEST(EdfSim, MatchesSortedReferenceOnRandomSets) {
+  // One task per vCPU, as the planner gives every core: jobs of distinct
+  // tasks then never tie on (deadline, laxity, vCPU), so the release-order
+  // tie-break can never choose and the merged job stream must reproduce the
+  // sorted one exactly, misses included.
+  Rng rng(2026);
+  int schedulable = 0;
+  int offsets = 0;
+  int zero_laxity = 0;
+  int index_ties = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::vector<PeriodicTask> tasks = RandomEdfTaskSet(rng, /*shared_vcpus=*/false);
+    const TimeNs h = 2400;
+    const EdfSimResult reference = SortedEdfReference(tasks, h, true, &index_ties);
+    const EdfSimResult result = SimulateEdf(tasks, h);
+    ASSERT_EQ(result.schedulable, reference.schedulable) << "trial " << trial;
+    ASSERT_EQ(result.missed_vcpu, reference.missed_vcpu) << "trial " << trial;
+    ASSERT_EQ(result.missed_deadline, reference.missed_deadline) << "trial " << trial;
+    ASSERT_EQ(result.allocations, reference.allocations) << "trial " << trial;
+    ASSERT_EQ(EdfSchedulable(tasks, h),
+              SortedEdfReference(tasks, h, false, &index_ties).schedulable)
+        << "trial " << trial;
+    schedulable += result.schedulable ? 1 : 0;
+    for (const PeriodicTask& task : tasks) {
+      offsets += task.offset > 0 ? 1 : 0;
+      zero_laxity += task.deadline == task.cost && task.cost < task.period ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(index_ties, 0);
+  EXPECT_GT(schedulable, 600);
+  EXPECT_LT(schedulable, 2400);
+  EXPECT_GT(offsets, 1000);
+  EXPECT_GT(zero_laxity, 1000);
+}
+
+TEST(EdfSim, SharedVcpuTiesKeepVerdictAndSchedule) {
+  // Two tasks of one vCPU can release jobs with one deadline and laxity,
+  // which only the reference's array position orders. Which of the two runs
+  // first cannot change when the vCPU runs, only which job a late finish is
+  // pinned on, so the verdict and every schedulable table must still match.
+  Rng rng(7);
+  int index_ties = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::vector<PeriodicTask> tasks = RandomEdfTaskSet(rng, /*shared_vcpus=*/true);
+    const TimeNs h = 2400;
+    const EdfSimResult reference = SortedEdfReference(tasks, h, true, &index_ties);
+    const EdfSimResult result = SimulateEdf(tasks, h);
+    ASSERT_EQ(result.schedulable, reference.schedulable) << "trial " << trial;
+    ASSERT_EQ(EdfSchedulable(tasks, h), reference.schedulable) << "trial " << trial;
+    if (result.schedulable) {
+      ASSERT_EQ(result.allocations, reference.allocations) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(index_ties, 0);  // The tie actually occurred.
 }
 
 TEST(EdfSim, RandomizedAgreesWithDemandBound) {

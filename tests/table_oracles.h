@@ -7,9 +7,26 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/table/scheduling_table.h"
 
 namespace tableau {
+
+// Reference lookup: a scan of the pCPU's allocation list from its start, the
+// oracle for SchedulingTable::Lookup's slice table. `offset` must be in
+// [0, length).
+inline LookupResult LookupLinear(const SchedulingTable& table, int cpu, TimeNs offset) {
+  TABLEAU_CHECK(offset >= 0 && offset < table.length());
+  for (const Allocation& alloc : table.cpu(cpu).allocations) {
+    if (offset < alloc.start) {
+      return LookupResult{kIdleVcpu, alloc.start};
+    }
+    if (offset < alloc.end) {
+      return LookupResult{alloc.vcpu, alloc.end};
+    }
+  }
+  return LookupResult{kIdleVcpu, table.length()};
+}
 
 // All pCPUs on which `vcpu` has at least one allocation, ascending.
 inline std::vector<int> CpusOf(const SchedulingTable& table, VcpuId vcpu) {

@@ -122,7 +122,7 @@ TEST(SchedulingTable, SliceLookupAgreesWithLinearEverywhere) {
     const SchedulingTable table = SchedulingTable::Build(5000, std::move(per_cpu));
     for (TimeNs offset = 0; offset < 5000; ++offset) {
       const LookupResult fast = table.Lookup(0, offset);
-      const LookupResult slow = table.LookupLinear(0, offset);
+      const LookupResult slow = LookupLinear(table, 0, offset);
       ASSERT_EQ(fast.vcpu, slow.vcpu) << "offset " << offset;
       ASSERT_EQ(fast.interval_end, slow.interval_end) << "offset " << offset;
     }
@@ -164,7 +164,7 @@ TEST(SchedulingTable, LookupMatchesLinearAtSliceEdges) {
     }
     for (const TimeNs offset : probes) {
       const LookupResult fast = table.Lookup(0, offset);
-      const LookupResult slow = table.LookupLinear(0, offset);
+      const LookupResult slow = LookupLinear(table, 0, offset);
       ASSERT_EQ(fast.vcpu, slow.vcpu) << "offset " << offset << " trial " << trial;
       ASSERT_EQ(fast.interval_end, slow.interval_end) << "offset " << offset << " trial " << trial;
     }
@@ -195,7 +195,7 @@ TEST(SchedulingTable, SingleSliceTable) {
   EXPECT_EQ(table.cpu(0).num_slices(), 1u);
   for (const TimeNs offset : {TimeNs{0}, TimeNs{512}, TimeNs{1023}}) {
     const LookupResult fast = table.Lookup(0, offset);
-    const LookupResult slow = table.LookupLinear(0, offset);
+    const LookupResult slow = LookupLinear(table, 0, offset);
     EXPECT_EQ(fast.vcpu, slow.vcpu);
     EXPECT_EQ(fast.interval_end, slow.interval_end);
   }
@@ -397,7 +397,7 @@ TEST(SchedulingTable, RebuildMatchesBuild) {
               continue;
             }
             const LookupResult fast = derived.Lookup(c, offset);
-            const LookupResult slow = derived.LookupLinear(c, offset);
+            const LookupResult slow = LookupLinear(derived, c, offset);
             ASSERT_EQ(fast.vcpu, slow.vcpu) << "trial " << trial << " offset " << offset;
             ASSERT_EQ(fast.interval_end, slow.interval_end)
                 << "trial " << trial << " offset " << offset;
@@ -406,6 +406,49 @@ TEST(SchedulingTable, RebuildMatchesBuild) {
       }
     }
   }
+}
+
+TEST(SchedulingTable, ChangedValidateMatchesWholeTableOnRebuilds) {
+  // Validate(changed) on a table Rebuilt from a valid one must return
+  // Validate()'s string, also when the rebuilt pCPUs overlap pieces their
+  // vCPUs hold on unchanged pCPUs.
+  Rng rng(36);
+  int rebuilt = 0;
+  int violations = 0;
+  int spread_valid = 0;
+  while (rebuilt < 400) {
+    const int num_cpus = static_cast<int>(rng.UniformInt(2, 6));
+    const int num_vcpus = static_cast<int>(rng.UniformInt(2, 30));
+    const SchedulingTable previous = SchedulingTable::Build(
+        1000, RandomPerCpu(rng, num_cpus, num_vcpus, 10 * rng.UniformInt(0, 80)));
+    if (!previous.Validate().empty()) {
+      continue;
+    }
+    std::vector<std::vector<Allocation>> fresh =
+        RandomPerCpu(rng, num_cpus, num_vcpus, 10 * rng.UniformInt(0, 80));
+    std::vector<bool> changed(static_cast<std::size_t>(num_cpus));
+    for (std::size_t c = 0; c < changed.size(); ++c) {
+      changed[c] = rng.UniformInt(0, 2) == 0;
+    }
+    const SchedulingTable derived = previous.Rebuild(changed, std::move(fresh));
+    const std::string expected = derived.Validate();
+    ASSERT_EQ(derived.Validate(changed), expected) << "table " << rebuilt;
+    ++rebuilt;
+    violations += expected.empty() ? 0 : 1;
+    if (expected.empty()) {
+      std::vector<VcpuId> listed;
+      for (int c = 0; c < num_cpus; ++c) {
+        const std::vector<VcpuId>& locals = derived.cpu(c).local_vcpus;
+        listed.insert(listed.end(), locals.begin(), locals.end());
+      }
+      std::sort(listed.begin(), listed.end());
+      spread_valid += std::adjacent_find(listed.begin(), listed.end()) != listed.end() ? 1 : 0;
+    }
+  }
+  // Both verdicts occur, and valid tables with vCPUs on several pCPUs too.
+  EXPECT_GT(violations, 40);
+  EXPECT_LT(violations, 360);
+  EXPECT_GT(spread_valid, 20);
 }
 
 TEST(SchedulingTable, RebuildSharesUnchangedCpuTables) {
@@ -441,7 +484,7 @@ TEST(SchedulingTable, RebuildSharesUnchangedCpuTables) {
   for (int c = 0; c < kCpus; ++c) {
     for (TimeNs offset = 0; offset < rebuilt.length(); offset += 7) {
       const LookupResult fast = rebuilt.Lookup(c, offset);
-      const LookupResult slow = rebuilt.LookupLinear(c, offset);
+      const LookupResult slow = LookupLinear(rebuilt, c, offset);
       ASSERT_EQ(fast.vcpu, slow.vcpu) << "cpu " << c << " offset " << offset;
       ASSERT_EQ(fast.interval_end, slow.interval_end) << "cpu " << c << " offset " << offset;
     }
@@ -626,7 +669,7 @@ TEST(SchedulingTable, DeserializeRebuildsNonPow2V1Blob) {
   EXPECT_EQ(table->Validate(), "");
   for (TimeNs offset = 0; offset < 400; ++offset) {
     const LookupResult fast = table->Lookup(0, offset);
-    const LookupResult slow = table->LookupLinear(0, offset);
+    const LookupResult slow = LookupLinear(*table, 0, offset);
     ASSERT_EQ(fast.vcpu, slow.vcpu) << "offset " << offset;
     ASSERT_EQ(fast.interval_end, slow.interval_end) << "offset " << offset;
   }
