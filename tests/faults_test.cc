@@ -282,6 +282,10 @@ TEST(PlannerFaults, DegradationRetriesAdmissionFailuresOnly) {
   EXPECT_FALSE(rejected.success);
   EXPECT_EQ(rejected.failure, PlanFailure::kAdmission);
   EXPECT_EQ(metrics.GetCounter("planner.latency_degradations")->value(), 2);
+  // The retries run the full pipeline inside the one solve, whose single
+  // planner.plan_total_ns sample covers them.
+  EXPECT_EQ(metrics.GetCounter("planner.plans")->value(), 3);
+  EXPECT_EQ(metrics.GetHistogram("planner.plan_total_ns")->ToValue().count, 1u);
 
   // Invalid requests are not degradable: no further retries are counted.
   std::vector<VcpuRequest> invalid = over;
