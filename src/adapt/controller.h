@@ -9,7 +9,7 @@
 //
 // Policy invariants (fuzz-checked by tests/check_adapt_test.cc):
 //  - A window with no data holds: a briefly-idle VM must not be resized to
-//    its floor on the strength of silence (the Telemetry::LastWindowView
+//    its floor on the strength of silence (the fleet::Host::WindowView
 //    "no data" signal, not 0.0 demand).
 //  - Hysteresis: grow only when the target exceeds the live reservation by
 //    grow_deadband, shrink only below it by shrink_deadband, and at most

@@ -56,31 +56,11 @@ class PhaseTimer {
   std::int64_t start_;
 };
 
-// Handles for the planner.* metrics; all null when no registry is configured.
-struct PhaseMetrics {
-  obs::LatencyHistogram* partition = nullptr;
-  obs::LatencyHistogram* edf_core_sim = nullptr;
-  obs::LatencyHistogram* cd_split = nullptr;
-  obs::LatencyHistogram* cluster = nullptr;
-  obs::LatencyHistogram* coalesce = nullptr;
-  obs::LatencyHistogram* table_build = nullptr;
-  obs::LatencyHistogram* validate = nullptr;
-  obs::LatencyHistogram* plan_total = nullptr;
-  obs::Counter* plans = nullptr;
-  obs::Counter* incremental_plans = nullptr;
-  // Admission fast-path ladder: decisions resolved per rung.
-  obs::Counter* admission_utilization = nullptr;
-  obs::Counter* admission_density = nullptr;
-  obs::Counter* admission_qpa = nullptr;
-  obs::Counter* admission_simulation = nullptr;
-};
+using PhaseMetrics = Planner::PhaseMetrics;
 
 PhaseMetrics ResolvePhaseMetrics(obs::MetricsRegistry* registry,
                                  bool wall_timings) {
   PhaseMetrics m;
-  if (registry == nullptr) {
-    return m;
-  }
   if (wall_timings) {
     m.partition = registry->GetHistogram("planner.partition_ns");
     m.edf_core_sim = registry->GetHistogram("planner.edf_core_sim_ns");
@@ -750,8 +730,17 @@ AuditHookSlot& AuditHook() {
 
 }  // namespace
 
-Planner::Planner(PlannerConfig config) : config_(config) {
+Planner::Planner(PlannerConfig config)
+    : config_(config), metrics_resolved_(config_.metrics == nullptr) {
   TABLEAU_CHECK(config_.num_cpus > 0);
+}
+
+const Planner::PhaseMetrics& Planner::Metrics() const {
+  if (!metrics_resolved_) {
+    metrics_ = ResolvePhaseMetrics(config_.metrics, config_.wall_timings);
+    metrics_resolved_ = true;
+  }
+  return metrics_;
 }
 
 void SetPlanAuditHook(PlanAuditHook hook) {
@@ -788,7 +777,7 @@ PlanResult Planner::SolveImpl(const PlanRequest& request) const {
     }
   }
 
-  const PhaseMetrics pm = ResolvePhaseMetrics(config_.metrics, config_.wall_timings);
+  const PhaseMetrics& pm = Metrics();
   // The solve's one plan_total sample: request checks, full-solve fallbacks
   // and degradation retries included.
   PhaseTimer total_timer(pm.plan_total);

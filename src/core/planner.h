@@ -218,12 +218,37 @@ class Planner {
   // funnels through here: this is where injected planner failures
   // (PlannerConfig::fault_injector) and the stepwise latency-goal
   // degradation policy attach, exactly once per solve. Thread-compatible;
-  // Solve() is const and reentrant.
+  // Solve() is const, and reentrant unless the planner has a metrics
+  // registry, which makes it single-writer like the registry.
   PlanResult Solve(const PlanRequest& request) const;
 
   const PlannerConfig& config() const { return config_; }
 
+  // Handles for the planner.* metrics the pipeline records into; all null
+  // without a registry (the phase timers also without wall_timings).
+  struct PhaseMetrics {
+    obs::LatencyHistogram* partition = nullptr;
+    obs::LatencyHistogram* edf_core_sim = nullptr;
+    obs::LatencyHistogram* cd_split = nullptr;
+    obs::LatencyHistogram* cluster = nullptr;
+    obs::LatencyHistogram* coalesce = nullptr;
+    obs::LatencyHistogram* table_build = nullptr;
+    obs::LatencyHistogram* validate = nullptr;
+    obs::LatencyHistogram* plan_total = nullptr;
+    obs::Counter* plans = nullptr;
+    obs::Counter* incremental_plans = nullptr;
+    // Admission fast-path ladder: decisions resolved per rung.
+    obs::Counter* admission_utilization = nullptr;
+    obs::Counter* admission_density = nullptr;
+    obs::Counter* admission_qpa = nullptr;
+    obs::Counter* admission_simulation = nullptr;
+  };
+
  private:
+  // The handles, looked up by the first solve that reaches the pipeline, so
+  // a planner that never does adds no entries to its registry's snapshot.
+  const PhaseMetrics& Metrics() const;
+
   // Solve() minus the audit hook: injection draw, pipeline dispatch (a full
   // or a delta solve; see planner.cc), and the degradation loop. Split out so
   // the hook observes exactly one final result per Solve (degradation
@@ -233,6 +258,8 @@ class Planner {
   PlanResult SolveImpl(const PlanRequest& request) const;
 
   PlannerConfig config_;
+  mutable PhaseMetrics metrics_;
+  mutable bool metrics_resolved_;
 };
 
 }  // namespace tableau

@@ -100,9 +100,9 @@ void Cluster::ControlTick(TimeNs now) {
 }
 
 void Cluster::AdaptReservations(TimeNs now) {
-  // Controller ticks after admission, in host order: the telemetry window
-  // views were closed by the cadence samples at this same barrier, so the
-  // inputs — and therefore every resize — are execution-mode-independent.
+  // Controller ticks after admission, in host order: each host closes its
+  // slots' windows at this barrier, one telemetry window after the last, so
+  // the inputs — and therefore every resize — are execution-mode-independent.
   for (auto& host : hosts_) {
     resizes_ += static_cast<std::uint64_t>(host->AdaptTick(now));
   }

@@ -58,6 +58,8 @@ Host::Host(const HostConfig& config) : config_(config) {
   }
   if (config_.adaptive) {
     adaptive_ = std::make_unique<adapt::AdaptiveController>(config_.adapt_policy);
+    // Every vCPU's totals are zero when Machine::Start binds the telemetry.
+    window_totals_.resize(slots_.size());
   }
 }
 
@@ -223,18 +225,33 @@ int Host::ResizeVms(const std::vector<ResizeRequest>& resizes, TimeNs now) {
   return static_cast<int>(resizes.size());
 }
 
+Host::WindowView Host::CloseWindow(int slot, TimeNs now) {
+  obs::LatencyBreakdown& last = window_totals_[static_cast<std::size_t>(slot)];
+  const obs::LatencyBreakdown totals = telemetry_->attributor().TotalsAt(slot, now);
+  const obs::LatencyBreakdown window = totals - last;
+  last = totals;
+  WindowView view;
+  view.supply_ns = window[obs::LatencyComponent::kService];
+  view.demand_ns = view.supply_ns + window[obs::LatencyComponent::kWakeQueue] +
+                   window[obs::LatencyComponent::kPreempt] +
+                   window[obs::LatencyComponent::kBlackout] +
+                   window[obs::LatencyComponent::kSwitchSlip];
+  view.has_data = view.demand_ns > 0;
+  return view;
+}
+
 int Host::AdaptTick(TimeNs now) {
-  if (adaptive_ == nullptr || telemetry_ == nullptr || !plan_.success) {
+  if (adaptive_ == nullptr || telemetry_ == nullptr) {
     return 0;
   }
   const double window = static_cast<double>(config_.telemetry.window_ns);
   std::vector<ResizeRequest> pending;
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     const int slot = static_cast<int>(s);
-    if (!slots_[s].occupied || !adaptive_->bound(slot)) {
+    const WindowView view = CloseWindow(slot, now);
+    if (!plan_.success || !slots_[s].occupied || !adaptive_->bound(slot)) {
       continue;
     }
-    const obs::Telemetry::VcpuWindowView& view = telemetry_->LastWindowView(slot);
     const adapt::AdaptiveController::Decision decision = adaptive_->ObserveWindow(
         slot, view.has_data, static_cast<double>(view.supply_ns) / window,
         static_cast<double>(view.demand_ns) / window);

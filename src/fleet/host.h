@@ -104,8 +104,23 @@ class Host {
 
   adapt::AdaptiveController* adaptive() { return adaptive_.get(); }
 
-  // One controller tick at a deterministic barrier: reads every occupied
-  // slot's last telemetry window view, feeds the controller, and applies
+  // Demand and supply of a slot's vCPU over one control window, from
+  // LatencyAttributor::TotalsAt deltas, so it is exact even for a starved
+  // vCPU whose wait has not settled yet. has_data == false means the vCPU
+  // saw no runnable or running time in the window ("no data", distinct
+  // from zero demand): the adaptive controller's hold signal.
+  struct WindowView {
+    bool has_data = false;
+    TimeNs demand_ns = 0;  // Service + wake-queue + preempt + blackout + slip.
+    TimeNs supply_ns = 0;  // Service actually granted.
+  };
+  // Closes `slot`'s window at `now` on an adaptive host with telemetry: the
+  // view since the slot's previous close, or since Machine::Start.
+  WindowView CloseWindow(int slot, TimeNs now);
+
+  // One controller tick at a deterministic barrier: closes every slot's
+  // window (occupied or not, so a later admission's first view starts at a
+  // tick), feeds the occupied slots' views to the controller, and applies
   // the non-hold decisions through ResizeVms. Returns resizes installed.
   int AdaptTick(TimeNs now);
 
@@ -159,6 +174,8 @@ class Host {
   // planner; replan.* metrics live in the machine registry).
   std::unique_ptr<ReplanController> replan_;
   std::unique_ptr<adapt::AdaptiveController> adaptive_;
+  // Adaptive hosts: each slot's attribution totals at its last CloseWindow.
+  std::vector<obs::LatencyBreakdown> window_totals_;
   PlanResult plan_;
   std::vector<Slot> slots_;
   // Unoccupied slots, kept by AdmitVm/RemoveVm: the control plane asks

@@ -20,11 +20,12 @@ TimeNs VmStream::Intended(std::uint64_t k) const {
 void VmStream::Activate(Machine* machine, WorkQueueGuest* guest,
                         obs::Telemetry* telemetry, int slot, TimeNs at) {
   TABLEAU_CHECK(machine != nullptr && guest != nullptr);
-  TABLEAU_CHECK(in_flight_.empty());  // Rebound only once drained.
+  TABLEAU_CHECK(Drained());  // Rebound only once drained.
   machine_ = machine;
   guest_ = guest;
   telemetry_ = telemetry;
   slot_ = slot;
+  decomposes_ = telemetry_ != nullptr && telemetry_->DecomposesSpans(slot_);
   if (!anchored_) {
     anchored_ = true;
     anchor_ = at;
@@ -76,20 +77,21 @@ void VmStream::PostRequest(std::uint64_t k) {
     cost *= spec_.surge_factor;
   }
   const TimeNs service = static_cast<TimeNs>(cost);
-  obs::Telemetry::RequestMark mark;
-  mark.at = intended;
-  if (telemetry_ != nullptr) {
-    mark = telemetry_->BeginRequest(slot_, intended);
+  if (decomposes_) {
+    span_totals_.PushBack(telemetry_->BeginRequest(slot_, intended).totals);
   }
   ++posted_;
-  in_flight_.PushBack(mark);
   guest_->Post(service, [this](TimeNs done) { OnRequestDone(done); });
 }
 
 void VmStream::OnRequestDone(TimeNs done) {
-  const obs::Telemetry::RequestMark mark = in_flight_.PopFront();
+  obs::Telemetry::RequestMark mark;
+  mark.at = Intended(completed_);
   const TimeNs latency = done - mark.at;
   if (telemetry_ != nullptr) {
+    if (decomposes_) {
+      mark.totals = span_totals_.PopFront();
+    }
     telemetry_->EndRequest(slot_, mark, done, /*network_extra_ns=*/0);
   }
   if (latency > spec_.latency_goal) {

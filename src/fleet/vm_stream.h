@@ -76,7 +76,7 @@ class VmStream {
   void Pause();
 
   bool active() const { return !paused_ && machine_ != nullptr; }
-  bool Drained() const { return in_flight_.empty(); }
+  bool Drained() const { return completed_ == posted_; }
 
   // --- Fleet-level SLO accounting (follows the VM across hosts) ---
   std::uint64_t posted() const { return posted_; }
@@ -101,6 +101,8 @@ class VmStream {
   WorkQueueGuest* guest_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
   int slot_ = -1;
+  // Whether the current placement's telemetry decomposes this VM's spans.
+  bool decomposes_ = false;
   EventId pacer_ = kInvalidEvent;
   bool anchored_ = false;
   bool paused_ = true;
@@ -110,12 +112,14 @@ class VmStream {
   std::uint64_t posted_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t misses_ = 0;
-  // Marks of the posted, not yet completed requests, in posting order. The
-  // guest FIFO completes a stream's requests in that order and a migration's
-  // drain empties this queue before the stream is reactivated, so the front
-  // is request `completed_`, posted on the current placement; the guest
-  // callback captures only `this`.
-  RingQueue<obs::Telemetry::RequestMark> in_flight_;
+  // The guest FIFO completes a stream's requests in posting order, and a
+  // migration's drain completes them all before the stream is reactivated,
+  // so the completing request is always grid index `completed_`, posted on
+  // the current placement: its intended time needs no per-request state,
+  // and the guest callback captures only `this`. Only when the telemetry
+  // decomposes spans does each in-flight request keep its attributor
+  // totals from arrival, in posting order.
+  RingQueue<obs::LatencyBreakdown> span_totals_;
   TimeNs max_latency_ = 0;
   std::uint64_t fp_ = 1469598103934665603ull;
 };

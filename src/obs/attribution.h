@@ -135,11 +135,6 @@ class LatencyAttributor {
   LatencyComponent StateOf(int vcpu) const {
     return states_[static_cast<std::size_t>(vcpu)].component;
   }
-  // True when `vcpu` has been blocked continuously since `t` or earlier.
-  bool BlockedSince(int vcpu, TimeNs t) const {
-    const VcpuState& state = states_[static_cast<std::size_t>(vcpu)];
-    return state.component == LatencyComponent::kBlocked && state.since <= t;
-  }
 
  private:
   struct VcpuState {

@@ -58,12 +58,11 @@ void Telemetry::Bind(int num_cpus, int num_vcpus, bool table_driven,
   slo_.Bind(num_vms_, slo);
 
   const std::string& prefix = config_.series_prefix;
-  const int vantage = config_.vantage_vcpus < 0
-                          ? num_vcpus
-                          : std::min(config_.vantage_vcpus, num_vcpus);
-  vcpu_series_.resize(static_cast<std::size_t>(num_vcpus));
+  vantage_ = config_.vantage_vcpus < 0 ? num_vcpus
+                                       : std::min(config_.vantage_vcpus, num_vcpus);
+  vcpu_series_.resize(static_cast<std::size_t>(vantage_));
   span_hists_.resize(static_cast<std::size_t>(num_vms_));
-  for (int i = 0; i < vantage; ++i) {
+  for (int i = 0; i < vantage_; ++i) {
     const std::string name =
         prefix + vcpu_names_[static_cast<std::size_t>(i)];
     VcpuSeries& s = vcpu_series_[static_cast<std::size_t>(i)];
@@ -88,23 +87,6 @@ void Telemetry::Bind(int num_cpus, int num_vcpus, bool table_driven,
   machine_slip_ = recorder_->DefineSeries(prefix + "machine.slip_ns");
   machine_waiting_ = recorder_->DefineSeries(prefix + "machine.runnable_waiting");
   machine_running_ = recorder_->DefineSeries(prefix + "machine.running");
-
-  view_prev_totals_.resize(static_cast<std::size_t>(num_vcpus));
-  for (int v = 0; v < num_vcpus; ++v) {
-    view_prev_totals_[static_cast<std::size_t>(v)] = attributor_.TotalsAt(v, start);
-  }
-  window_views_.resize(static_cast<std::size_t>(num_vcpus));
-  last_view_at_ = start;
-  // Every vCPU starts blocked with an empty view, so none is live yet.
-  live_vcpus_.reserve(static_cast<std::size_t>(num_vcpus));
-  is_live_.resize(static_cast<std::size_t>(num_vcpus));
-}
-
-void Telemetry::MarkLive(int vcpu) {
-  if (!is_live_[static_cast<std::size_t>(vcpu)]) {
-    is_live_[static_cast<std::size_t>(vcpu)] = true;
-    live_vcpus_.push_back(vcpu);
-  }
 }
 
 void Telemetry::IngestInterval(int vcpu, const AttributedInterval& interval) {
@@ -128,8 +110,11 @@ void Telemetry::IngestInterval(int vcpu, const AttributedInterval& interval) {
     default:
       break;  // Service is ingested via OnServiceRange; blocked is idle.
   }
-  if (machine_series != TimeSeriesRecorder::kNoSeries) {
-    recorder_->AddRange(machine_series, interval.from, interval.to);
+  if (machine_series == TimeSeriesRecorder::kNoSeries) {
+    return;
+  }
+  recorder_->AddRange(machine_series, interval.from, interval.to);
+  if (vcpu < vantage_) {
     recorder_->AddRange(vcpu_series_[static_cast<std::size_t>(vcpu)].demand,
                         interval.from, interval.to);
   }
@@ -139,7 +124,6 @@ void Telemetry::OnWakeup(int vcpu, TimeNs now) {
   if (!enabled_ || !bound_) {
     return;
   }
-  MarkLive(vcpu);
   IngestInterval(vcpu, attributor_.OnWakeup(vcpu, now));
 }
 
@@ -154,7 +138,6 @@ void Telemetry::OnDispatch(int vcpu, TimeNs now) {
   if (!enabled_ || !bound_) {
     return;
   }
-  MarkLive(vcpu);
   IngestInterval(vcpu, attributor_.OnDispatch(vcpu, now));
 }
 
@@ -169,9 +152,11 @@ void Telemetry::OnServiceRange(int vcpu, int cpu, TimeNs from, TimeNs to) {
   if (!enabled_ || !bound_ || to <= from) {
     return;
   }
-  const VcpuSeries& s = vcpu_series_[static_cast<std::size_t>(vcpu)];
-  recorder_->AddRange(s.supply, from, to);
-  recorder_->AddRange(s.demand, from, to);  // Demand = waiting + served.
+  if (vcpu < vantage_) {
+    const VcpuSeries& s = vcpu_series_[static_cast<std::size_t>(vcpu)];
+    recorder_->AddRange(s.supply, from, to);
+    recorder_->AddRange(s.demand, from, to);  // Demand = waiting + served.
+  }
   recorder_->AddRange(cpu_busy_series_[static_cast<std::size_t>(cpu)], from,
                       to);
 }
@@ -193,34 +178,6 @@ void Telemetry::OnCadenceSample(TimeNs at, int runnable_waiting, int running) {
   }
   recorder_->Observe(machine_waiting_, at, runnable_waiting);
   recorder_->Observe(machine_running_, at, running);
-  if (at <= last_view_at_) {
-    return;  // Re-sample of the same boundary: the views are already closed.
-  }
-  const TimeNs window_start = last_view_at_;
-  last_view_at_ = at;
-  std::size_t kept = 0;
-  for (const int v : live_vcpus_) {
-    VcpuWindowView& view = window_views_[static_cast<std::size_t>(v)];
-    if (!view.has_data && attributor_.BlockedSince(v, window_start)) {
-      // Only the blocked total moved, which no view reads: the view stays
-      // empty until the vCPU wakes, and the stale blocked total in
-      // view_prev_totals_ never reaches a view either.
-      is_live_[static_cast<std::size_t>(v)] = false;
-      continue;
-    }
-    live_vcpus_[kept++] = v;
-    const LatencyBreakdown totals = attributor_.TotalsAt(v, at);
-    const LatencyBreakdown delta =
-        totals - view_prev_totals_[static_cast<std::size_t>(v)];
-    view_prev_totals_[static_cast<std::size_t>(v)] = totals;
-    view.supply_ns = delta[LatencyComponent::kService];
-    view.demand_ns = view.supply_ns + delta[LatencyComponent::kWakeQueue] +
-                     delta[LatencyComponent::kPreempt] +
-                     delta[LatencyComponent::kBlackout] +
-                     delta[LatencyComponent::kSwitchSlip];
-    view.has_data = view.demand_ns > 0;
-  }
-  live_vcpus_.resize(kept);
 }
 
 Telemetry::RequestMark Telemetry::BeginRequest(int vcpu, TimeNs at) const {
@@ -243,10 +200,12 @@ void Telemetry::EndRequest(int vcpu, const RequestMark& mark, TimeNs end,
   const int vm = vm_of_[static_cast<std::size_t>(vcpu)];
   slo_.Record(vm, end, latency);
 
-  const VcpuSeries& s = vcpu_series_[static_cast<std::size_t>(vcpu)];
-  recorder_->Observe(s.latency, end, latency);
-  if (latency > slo_.config().target_latency_ns) {
-    recorder_->Observe(s.misses, end, 1);
+  if (vcpu < vantage_) {
+    const VcpuSeries& s = vcpu_series_[static_cast<std::size_t>(vcpu)];
+    recorder_->Observe(s.latency, end, latency);
+    if (latency > slo_.config().target_latency_ns) {
+      recorder_->Observe(s.misses, end, 1);
+    }
   }
   if (!DecomposesSpans(vcpu)) {
     return;

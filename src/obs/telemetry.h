@@ -92,27 +92,8 @@ class Telemetry {
   // waiting vCPU's current wait to kSwitchSlip.
   void OnTableSwitch(TimeNs now, TimeNs slip);
   // Deterministic cadence sample taken by Machine::RunFor at every window
-  // boundary: instantaneous runnable-waiting and running vCPU counts. Also
-  // closes the per-vCPU window views below (idempotent per boundary),
-  // visiting only live vCPUs: a vCPU blocked for the whole window whose
-  // last view was already empty cannot change its view, so it leaves the
-  // live list until its next wakeup or dispatch.
+  // boundary: instantaneous runnable-waiting and running vCPU counts.
   void OnCadenceSample(TimeNs at, int runnable_waiting, int running);
-
-  // Per-vCPU view of the telemetry window that closed at the last cadence
-  // sample, computed from LatencyAttributor::TotalsAt deltas so it is exact
-  // even for a starved vCPU whose waiting interval has not settled into the
-  // recorder yet. has_data == false means the vCPU saw no runnable or
-  // running time at all in the window ("no data", distinct from zero
-  // demand) — the adaptive controller's hold signal.
-  struct VcpuWindowView {
-    bool has_data = false;
-    TimeNs demand_ns = 0;  // Service + wake-queue + preempt + blackout + slip.
-    TimeNs supply_ns = 0;  // Service actually granted.
-  };
-  const VcpuWindowView& LastWindowView(int vcpu) const {
-    return window_views_[static_cast<std::size_t>(vcpu)];
-  }
 
   // First window boundary strictly after `t` (Machine::RunFor chunking).
   TimeNs NextBoundaryAfter(TimeNs t) const {
@@ -121,8 +102,14 @@ class Telemetry {
   TimeNs window_ns() const { return config_.window_ns; }
 
   // --- Workload span hooks ---
+  // Whether EndRequest decomposes spans of `vcpu` into components: a
+  // vantage VM's, or every VM's once a span observer is set.
+  bool DecomposesSpans(int vcpu) const {
+    const int vm = vm_of_[static_cast<std::size_t>(vcpu)];
+    return span_observer_ || span_hists_[static_cast<std::size_t>(vm)] != nullptr;
+  }
   // Captures the attributor totals only when EndRequest will decompose the
-  // span (a vantage VM, or a span observer set); otherwise just `at`.
+  // span; otherwise just `at`.
   RequestMark BeginRequest(int vcpu, TimeNs at) const;
   // Completes a span: end-to-end latency is (end - mark.at) +
   // network_extra_ns, recorded against the VM's SLO. For a vantage VM the
@@ -159,15 +146,8 @@ class Telemetry {
   };
 
   // Routes a settled waiting/service interval into the machine-wide
-  // component series and the vCPU's demand series.
+  // component series and a vantage vCPU's demand series.
   void IngestInterval(int vcpu, const AttributedInterval& interval);
-  // Adds `vcpu` to the live list (see OnCadenceSample) if it is not there.
-  void MarkLive(int vcpu);
-  // Whether EndRequest decomposes spans of `vcpu` into components.
-  bool DecomposesSpans(int vcpu) const {
-    const int vm = vm_of_[static_cast<std::size_t>(vcpu)];
-    return span_observer_ || span_hists_[static_cast<std::size_t>(vm)] != nullptr;
-  }
 
   Config config_;
   bool enabled_ = true;
@@ -181,19 +161,10 @@ class Telemetry {
   LatencyAttributor attributor_;
   SloTracker slo_;
 
-  std::vector<VcpuSeries> vcpu_series_;
-  // Window-view state: cumulative totals at the previous cadence sample and
-  // the view of the last closed window, per vCPU, and the time of that
-  // sample (Bind's start before the first).
-  std::vector<LatencyBreakdown> view_prev_totals_;
-  std::vector<VcpuWindowView> window_views_;
-  TimeNs last_view_at_ = -1;
-  // vCPUs whose view the next cadence sample must close: all but those
-  // blocked since before the previous sample with an empty view. Only a
-  // wakeup or a dispatch ends a blocked state (a machine deschedules only
-  // running vCPUs), and both add the vCPU.
-  std::vector<int> live_vcpus_;
-  std::vector<bool> is_live_;
+  // vCPU ids below vantage_ are vantage vCPUs; only they have per-vCPU
+  // series, so each hook skips the rest with this one comparison.
+  int vantage_ = 0;
+  std::vector<VcpuSeries> vcpu_series_;  // Indexed by vantage vCPU id.
   std::vector<TimeSeriesRecorder::SeriesId> cpu_busy_series_;
   TimeSeriesRecorder::SeriesId machine_queue_ = TimeSeriesRecorder::kNoSeries;
   TimeSeriesRecorder::SeriesId machine_preempt_ =

@@ -15,9 +15,8 @@ TimeSeriesRecorder::TimeSeriesRecorder(Options options) : options_(options) {
 }
 
 TimeSeriesRecorder::SeriesId TimeSeriesRecorder::DefineSeries(std::string name) {
-  Series series;
-  series.name = std::move(name);
-  series_.push_back(std::move(series));
+  series_.emplace_back();
+  names_.push_back(std::move(name));
   return static_cast<SeriesId>(series_.size()) - 1;
 }
 
@@ -142,7 +141,7 @@ TimeSeriesSnapshot TimeSeriesRecorder::Snapshot() const {
                                                 cell.sum, cell.min, cell.max});
       }
     }
-    snapshot.series.emplace(series.name, std::move(data));
+    snapshot.series.emplace(names_[id], std::move(data));
   }
   return snapshot;
 }

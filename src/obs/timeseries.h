@@ -129,8 +129,9 @@ class TimeSeriesRecorder {
     }
   };
 
+  // A series' hot-path state; its name lives in names_, out of the record
+  // every sample reads.
   struct Series {
-    std::string name;
     std::int64_t oldest = 0;   // Oldest retained window index.
     std::int64_t newest = -1;  // Newest opened window index; -1 = empty.
     TimeNs newest_start = 0;   // newest * window_ns.
@@ -162,6 +163,7 @@ class TimeSeriesRecorder {
 
   Options options_;
   std::vector<Series> series_;
+  std::vector<std::string> names_;  // Parallel to series_.
   // Rows of stride_ cells; cell CellIndex(w, s) holds window w of series s.
   // A series with no sample yet may have no column (s >= stride_). Storage
   // for all window_capacity rows is reserved when the block is laid out,

@@ -10,7 +10,7 @@
 // schedule path allocation-free by construction (asserted end to end by
 // tests/alloc_steady_state_test.cc). Trivially destructible captures —
 // all of them in practice — skip the destructor thunk entirely, saving an
-// indirect call per fired event.
+// indirect call per freed event.
 //
 // EventCallback lives inside a pooled EventNode that never moves (the pool
 // is chunked), so it is deliberately neither copyable nor movable: Set()
@@ -37,9 +37,9 @@ class EventCallback {
 
   bool has_value() const { return invoke_ != nullptr; }
 
+  // Stores `fn`; the callback must be empty (fresh, or Reset()).
   template <typename F>
   void Set(F&& fn) {
-    Reset();
     using T = std::decay_t<F>;
     static_assert(sizeof(T) <= kInlineBytes,
                   "event callback capture exceeds the inline buffer; shrink the "
@@ -66,11 +66,14 @@ class EventCallback {
   }
 
  private:
-  // The invoke pointer sits *before* the capture bytes so that it shares a
-  // cache line with the owning EventNode's header fields.
+  // The invoke pointer and the first capture bytes come first, so that they
+  // share a cache line with the owning EventNode's header fields; the
+  // destroy pointer, read only when a node is freed (never when a timer
+  // fires), goes after the buffer. destroy_ is null whenever the callback
+  // is empty, which is why Set() need not reset it.
   void (*invoke_)(void*) = nullptr;
-  void (*destroy_)(void*) = nullptr;
   alignas(8) unsigned char inline_[kInlineBytes];
+  void (*destroy_)(void*) = nullptr;
 };
 
 }  // namespace tableau

@@ -54,15 +54,20 @@ void ShardedSimulation::RunUntil(TimeNs until) {
   }
   // Shards are causally independent until the barrier (see header), so the
   // engines may run concurrently. Each worker runs one contiguous range of
-  // engines serially; the partition only changes which thread hosts which
-  // engine, never the per-engine event order.
+  // engines serially, ascending on even barriers and descending on odd ones,
+  // so the engines one barrier ran last, still in cache, run first at the
+  // next. The partition and the order only change which thread hosts which
+  // engine when, never the per-engine event order.
   running_ = true;
   const std::size_t n = engines_.size();
   const std::size_t ranges =
       pool_ != nullptr ? static_cast<std::size_t>(pool_->num_threads()) : 1;
-  ParallelFor(pool_.get(), ranges, [this, n, ranges, until](std::size_t r) {
-    for (std::size_t i = r * n / ranges; i < (r + 1) * n / ranges; ++i) {
-      engines_[i]->RunUntil(until);
+  const bool descending = num_barriers_ % 2 == 1;
+  ParallelFor(pool_.get(), ranges, [this, n, ranges, until, descending](std::size_t r) {
+    const std::size_t begin = r * n / ranges;
+    const std::size_t end = (r + 1) * n / ranges;
+    for (std::size_t i = begin; i < end; ++i) {
+      engines_[descending ? begin + end - 1 - i : i]->RunUntil(until);
     }
   });
   running_ = false;

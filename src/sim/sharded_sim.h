@@ -22,7 +22,10 @@
 //
 // With `parallel == true`, each barrier runs the engines on a ThreadPool
 // created once with the simulation, one contiguous range of shards per
-// worker; message injection stays on the calling thread.
+// worker; message injection stays on the calling thread. Every range runs
+// in ascending shard order on even barriers and descending on odd ones (the
+// shards a barrier ran last, still in cache, run first at the next); the
+// order is an execution choice too and changes no shard's events.
 #ifndef SRC_SIM_SHARDED_SIM_H_
 #define SRC_SIM_SHARDED_SIM_H_
 

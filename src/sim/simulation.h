@@ -29,6 +29,7 @@
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -167,8 +168,9 @@ class Simulation {
   };
 
   // 128 bytes, cache-line aligned. The execute path (time, seq, links,
-  // where, period, the callback's invoke pointer, and the first capture
-  // bytes — every real callback captures one pointer) reads a single line.
+  // where, period, the callback's invoke pointer, and the first 16 capture
+  // bytes — every real callback captures a pointer and at most one more
+  // word, e.g. a Machine timer's [this, cpu]) reads a single line.
   // Per-activation scratch (mid-callback Arm/Disarm/Cancel) lives in the
   // Simulation object instead: only one event is active at a time, and the
   // owner's hot fields are already resident.
@@ -186,6 +188,8 @@ class Simulation {
     EventCallback fn;
   };
   static_assert(sizeof(EventNode) == 128, "EventNode outgrew two cache lines");
+  static_assert(offsetof(EventNode, fn) + sizeof(void*) + 16 <= 64,
+                "the invoke pointer and a two-word capture left the first line");
 
   // Heap entries carry their own sort key so a reclaimed node (generation
   // bumped, slot possibly reused) never has to be dereferenced for

@@ -46,8 +46,8 @@ struct Scenario {
     std::vector<Ipi> outbox;  // Written only by this shard's events.
   };
 
-  explicit Scenario(const ShardedSimulation::Options& options)
-      : engines(MakeEngines()), sim(EnginePointers(engines), options) {
+  explicit Scenario(const ShardedSimulation::Options& options, int shards = 4)
+      : engines(MakeEngines(shards)), sim(EnginePointers(engines), options) {
     ctxs.resize(engines.size());
     for (int s = 0; s < sim.num_shards(); ++s) {
       Ctx* ctx = &ctxs[static_cast<std::size_t>(s)];
@@ -111,9 +111,9 @@ struct Scenario {
     return total;
   }
 
-  static std::vector<std::unique_ptr<Simulation>> MakeEngines() {
+  static std::vector<std::unique_ptr<Simulation>> MakeEngines(int shards) {
     std::vector<std::unique_ptr<Simulation>> engines;
-    for (int s = 0; s < 4; ++s) {
+    for (int s = 0; s < shards; ++s) {
       engines.push_back(std::make_unique<Simulation>());
     }
     return engines;
@@ -145,18 +145,44 @@ ShardedSimulation::Options MakeOptions(bool parallel, int threads = 0) {
 }
 
 TEST(ShardedSim, ParallelShardedMatchesSerial) {
-  Scenario serial(MakeOptions(/*parallel=*/false));
-  serial.Run(kHorizon, kStep);
-  EXPECT_GT(serial.TotalIpis(), 100u) << "scenario must exercise cross-shard traffic";
-  // The hardware-sized pool, and fewer workers than shards (uneven ranges).
-  for (const int threads : {0, 3}) {
-    Scenario parallel(MakeOptions(/*parallel=*/true, threads));
+  // The hardware-sized pool, and fewer workers than shards: 4 shards over 3
+  // workers and 7 over 3 give uneven ranges, each run forward on even
+  // barriers and backward on odd ones.
+  const struct {
+    int shards;
+    int threads;
+  } cases[] = {{4, 0}, {4, 3}, {7, 3}};
+  for (const auto& c : cases) {
+    Scenario serial(MakeOptions(/*parallel=*/false), c.shards);
+    serial.Run(kHorizon, kStep);
+    EXPECT_GT(serial.TotalIpis(), 100u) << "scenario must exercise cross-shard traffic";
+    Scenario parallel(MakeOptions(/*parallel=*/true, c.threads), c.shards);
     parallel.Run(kHorizon, kStep);
-    EXPECT_EQ(serial.TotalIpis(), parallel.TotalIpis()) << "threads=" << threads;
+    EXPECT_EQ(serial.TotalIpis(), parallel.TotalIpis())
+        << c.shards << " shards, threads=" << c.threads;
     EXPECT_EQ(serial.sim.events_executed(), parallel.sim.events_executed())
-        << "threads=" << threads;
-    EXPECT_EQ(serial.Fingerprints(), parallel.Fingerprints()) << "threads=" << threads;
+        << c.shards << " shards, threads=" << c.threads;
+    EXPECT_EQ(serial.Fingerprints(), parallel.Fingerprints())
+        << c.shards << " shards, threads=" << c.threads;
   }
+}
+
+TEST(ShardedSim, BarriersAlternateTheEngineOrder) {
+  // A serial barrier runs the engines 0..3, the next 3..0, the next 0..3
+  // again: the engines one barrier ran last run first at the next. Running
+  // to the current barrier is not a barrier and does not flip the order.
+  const std::vector<std::unique_ptr<Simulation>> engines = Scenario::MakeEngines(4);
+  ShardedSimulation sim(Scenario::EnginePointers(engines), MakeOptions(/*parallel=*/false));
+  std::vector<int> order;
+  for (int barrier = 1; barrier <= 3; ++barrier) {
+    for (int s = 0; s < 4; ++s) {
+      sim.shard(s).ScheduleAt(barrier * 100 - 50, [&order, s] { order.push_back(s); });
+    }
+    sim.RunUntil(barrier * 100);
+    sim.RunUntil(barrier * 100);
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 3, 2, 1, 0, 0, 1, 2, 3}));
+  EXPECT_EQ(sim.epochs(), 3u);
 }
 
 TEST(ShardedSim, ShardedRunsAreReproducible) {
